@@ -68,6 +68,10 @@ DEFAULT_C4 = 128.0
 DEFAULT_C0 = 1.0 / 64.0
 
 
+#: Largest shot or round count the samplers accept.
+_INT64_MAX = 2**63 - 1
+
+
 class ConfigError(ValueError):
     """Raised when a certification configuration is inconsistent."""
 
@@ -131,6 +135,10 @@ class CertificationConfig:
 
     def validate(self) -> None:
         """Range checks always; constants-consistency arithmetic unless waived."""
+        for name in ("epsilon", "delta", "c1", "c2", "c3", "c4", "c0", "eps_trott"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}.")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}.")
         if not 0 < self.delta < 1:
@@ -142,7 +150,20 @@ class CertificationConfig:
                 raise ConfigError(f"{name} must be positive.")
         if not 0 < self.c0 < 1:
             raise ConfigError(f"c0 must lie in (0, 1), got {self.c0}.")
-        tol = self.trotter_tolerance
+        try:
+            counts = {"rounds": self.rounds, "shots_per_round": self.shots_per_round}
+            time_cap = self.time_cap
+            tol = self.trotter_tolerance
+        except OverflowError:
+            raise ConfigError(
+                "Derived protocol parameters overflow; the constants, k or "
+                "delta are out of range."
+            ) from None
+        for name, value in counts.items():
+            if value > _INT64_MAX:
+                raise ConfigError(f"{name}={value} does not fit in a 64-bit integer.")
+        if not math.isfinite(time_cap):
+            raise ConfigError("time_cap overflows: epsilon is too small or c3 too large.")
         if tol <= 0:
             raise ConfigError(f"eps_trott must be positive, got {tol}.")
         if self.mode is OracleMode.TROTTERIZED and self.twirl_steps > UNROLL_DRAW_CAP:

@@ -209,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     except (HamiltonianFormatError, ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except Exception as exc:
+        # An uncaught exception would exit 1, the REJECT code.
+        sys.stderr.write(f"error: unexpected {type(exc).__name__}: {exc}\n")
+        return EXIT_ERROR
 
 
 def entrypoint() -> None:

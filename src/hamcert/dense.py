@@ -29,6 +29,7 @@ __all__ = [
     "is_unitary",
     "normalized_frobenius",
     "operator_norm",
+    "pauli_conjugate",
     "pauli_matrix",
     "propagator",
     "to_dense",
@@ -60,6 +61,36 @@ def pauli_matrix(label: str, cap: int = QUBIT_CAP) -> np.ndarray:
     for ch in label:
         m = np.kron(m, PAULI_MATRICES[ch])
     return m
+
+
+#: Phase each letter applies to a basis bit 0 and 1: ``P|b> = phase[b] |b ^ flip>``.
+_LETTER_PHASES = {
+    "I": np.array([1, 1], dtype=complex),
+    "X": np.array([1, 1], dtype=complex),
+    "Y": np.array([1j, -1j]),
+    "Z": np.array([1, -1], dtype=complex),
+}
+
+
+def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
+    """``P @ m @ P`` for the Pauli string ``P``, without forming ``P``.
+
+    A Pauli string is a signed permutation, ``P|j> = ph[j] |j ^ x>`` with
+    ``x`` the mask of its ``X``/``Y`` sites, so the product is
+    ``ph[i ^ x] * m[i ^ x, j ^ x] * ph[j]``.  Every phase is ``+-1`` or
+    ``+-i``, so the result equals the two dense products exactly.
+    """
+    validate_label(label)
+    n = len(label)
+    if m.shape != (2**n, 2**n):
+        raise ValueError(f"Matrix shape {m.shape} does not match {n} qubits.")
+    phase = np.array([1.0 + 0.0j])
+    flip = 0
+    for ch in label:
+        phase = np.kron(phase, _LETTER_PHASES[ch])
+        flip = flip << 1 | (ch in "XY")
+    index = np.arange(2**n) ^ flip
+    return phase[index][:, None] * m[np.ix_(index, index)] * phase
 
 
 def to_dense(h: PauliSum, cap: int = QUBIT_CAP) -> np.ndarray:

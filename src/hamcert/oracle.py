@@ -4,7 +4,9 @@ The access model: the certifier may request forward real-time evolution
 ``exp(-i t H)`` of the hidden Hamiltonian for ``t >= 0`` only.  There is
 no API surface for inverse evolution or controlled evolution of the
 hidden Hamiltonian.  Every forward request charges its duration to a
-cumulative :class:`EvolutionLedger`, the protocol's resource meter.
+cumulative :class:`EvolutionLedger`, the protocol's resource meter; a
+batch of ``N`` identical requests is charged ``N`` times its duration
+and counted as ``N`` queries in a single charge.
 
 Evolution under the *known* reference Hamiltonian is compiled classically,
 costs nothing, and both time signs are allowed (:func:`evolve_known`).
@@ -14,7 +16,8 @@ Two oracle modes exist:
 * ``TROTTERIZED`` realizes shots of the twirled difference generator
   physically, through interleaved forward queries and compiled reference
   evolutions (see :mod:`hamcert.trotter`).  Feasible only for small twirl
-  depth because the sector count doubles per twirl step.
+  depth because the sector count doubles per twirl step.  Only this mode
+  diagonalizes the hidden Hamiltonian, on its first forward query.
 * ``EXACT_EFFECTIVE`` substitutes the ideal evolution of the twirled
   difference and charges the same time per shot, which is what the
   resource accounting measures.  Used for statistical validation of the
@@ -30,6 +33,8 @@ only transcripts and dense unitaries handed back across this boundary.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,14 +94,25 @@ class EvolutionLedger:
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_eig(h0: PauliSum, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    # One entry: a certify run evolves under the same reference every
+    # round.  PauliSum is immutable, so the key cannot go stale.
+    w, v = eig_decompose(to_dense(h0, cap))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
 def evolve_known(h0: PauliSum, t: float, cap: int = QUBIT_CAP) -> np.ndarray:
     """Compiled evolution ``exp(-i t H0)`` of the known reference.
 
     Never charges any ledger; both signs of ``t`` are permitted because
-    the reference is fully specified classically.
+    the reference is fully specified classically.  The eigendecomposition
+    of the most recent reference is kept, so repeated calls with the same
+    ``h0`` diagonalize it once.
     """
-    w, v = eig_decompose(to_dense(h0, cap))
-    return propagator(w, v, float(t))
+    return propagator(*_reference_eig(h0, cap), float(t))
 
 
 class EvolutionOracle:
@@ -120,8 +136,10 @@ class EvolutionOracle:
                 f"Hidden system size n={hidden.n} exceeds the dense cap of {cap}."
             )
         self._hidden = hidden
-        self._eig = eig_decompose(to_dense(hidden, cap))
-        self._propagator_cache: dict[float, np.ndarray] = {}
+        # Only forward queries need the spectrum of the hidden Hamiltonian,
+        # so it is computed on the first one.
+        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._last_query: tuple[float, np.ndarray] | None = None
         self._cap = cap
         self.mode = mode
         self.ledger = EvolutionLedger()
@@ -130,29 +148,38 @@ class EvolutionOracle:
     def n_qubits(self) -> int:
         return self._hidden.n
 
-    def query_forward(self, t: float) -> np.ndarray:
+    def query_forward(self, t: float, count: int = 1) -> np.ndarray:
         """Forward query ``exp(-i t H)`` of the hidden Hamiltonian.
 
-        Charges ``t`` to the ledger and counts one query.  The returned
-        matrix is shared with an internal cache and must be treated as
+        Stands for ``count`` identical queries of duration ``t``: charges
+        ``count * t`` and ``count`` queries to the ledger in one charge,
+        so the total stays exact however many queries a batch holds.  The
+        propagator of the most recent duration is kept, so a caller that
+        repeats ``t`` gets the same matrix back; it must be treated as
         read-only.
 
         Raises:
             AccessModelError: If ``t < 0`` (inverse evolution is not part
                 of the access model).
+            ValueError: If ``count < 1``.  Both checks run before any
+                charge, so a rejected request leaves the ledger unchanged.
         """
         t = float(t)
+        count = operator.index(count)
         if t < 0:
             raise AccessModelError(
                 f"Forward-only access: requested t={t} < 0 is rejected."
             )
-        self.ledger.charge(t, queries=1)
-        cached = self._propagator_cache.get(t)
-        if cached is None:
-            cached = propagator(*self._eig, t)
-            cached.setflags(write=False)
-            self._propagator_cache[t] = cached
-        return cached
+        if count < 1:
+            raise ValueError(f"Query count must be positive, got {count}.")
+        self.ledger.charge(count * t, queries=count)
+        if self._last_query is None or self._last_query[0] != t:
+            if self._eig is None:
+                self._eig = eig_decompose(to_dense(self._hidden, self._cap))
+            u = propagator(*self._eig, t)
+            u.setflags(write=False)
+            self._last_query = (t, u)
+        return self._last_query[1]
 
     def effective_shot(
         self, h_t: PauliSum, t: float, shots: int = 1

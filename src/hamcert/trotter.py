@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import QUBIT_CAP, evolve, operator_norm, pauli_matrix
+from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugate
 from .oracle import EvolutionOracle, OracleMode, OracleModeError, evolve_known
 from .pauli import PauliSum
 from .twirl import DiagonalSubspace, TwirlTranscript
@@ -153,10 +153,13 @@ def trotter_evolve(
 ) -> np.ndarray:
     """Run the symmetric product formula through the forward oracle.
 
-    Assembles one step operator from the sector factors and multiplies it
-    out; each physical forward query is charged individually, so the
-    ledger gains exactly ``shots * plan.total_time`` and
-    ``shots * steps * 2 * num_sectors`` queries.  Repeated shots reuse the
+    Assembles one step operator from the sector factors and raises it to
+    the step count by repeated squaring.  Every physical forward query of
+    the batch has the same duration, so the batch is charged in one call
+    that counts each query: the ledger gains exactly
+    ``shots * steps * 2 * num_sectors`` queries and that count times the
+    half-factor duration, which is ``shots * plan.total_time`` up to
+    rounding at any query count.  Repeated shots reuse the
     compiled circuit but are charged as separate runs.
 
     Raises:
@@ -174,31 +177,17 @@ def trotter_evolve(
     weight = plan.sector_weight
     half_dur = plan.total_time * weight / (2 * plan.steps)
 
-    forward = oracle.query_forward(half_dur)
+    # One forward query per sector per half-step per shot.
+    queries = shots * plan.steps * 2 * len(sectors)
+    forward = oracle.query_forward(half_dur, count=queries)
     compiled = evolve_known(h0, -half_dur)
     pair_fwd = forward @ compiled
     pair_rev = compiled @ forward
-    sector_mats = [pauli_matrix(q) for q in sectors]
-    first_half = reduce(
-        lambda acc, qm: acc @ (qm @ pair_fwd @ qm), sector_mats, _eye(oracle)
-    )
+    first_half = reduce(np.matmul, [pauli_conjugate(pair_fwd, q) for q in sectors])
     second_half = reduce(
-        lambda acc, qm: acc @ (qm @ pair_rev @ qm), reversed(sector_mats), _eye(oracle)
+        np.matmul, [pauli_conjugate(pair_rev, q) for q in reversed(sectors)]
     )
-    step = first_half @ second_half
-    out = _eye(oracle)
-    for _ in range(plan.steps):
-        out = out @ step
-    # One forward query per sector per half-step per shot; the first was
-    # issued above while fetching the cached propagator.
-    remaining = shots * plan.steps * 2 * len(sectors) - 1
-    for _ in range(remaining):
-        oracle.query_forward(half_dur)
-    return out
-
-
-def _eye(oracle: EvolutionOracle) -> np.ndarray:
-    return np.eye(2**oracle.n_qubits, dtype=complex)
+    return np.linalg.matrix_power(first_half @ second_half, plan.steps)
 
 
 class TrotterError(NamedTuple):

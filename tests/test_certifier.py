@@ -12,8 +12,10 @@ from hamcert.certifier import (
     run_round,
     sweep_epsilon,
 )
+from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionOracle, OracleMode
 from hamcert.pauli import PauliSum
+from hamcert.trotter import steps_from_bound
 
 
 def make_oracle(hidden, mode=OracleMode.EXACT_EFFECTIVE):
@@ -75,6 +77,38 @@ class TestConfigDerivation:
             CertificationConfig(epsilon=0.2, delta=1.0, k=1)
         with pytest.raises(ConfigError):
             CertificationConfig(epsilon=0.2, delta=0.2, k=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"delta": math.nan},
+            {"c1": math.inf},
+            {"c3": math.nan},
+            {"c0": math.nan},
+            {"eps_trott": math.nan},
+            {"c4": math.inf, "allow_weak_constants": True},
+        ],
+    )
+    def test_non_finite_values_rejected(self, overrides):
+        kwargs = dict(epsilon=0.2, delta=0.2, k=1) | overrides
+        with pytest.raises(ConfigError, match="finite"):
+            CertificationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"epsilon": 1e-320}, "time_cap"),
+            ({"delta": 5e-324}, "overflow"),
+            ({"k": 400}, "overflow"),
+            ({"c4": 1e30, "allow_weak_constants": True}, "64-bit"),
+        ],
+    )
+    def test_unrepresentable_derived_values_rejected(self, overrides, match):
+        kwargs = dict(epsilon=0.2, delta=0.2, k=1) | overrides
+        with pytest.raises(ConfigError, match=match):
+            CertificationConfig(**kwargs)
 
 
 class TestCertifyExactMode:
@@ -216,6 +250,35 @@ class TestTrotterizedMode:
         report = certify(h0, oracle, cfg)
         expected = cfg.shots_per_round * sum(r.time for r in report.records)
         assert report.ledger_total_time == pytest.approx(expected, rel=1e-9)
+
+
+def test_trotter_mode_at_the_paper_constants():
+    """epsilon=0.2 with the default shots and error budget: tens of thousands
+    of steps per shot and billions of forward queries, charged exactly."""
+    rng = np.random.default_rng(21)
+    h0 = random_pauli_sum(4, 1, rng, num_terms=6)
+    cfg = CertificationConfig(
+        epsilon=0.2,
+        delta=0.2,
+        k=1,
+        c2=2.0,
+        mode=OracleMode.TROTTERIZED,
+        seed=3,
+        allow_weak_constants=True,
+    )
+    oracle = make_oracle(h0, OracleMode.TROTTERIZED)
+    report = certify(h0, oracle, cfg)
+    assert report.verdict == "ACCEPT"
+    assert report.rounds_run == cfg.rounds
+    shots, sectors = cfg.shots_per_round, 2**cfg.twirl_steps
+    steps = [
+        steps_from_bound(cfg.twirl_steps, r.time, cfg.trotter_tolerance)
+        for r in report.records
+    ]
+    assert max(steps) > 10_000
+    assert report.ledger_query_count == sum(shots * s * 2 * sectors for s in steps)
+    exact = shots * math.fsum(r.time for r in report.records)
+    assert abs(report.ledger_total_time - exact) / exact <= 1e-14
 
 
 class TestSweep:

@@ -107,6 +107,47 @@ class TestSweepCommand:
         assert main(self.sweep_args(files, eps="0.4,abc")) == 2
 
 
+class TestOutOfRangeNumbers:
+    """Inputs that used to crash with OverflowError and exit 1 (REJECT)."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"epsilon": "nan"},
+            {"epsilon": "1e-320"},
+            {"epsilon": "1", "c4": "inf", "allow-weak-constants": None},
+            {"eps-trott": "nan"},
+            {"delta": "5e-324"},
+            {"k": "400"},
+        ],
+        ids=["epsilon-nan", "epsilon-subnormal", "c4-inf", "eps-trott-nan",
+             "delta-subnormal", "k-400"],
+    )
+    def test_exit_2_without_traceback(self, files, capsys, extra):
+        args = certify_args(files, "h_same.txt")
+        for key, value in extra.items():
+            flag = f"--{key}"
+            if flag in args:
+                args[args.index(flag) + 1] = value
+            else:
+                args += [flag] if value is None else [flag, value]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_unexpected_exception_is_an_error_not_a_reject(
+        self, files, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hamcert.cli.certify", broken)
+        assert main(certify_args(files, "h_same.txt")) == 2
+        assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
+
+
 class TestTrotterModeCommand:
     def test_reduced_depth_trotter_run(self, files, capsys):
         (files / "h0.txt").write_text("-1.0 X\n")

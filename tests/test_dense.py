@@ -12,6 +12,7 @@ from hamcert.dense import (
     hoffman_wielandt_gap,
     is_unitary,
     normalized_frobenius,
+    pauli_conjugate,
     pauli_matrix,
     to_dense,
 )
@@ -51,6 +52,22 @@ class TestToDense:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             to_dense(PauliSum(11, {"X" + "I" * 10: 1.0}))
+
+
+class TestPauliConjugate:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_dense_sandwich_exactly(self, n):
+        rng = np.random.default_rng(30 + n)
+        dim = 2**n
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for letters in itertools.product("IXYZ", repeat=n):
+            label = "".join(letters)
+            q = pauli_matrix(label)
+            assert np.array_equal(pauli_conjugate(m, label), q @ m @ q), label
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            pauli_conjugate(np.eye(4, dtype=complex), "XYZ")
 
 
 class TestEigenvalues:

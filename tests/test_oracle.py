@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hamcert import oracle as oracle_module
 from hamcert.dense import evolve
 from hamcert.oracle import (
     AccessModelError,
@@ -60,6 +61,52 @@ class TestQueryForward:
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
         assert np.max(np.abs(oracle.query_forward(1.7) - evolve(hidden, 1.7))) <= 1e-12
 
+    def test_batched_charge_counts_every_query(self):
+        oracle = EvolutionOracle(PauliSum(1, {"Z": 1.0}), OracleMode.TROTTERIZED)
+        single = oracle.query_forward(0.1)
+        batch = oracle.query_forward(0.1, count=1_000_000)
+        assert batch is single
+        assert oracle.ledger.query_count == 1_000_001
+        assert oracle.ledger.total_time == 0.1 + 1_000_000 * 0.1
+
+    @pytest.mark.parametrize(
+        "t, count, error",
+        [(0.5, 0, ValueError), (0.5, -3, ValueError), (-0.5, 4, AccessModelError)],
+    )
+    def test_rejected_batch_charges_nothing(self, t, count, error):
+        oracle = EvolutionOracle(PauliSum(1, {"Z": 1.0}), OracleMode.TROTTERIZED)
+        oracle.query_forward(0.2, count=3)
+        with pytest.raises(error):
+            oracle.query_forward(t, count=count)
+        assert oracle.ledger == EvolutionLedger(3 * 0.2, 3)
+
+    def test_hidden_spectrum_computed_on_first_query_only(self, monkeypatch):
+        calls = []
+        original = oracle_module.eig_decompose
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(oracle_module, "eig_decompose", counting)
+        oracle = EvolutionOracle(PauliSum(2, {"XZ": 0.3}), OracleMode.TROTTERIZED)
+        assert calls == []
+        oracle.query_forward(0.4)
+        oracle.query_forward(0.7)
+        oracle.query_forward(0.4)
+        assert calls == [(4, 4)]
+
+    def test_only_the_last_propagator_is_kept(self):
+        hidden = PauliSum(2, {"XZ": 0.3, "YI": -0.2})
+        oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+        first = oracle.query_forward(0.4)
+        assert oracle.query_forward(0.4) is first
+        assert not first.flags.writeable
+        oracle.query_forward(0.9)
+        again = oracle.query_forward(0.4)
+        assert again is not first
+        assert np.array_equal(again, first)
+
     def test_no_public_hidden_accessor(self):
         oracle = EvolutionOracle(PauliSum(1, {"X": 0.4}), OracleMode.EXACT_EFFECTIVE)
         public = [name for name in dir(oracle) if not name.startswith("_")]
@@ -74,6 +121,24 @@ class TestEvolveKnown:
         h0 = PauliSum(1, {"X": 0.2})
         prod = evolve_known(h0, 1.1) @ evolve_known(h0, -1.1)
         assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
+
+    def test_reference_diagonalized_once(self, monkeypatch):
+        calls = []
+        original = oracle_module.eig_decompose
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(oracle_module, "eig_decompose", counting)
+        h0 = PauliSum(2, {"ZX": 0.35, "IY": 0.15})
+        forward = evolve_known(h0, 0.6)
+        backward = evolve_known(h0, -0.6)
+        assert calls == [(4, 4)]
+        assert np.max(np.abs(forward @ backward - np.eye(4))) <= 1e-12
+        evolve_known(PauliSum(2, {"ZZ": 0.5}), 0.6)
+        evolve_known(h0, 0.6)
+        assert len(calls) == 3
 
     def test_never_touches_the_ledger(self):
         oracle = EvolutionOracle(PauliSum(1, {"X": 0.4}), OracleMode.EXACT_EFFECTIVE)

@@ -157,6 +157,37 @@ class TestTrotterEvolve:
         assert -2.4 <= slope <= -1.6
 
 
+def _loop_reference(hidden, h0, plan):
+    """The step operator built from dense sandwiches, multiplied out one
+    step at a time."""
+    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    forward = evolve(hidden, half)
+    compiled = evolve(h0, -half)
+    mats = [pauli_matrix(q) for q in plan.conjugators]
+    step = np.eye(forward.shape[0], dtype=complex)
+    for qm in mats:
+        step = step @ (qm @ (forward @ compiled) @ qm)
+    for qm in reversed(mats):
+        step = step @ (qm @ (compiled @ forward) @ qm)
+    out = np.eye(forward.shape[0], dtype=complex)
+    for _ in range(plan.steps):
+        out = out @ step
+    return out
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 64, 1000])
+def test_matches_step_loop_reference(steps):
+    rng = np.random.default_rng(40 + steps)
+    h0 = random_pauli_sum(3, 2, rng, num_terms=5)
+    hidden = random_pauli_sum(3, 2, rng, num_terms=5)
+    s = sample_subspace(3, rng)
+    plan = TrotterPlan(twirl_conjugators(s, sample_twirl_paulis(s, 3, rng)), steps, 1.3)
+    oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+    v = trotter_evolve(oracle, h0, plan, shots=3)
+    assert np.max(np.abs(v - _loop_reference(hidden, h0, plan))) <= 1e-12
+    assert oracle.ledger.query_count == 3 * steps * 2 * len(plan.conjugators)
+
+
 class TestAgainstLiteralProduct:
     def test_matches_explicit_strang_composition(self):
         """Independent reference: exponentiate every sector generator with
