@@ -297,16 +297,18 @@ def run_round(
     """Execute one protocol round and report its empirical identity fraction.
 
     Draws the subspace, the twirl, and the evolution time from ``rng``,
-    obtains the shot batch through the oracle channel matching the
-    configured mode, and flags the round when the identity fraction is at
-    or below the acceptance threshold.
+    obtains the identity probability of the shot batch through the
+    channel matching the configured mode (the oracle's effective channel
+    in exact mode, the product formula in trotter mode), samples the
+    shots, and flags the round when the identity fraction is at or below
+    the acceptance threshold.
     """
     subspace = sample_subspace(h0.n, rng)
     shots = cfg.shots_per_round
     if cfg.mode is OracleMode.EXACT_EFFECTIVE:
         transcript = oracle.sample_twirl(h0, subspace, cfg.twirl_steps, rng)
         t = float(rng.uniform(0.0, cfg.time_cap))
-        u = oracle.effective_shot(transcript.twirled, t, shots=shots)
+        prob = oracle.effective_identity_prob(transcript, t, shots=shots)
         paulis = transcript.paulis
     else:
         paulis = sample_twirl_paulis(subspace, cfg.twirl_steps, rng)
@@ -314,8 +316,7 @@ def run_round(
         sectors = twirl_conjugators(subspace, paulis)
         steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
         plan = TrotterPlan(sectors, steps, t)
-        u = trotter_evolve(oracle, h0, plan, shots=shots)
-    prob = identity_prob_trace(u)
+        prob = identity_prob_trace(trotter_evolve(oracle, h0, plan, shots=shots))
     count = sample_identity_shots(prob, shots, rng)
     fraction = count / shots
     return RoundRecord(

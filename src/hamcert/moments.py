@@ -24,6 +24,7 @@ __all__ = [
     "paley_zygmund_bound",
     "verify_gap_bound",
     "walsh_eigenvalues",
+    "walsh_table",
     "walsh_transform",
 ]
 
@@ -45,12 +46,31 @@ def walsh_transform(table: np.ndarray) -> np.ndarray:
         raise ValueError(f"Table length must be a power of two, got {size}.")
     h = 1
     while h < size:
-        out = out.reshape(-1, 2, h)
-        plus = out[:, 0, :] + out[:, 1, :]
-        minus = out[:, 0, :] - out[:, 1, :]
-        out = np.stack((plus, minus), axis=1)
+        pairs = out.reshape(-1, 2, h)
+        low, high = pairs[:, 0, :], pairs[:, 1, :]
+        plus = low + high
+        np.subtract(low, high, out=high)
+        low[...] = plus
         h *= 2
     return out.reshape(size)
+
+
+#: Support bit of each letter: every non-identity letter sets its site's bit.
+_SUPPORT_BITS = str.maketrans("IXYZ", "0111")
+
+
+def walsh_table(h: PauliSum) -> np.ndarray:
+    """Coefficient table of ``h`` indexed by support bitmask.
+
+    Letter ``i`` maps to bit ``n - 1 - i`` whatever its axis, matching the
+    dense backend's order.  When ``h`` is diagonal in one frame (a single
+    axis per site, as after a twirl) its spectrum is the Walsh transform
+    of this table; the caller guarantees the single axis per site.
+    """
+    table = np.zeros(2**h.n)
+    for label, coeff in h.items():
+        table[int(label.translate(_SUPPORT_BITS), 2)] = coeff
+    return table
 
 
 def walsh_eigenvalues(h: PauliSum, cap: int = WALSH_QUBIT_CAP) -> np.ndarray:
@@ -64,18 +84,12 @@ def walsh_eigenvalues(h: PauliSum, cap: int = WALSH_QUBIT_CAP) -> np.ndarray:
     """
     if h.n > cap:
         raise ValueError(f"System size n={h.n} exceeds the Walsh cap of {cap}.")
-    table = np.zeros(2**h.n)
-    for label, coeff in h.items():
-        mask = 0
-        for i, ch in enumerate(label):
-            if ch == "Z":
-                mask |= 1 << (h.n - 1 - i)
-            elif ch != "I":
-                raise ValueError(
-                    f"Term {label!r} is not diagonal (only I/Z letters allowed)."
-                )
-        table[mask] = coeff
-    return np.sort(walsh_transform(table))
+    for label in h.labels():
+        if not set(label) <= {"I", "Z"}:
+            raise ValueError(
+                f"Term {label!r} is not diagonal (only I/Z letters allowed)."
+            )
+    return np.sort(walsh_transform(walsh_table(h)))
 
 
 def gap_moments(spectrum: np.ndarray, chunk: int = 1024) -> tuple[float, float]:

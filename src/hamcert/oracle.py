@@ -17,7 +17,8 @@ Two oracle modes exist:
   physically, through interleaved forward queries and compiled reference
   evolutions (see :mod:`hamcert.trotter`).  Feasible only for small twirl
   depth because the sector count doubles per twirl step.  Only this mode
-  diagonalizes the hidden Hamiltonian, on its first forward query.
+  diagonalizes the hidden Hamiltonian, on its first forward query, and it
+  is limited to the dense cap.
 * ``EXACT_EFFECTIVE`` substitutes the ideal evolution of the twirled
   difference and charges the same time per shot, which is what the
   resource accounting measures.  Used for statistical validation of the
@@ -26,8 +27,16 @@ Two oracle modes exist:
 
 In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
 ``hidden - reference`` on the certifier's behalf (:meth:`EvolutionOracle.
-sample_twirl`): the certifier itself never holds the hidden Hamiltonian,
-only transcripts and dense unitaries handed back across this boundary.
+sample_twirl`), so the certifier never holds the hidden Hamiltonian.  What
+crosses back is the twirl transcript and, per shot batch, the Bell
+identity probability of the twirled generator
+(:meth:`EvolutionOracle.effective_identity_prob`).  When no off-subspace
+term survived the twirl, the generator is diagonal in the sampled frame
+and that probability comes from the Walsh spectrum of its coefficient
+table without any dense matrix, so this mode accepts systems up to
+:data:`~hamcert.moments.WALSH_QUBIT_CAP` qubits.  Otherwise it comes from
+the dense unitary (:meth:`EvolutionOracle.effective_shot`), within the
+dense cap.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import identity_prob_spectral, identity_prob_trace
 from .dense import QUBIT_CAP, eig_decompose, propagator, to_dense
+from .moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
 from .pauli import PauliSum, subtract
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
 
@@ -120,26 +131,34 @@ class EvolutionOracle:
 
     The hidden Hamiltonian is injected once at construction and is not
     reachable through the public surface except via the forward queries
-    and, in ``EXACT_EFFECTIVE`` mode, the effective-shot channel.
+    and, in ``EXACT_EFFECTIVE`` mode, the effective-shot channels.
 
     Args:
         hidden: The unknown Hamiltonian being certified.
         mode: Fixed per run; see module docstring.
-        cap: Dense-backend size limit.
+        cap: Dense-backend size limit.  It bounds the system size in
+            ``TROTTERIZED`` mode; ``EXACT_EFFECTIVE`` mode accepts up to
+            :data:`~hamcert.moments.WALSH_QUBIT_CAP` qubits and needs the
+            dense backend only for a twirl that leaves a residual.
     """
 
     def __init__(
         self, hidden: PauliSum, mode: OracleMode, cap: int = QUBIT_CAP
     ) -> None:
-        if hidden.n > cap:
+        limit = WALSH_QUBIT_CAP if mode is OracleMode.EXACT_EFFECTIVE else cap
+        if hidden.n > limit:
             raise ValueError(
-                f"Hidden system size n={hidden.n} exceeds the dense cap of {cap}."
+                f"Hidden system size n={hidden.n} exceeds the {mode.value}-mode "
+                f"cap of {limit}."
             )
         self._hidden = hidden
         # Only forward queries need the spectrum of the hidden Hamiltonian,
         # so it is computed on the first one.
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._last_query: tuple[float, np.ndarray] | None = None
+        # hidden - h0 of the most recent reference: a certify run twirls
+        # the same difference every round.
+        self._difference: tuple[PauliSum, PauliSum] | None = None
         self._cap = cap
         self.mode = mode
         self.ledger = EvolutionLedger()
@@ -181,6 +200,27 @@ class EvolutionOracle:
             self._last_query = (t, u)
         return self._last_query[1]
 
+    def _charge_shots(self, n: int, t: float, shots: int) -> float:
+        # The checks shared by both effective-shot channels, then their one
+        # charge: ``shots`` runs of duration ``t``.
+        if self.mode is not OracleMode.EXACT_EFFECTIVE:
+            raise OracleModeError(
+                "Effective shots are only available in EXACT_EFFECTIVE mode."
+            )
+        t = float(t)
+        if t < 0:
+            raise AccessModelError(
+                f"Forward-only access: requested t={t} < 0 is rejected."
+            )
+        if shots < 1:
+            raise ValueError(f"Shot count must be positive, got {shots}.")
+        if n != self.n_qubits:
+            raise ValueError(
+                f"Generator size {n} does not match the oracle's {self.n_qubits}."
+            )
+        self.ledger.charge(shots * t, queries=shots)
+        return t
+
     def effective_shot(
         self, h_t: PauliSum, t: float, shots: int = 1
     ) -> np.ndarray:
@@ -194,25 +234,44 @@ class EvolutionOracle:
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
             AccessModelError: If ``t < 0``.
+            ValueError: If the generator exceeds the dense cap; checked,
+                like every other error, before anything is charged.
         """
-        if self.mode is not OracleMode.EXACT_EFFECTIVE:
-            raise OracleModeError(
-                "effective_shot is only available in EXACT_EFFECTIVE mode."
-            )
-        t = float(t)
-        if t < 0:
-            raise AccessModelError(
-                f"Forward-only access: requested t={t} < 0 is rejected."
-            )
-        if shots < 1:
-            raise ValueError(f"Shot count must be positive, got {shots}.")
-        if h_t.n != self.n_qubits:
+        if h_t.n > self._cap:
             raise ValueError(
-                f"Generator size {h_t.n} does not match the oracle's {self.n_qubits}."
+                f"The dense route of exact mode is limited to {self._cap} "
+                f"qubits, got n={h_t.n}; beyond it only twirls that leave "
+                "no residual (diagonal in the sampled frame) are supported."
             )
-        self.ledger.charge(shots * t, queries=shots)
+        t = self._charge_shots(h_t.n, t, shots)
         w, v = eig_decompose(to_dense(h_t, self._cap))
         return propagator(w, v, t)
+
+    def effective_identity_prob(
+        self, transcript: TwirlTranscript, t: float, shots: int = 1
+    ) -> float:
+        """Bell identity probability ``|Tr exp(-i t H_T)|^2 / 4^n`` of a shot batch.
+
+        Makes the same checks and the same single ``shots * t`` charge as
+        :meth:`effective_shot`.  When the twirl left no residual, ``H_T``
+        is the effective part, diagonal in the transcript's frame, and the
+        probability comes from the Walsh spectrum of its coefficient table
+        in ``O(n 2^n)`` with no dense matrix.  Otherwise it is
+        ``identity_prob_trace(effective_shot(...))``, the dense route.
+
+        Raises:
+            OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
+            AccessModelError: If ``t < 0``.
+            ValueError: If a residual survived and ``n`` exceeds the dense
+                cap.
+        """
+        if transcript.residual:
+            return identity_prob_trace(
+                self.effective_shot(transcript.twirled, t, shots=shots)
+            )
+        t = self._charge_shots(transcript.subspace.n, t, shots)
+        spectrum = walsh_transform(walsh_table(transcript.effective))
+        return identity_prob_spectral(spectrum, t)
 
     def sample_twirl(
         self,
@@ -231,4 +290,6 @@ class EvolutionOracle:
             raise ValueError(
                 f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
             )
-        return run_twirl(subtract(self._hidden, h0), subspace, steps, rng)
+        if self._difference is None or self._difference[0] != h0:
+            self._difference = (h0, subtract(self._hidden, h0))
+        return run_twirl(self._difference[1], subspace, steps, rng)

@@ -136,13 +136,21 @@ def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
 
     The error constant of the bound is not pinned down, so this is only
     the starting point; :func:`calibrate_steps` refines it empirically.
+    A guess too large for a float, as from a tiny ``eps_trott`` or a huge
+    ``t``, saturates at :data:`TROTTER_STEP_CAP` like any other guess
+    above it.
     """
     if eps_trott <= 0:
         raise ValueError(f"Error target must be positive, got {eps_trott}.")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"Duration must be nonnegative, got {t}.")
-    guess = math.ceil(2**num_draws * math.sqrt(t**3 / eps_trott))
-    return min(max(guess, 1), TROTTER_STEP_CAP)
+    try:
+        guess = 2**num_draws * math.sqrt(t**3 / eps_trott)
+    except OverflowError:
+        return TROTTER_STEP_CAP
+    if guess >= TROTTER_STEP_CAP:
+        return TROTTER_STEP_CAP
+    return max(math.ceil(guess), 1)
 
 
 def trotter_evolve(

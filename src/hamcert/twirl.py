@@ -85,9 +85,17 @@ class TwirlTranscript:
     twirled: PauliSum
 
     def __post_init__(self) -> None:
-        for p in self.paulis:
-            if not self.subspace.contains(p):
-                raise ValueError(f"Transcript Pauli {p!r} is not in the subspace.")
+        n = self.subspace.n
+        if not set(map(len, self.paulis)) <= {n}:
+            bad = next(p for p in self.paulis if len(p) != n)
+            raise ValueError(f"Transcript Pauli {bad!r} does not act on n={n} qubits.")
+        # Site by site over all draws at once: the letters of site i, taken
+        # as one string, must consist of I and the site's axis only.
+        joined = "".join(self.paulis)
+        for i, ax in enumerate(self.subspace.axes):
+            if joined[i::n].strip("I" + ax):
+                bad = next(p for p in self.paulis if p[i] not in ("I", ax))
+                raise ValueError(f"Transcript Pauli {bad!r} is not in the subspace.")
 
 
 def sample_subspace(n: int, rng: np.random.Generator) -> DiagonalSubspace:
@@ -107,8 +115,12 @@ def sample_twirl_paulis(
     """
     if steps < 1:
         raise ValueError(f"Twirl needs at least one step, got {steps}.")
-    bits = rng.integers(0, 2, size=(steps, subspace.n))
-    return tuple(subspace.element(row) for row in bits)
+    n = subspace.n
+    bits = rng.integers(0, 2, size=(steps, n))
+    axes = np.frombuffer(str(subspace).encode("ascii"), dtype=np.uint8)
+    letters = np.where(bits, axes, np.uint8(ord("I")))
+    text = letters.tobytes().decode("ascii")
+    return tuple([text[i : i + n] for i in range(0, steps * n, n)])
 
 
 def project_effective(

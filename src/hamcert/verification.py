@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from . import certifier as cert
 from .bell import (
@@ -67,6 +67,16 @@ class SuiteResult:
         if self.failures:
             line += " | " + "; ".join(self.failures)
         return line
+
+
+def chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Pearson chi-square goodness-of-fit p-value with ``len - 1`` degrees of freedom.
+
+    The same statistic and survival function as ``scipy.stats.chisquare``
+    without importing ``scipy.stats``, which costs about a second.
+    """
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    return float(chdtrc(len(observed) - 1, stat))
 
 
 def suite_bell(instances: int = 100, mc_shots: int = 100_000, seed: int = 0) -> SuiteResult:
@@ -132,7 +142,7 @@ def suite_bell(instances: int = 100, mc_shots: int = 100_000, seed: int = 0) -> 
     expected_arr = np.asarray(expected, dtype=float)
     observed_arr = np.asarray(observed, dtype=float)
     expected_arr *= observed_arr.sum() / expected_arr.sum()
-    pvalue = float(stats.chisquare(observed_arr, expected_arr).pvalue)
+    pvalue = chi_square_pvalue(observed_arr, expected_arr)
     result.details["chi2_pvalue"] = f"{pvalue:.4f}"
     if pvalue < 0.01:
         result.fail(f"chi-square p-value {pvalue:.4f} below the 1% level")

@@ -14,7 +14,7 @@ from hamcert.certifier import (
 )
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionOracle, OracleMode
-from hamcert.pauli import PauliSum
+from hamcert.pauli import PauliSum, frobenius_norm
 from hamcert.trotter import steps_from_bound
 
 
@@ -279,6 +279,29 @@ def test_trotter_mode_at_the_paper_constants():
     assert report.ledger_query_count == sum(shots * s * 2 * sectors for s in steps)
     exact = shots * math.fsum(r.time for r in report.records)
     assert abs(report.ledger_total_time - exact) / exact <= 1e-14
+
+
+class TestExactModeAtSixteenQubits:
+    """Default constants at k=2 beyond the dense cap, through the Walsh route."""
+
+    def _pair(self):
+        rng = np.random.default_rng(16)
+        h0 = random_pauli_sum(16, 2, rng, num_terms=64)
+        direction = random_pauli_sum(16, 2, rng, num_terms=64)
+        hidden = h0 + direction * (0.2 / frobenius_norm(direction))
+        return h0, hidden, CertificationConfig(epsilon=0.2, delta=0.2, k=2, seed=1)
+
+    def test_equal_pair_accepts_with_every_fraction_one(self):
+        h0, _, cfg = self._pair()
+        report = certify(h0, make_oracle(h0), cfg)
+        assert report.verdict == "ACCEPT"
+        assert report.rounds_run == cfg.rounds
+        assert all(r.identity_fraction == 1.0 for r in report.records)
+
+    def test_separated_pair_rejects(self):
+        h0, hidden, cfg = self._pair()
+        report = certify(h0, make_oracle(hidden), cfg)
+        assert report.verdict == "REJECT"
 
 
 class TestSweep:

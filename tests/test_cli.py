@@ -168,10 +168,43 @@ class TestTrotterModeCommand:
         assert "mode: trotter" in out
         assert "verdict: ACCEPT" in out
 
+    @pytest.mark.parametrize("h,code", [("h_same.txt", 0), ("h_far.txt", 1)])
+    def test_tiny_error_budget_runs_at_the_step_cap(self, files, capsys, h, code):
+        args = certify_args(files, h, mode="trotter", c2=2, c4=2,
+                            **{"eps-trott": "5e-324"})
+        assert main(args + ["--allow-weak-constants"]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"verdict: {('ACCEPT', 'REJECT')[code]}" in captured.out
+
     def test_default_depth_is_refused_in_trotter_mode(self, files, capsys):
         code = main(certify_args(files, "h_same.txt", mode="trotter"))
         assert code == 2
         assert "unroll" in capsys.readouterr().err
+
+
+class TestExactModeBeyondTheDenseCap:
+    def test_residual_beyond_the_dense_cap_is_an_error(self, files, capsys):
+        # With one twirl draw the off-subspace X term survives a round with
+        # probability 1/2 when its site's axis is not X; at seed 1 such a
+        # round comes before any verdict, and only the dense route, capped
+        # at 10 qubits, can evolve a residual.
+        n = 12
+        terms = "".join(
+            f"0.{i + 1} " + "I" * i + "XYZ"[i % 3] + "I" * (n - 1 - i) + "\n"
+            for i in range(n)
+        )
+        (files / "h12.txt").write_text(terms)
+        (files / "h12_far.txt").write_text(terms.replace("0.1 X", "-0.4 X"))
+        args = [
+            "certify", "--h0", str(files / "h12.txt"), "--h", str(files / "h12_far.txt"),
+            "--epsilon", "0.2", "--delta", "0.2", "--k", "1", "--seed", "1",
+            "--c2", "1", "--allow-weak-constants",
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "dense route" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestVerifyCommand:

@@ -1,0 +1,70 @@
+"""Pinned report bytes: every certify report and sweep CSV must stay the same.
+
+Each case names its Hamiltonian files under ``tests/golden/`` and the
+configuration it is certified with; the expected ``render()`` output is
+the file ``<case>.report``.  A change that moves any byte, for example a
+binomial draw flipped by a last-digit change of an identity probability,
+must be explained where it is made, not re-pinned silently.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hamcert import CertificationConfig, EvolutionOracle, certify, parse_hamiltonian
+from hamcert.cli import main
+from hamcert.oracle import OracleMode
+
+GOLDEN = Path(__file__).parent / "golden"
+
+EXACT, TROTTER = OracleMode.EXACT_EFFECTIVE, OracleMode.TROTTERIZED
+
+_K2 = dict(epsilon=0.2, delta=0.2, k=2, mode=EXACT)
+_N1 = dict(epsilon=0.2, delta=0.2, k=1, mode=EXACT)
+_TROTTER = dict(
+    epsilon=0.2, delta=0.2, k=1, c2=2.0, mode=TROTTER, allow_weak_constants=True
+)
+
+#: case -> (reference file, hidden file, configuration)
+CASES = {
+    "k2n6-equal-seed3": ("k2n6.h0", "k2n6.h0", dict(_K2, seed=3)),
+    "k2n6-equal-seed8": ("k2n6.h0", "k2n6.h0", dict(_K2, seed=8)),
+    "k2n6-separated-seed3": ("k2n6.h0", "k2n6-far.h", dict(_K2, seed=3)),
+    "k2n6-separated-seed8": ("k2n6.h0", "k2n6-far.h", dict(_K2, seed=8)),
+    # Separated by 1e-4 only: rounds with identity fractions below 1 that
+    # still pass, so the binomial draws see identity probabilities below 1.
+    "k2n6-near-seed3": ("k2n6.h0", "k2n6-near.h", dict(_K2, seed=3)),
+    "endtoend-same-seed0": ("n1.h0", "n1.h0", dict(_N1, seed=0)),
+    "endtoend-far-seed10000": ("n1.h0", "n1-far.h", dict(_N1, seed=10_000)),
+    "trotter-n4-equal-seed3": ("n4.h0", "n4.h0", dict(_TROTTER, seed=3)),
+    "trotter-n4-separated-seed5": ("n4.h0", "n4-far.h", dict(_TROTTER, seed=5)),
+}
+
+SWEEP_ARGS = [
+    "sweep", "--h0", "sweep.h0", "--direction", "sweep.dir",
+    "--eps-list", "0.4,0.2,0.1", "--repeats", "2",
+    "--delta", "0.2", "--k", "1", "--seed", "4",
+]
+
+
+def _load(name: str):
+    return parse_hamiltonian((GOLDEN / name).read_text())
+
+
+def render_case(case: str) -> str:
+    h0_file, h_file, kwargs = CASES[case]
+    cfg = CertificationConfig(**kwargs)
+    oracle = EvolutionOracle(_load(h_file), cfg.mode)
+    return certify(_load(h0_file), oracle, cfg).render()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_certify_report_bytes(case):
+    assert render_case(case) == (GOLDEN / f"{case}.report").read_text()
+
+
+def test_sweep_csv_bytes(monkeypatch, capsys):
+    # File names enter the CSV header, so run from the golden directory.
+    monkeypatch.chdir(GOLDEN)
+    assert main(SWEEP_ARGS) == 0
+    assert capsys.readouterr().out == (GOLDEN / "sweep.csv").read_text()

@@ -1,10 +1,15 @@
 """Tests for the forward-only oracle and the evolution-time ledger."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hamcert import oracle as oracle_module
+from hamcert.bell import identity_prob_trace
 from hamcert.dense import evolve
+from hamcert.instances import random_pauli_sum
+from hamcert.moments import WALSH_QUBIT_CAP
 from hamcert.oracle import (
     AccessModelError,
     EvolutionLedger,
@@ -14,7 +19,13 @@ from hamcert.oracle import (
     evolve_known,
 )
 from hamcert.pauli import PauliSum, subtract
-from hamcert.twirl import DiagonalSubspace, run_twirl
+from hamcert.twirl import (
+    DiagonalSubspace,
+    apply_twirl,
+    run_twirl,
+    sample_subspace,
+    sample_twirl_paulis,
+)
 
 
 class TestLedger:
@@ -190,3 +201,154 @@ def test_sample_twirl_matches_direct_twirl():
     assert got.twirled == expected.twirled
     assert got.effective == expected.effective
     assert got.residual == expected.residual
+
+
+def _frame_diagonal_sum(subspace, rng, terms):
+    """Random coefficients on non-identity members of the subspace."""
+    members = {
+        subspace.element(rng.integers(0, 2, size=subspace.n)) for _ in range(terms)
+    }
+    members.discard("I" * subspace.n)
+    return PauliSum(subspace.n, {m: float(rng.normal()) for m in members})
+
+
+def _exact(hidden):
+    return EvolutionOracle(hidden, OracleMode.EXACT_EFFECTIVE)
+
+
+def _twins(hidden):
+    return _exact(hidden), _exact(hidden)
+
+
+class TestEffectiveIdentityProb:
+    """The spectral channel against the dense route it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_axis_mix_agrees_with_the_dense_route(self, n):
+        rng = np.random.default_rng(100 + n)
+        for axes in itertools.product("XYZ", repeat=n):
+            subspace = DiagonalSubspace(axes)
+            h = _frame_diagonal_sum(subspace, rng, 2 * n)
+            tr = apply_twirl(h, subspace, sample_twirl_paulis(subspace, 4, rng))
+            assert not tr.residual
+            t = float(rng.uniform(0.0, 30.0))
+            spectral, dense = _twins(PauliSum(n, {"X" * n: 1.0}))
+            got = spectral.effective_identity_prob(tr, t, shots=3)
+            want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=3))
+            assert abs(got - want) <= 1e-12
+            assert spectral.ledger == dense.ledger
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_random_twirled_differences_agree_with_the_dense_route(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(6):
+            hidden = random_pauli_sum(n, 2, rng, num_terms=3 * n)
+            h0 = random_pauli_sum(n, 2, rng, num_terms=3 * n)
+            spectral, dense = _twins(hidden)
+            tr = spectral.sample_twirl(h0, sample_subspace(n, rng), 30, rng)
+            assert not tr.residual and tr.effective
+            t = float(rng.uniform(0.0, 30.0))
+            got = spectral.effective_identity_prob(tr, t, shots=5)
+            want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=5))
+            assert abs(got - want) <= 1e-12
+            assert spectral.ledger == dense.ledger
+
+    def test_empty_difference_gives_exactly_one(self):
+        h = PauliSum(3, {"XYZ": 0.5})
+        oracle = _exact(h)
+        tr = oracle.sample_twirl(h, DiagonalSubspace(("Z", "Z", "Z")), 17,
+                                 np.random.default_rng(0))
+        assert oracle.effective_identity_prob(tr, 7.5, shots=4) == 1.0
+        assert oracle.ledger.total_time == 30.0
+        assert oracle.ledger.query_count == 4
+
+    def test_a_residual_takes_the_dense_route(self):
+        # One twirl step (a weak c2) lets off-subspace terms survive.
+        rng = np.random.default_rng(5)
+        hidden = random_pauli_sum(3, 2, rng, num_terms=9)
+        h0 = random_pauli_sum(3, 2, rng, num_terms=9)
+        spectral, dense = _twins(hidden)
+        for _ in range(20):
+            tr = spectral.sample_twirl(h0, sample_subspace(3, rng), 1, rng)
+            if tr.residual:
+                break
+        assert tr.residual
+        got = spectral.effective_identity_prob(tr, 2.25, shots=6)
+        assert got == identity_prob_trace(dense.effective_shot(tr.twirled, 2.25, shots=6))
+        assert spectral.ledger == dense.ledger
+
+    def test_checks_run_before_any_charge(self):
+        oracle = _exact(PauliSum(2, {"XX": 0.3}))
+        tr = oracle.sample_twirl(PauliSum(2, {"ZZ": 0.1}), DiagonalSubspace(("X", "X")),
+                                 10, np.random.default_rng(1))
+        with pytest.raises(AccessModelError):
+            oracle.effective_identity_prob(tr, -1.0)
+        with pytest.raises(ValueError):
+            oracle.effective_identity_prob(tr, 1.0, shots=0)
+        other = _exact(PauliSum(3, {"XXX": 0.3}))
+        with pytest.raises(ValueError, match="size"):
+            other.effective_identity_prob(tr, 1.0)
+        trotter = EvolutionOracle(PauliSum(2, {"XX": 0.3}), OracleMode.TROTTERIZED)
+        with pytest.raises(OracleModeError):
+            trotter.effective_identity_prob(tr, 1.0)
+        for o in (oracle, other, trotter):
+            assert o.ledger == EvolutionLedger()
+
+
+class TestSizeLimits:
+    def test_exact_mode_accepts_up_to_the_walsh_cap(self):
+        n = WALSH_QUBIT_CAP
+        _exact(PauliSum(n, {"X" + "I" * (n - 1): 1.0}))
+        with pytest.raises(ValueError, match="cap"):
+            _exact(PauliSum(n + 1, {"X" + "I" * n: 1.0}))
+
+    def test_trotter_mode_keeps_the_dense_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            EvolutionOracle(PauliSum(11, {"X" + "I" * 10: 1.0}), OracleMode.TROTTERIZED)
+
+    def test_spectral_route_beyond_the_dense_cap(self):
+        n = 14
+        hidden = PauliSum(n, {"Z" * 2 + "I" * (n - 2): 0.7, "I" * (n - 1) + "Z": 0.2})
+        oracle = _exact(hidden)
+        tr = oracle.sample_twirl(PauliSum(n, {"I" * (n - 1) + "Z": 0.2}),
+                                 DiagonalSubspace(("Z",) * n), 3, np.random.default_rng(2))
+        # Only ZZ..I remains, with eigenvalues +-0.7 in equal numbers.
+        t = 1.3
+        assert oracle.effective_identity_prob(tr, t) == pytest.approx(
+            np.cos(0.7 * t) ** 2, abs=1e-12
+        )
+
+    def test_dense_fallback_beyond_the_cap_is_a_clear_error(self):
+        n = 12
+        hidden = PauliSum(n, {"X" + "I" * (n - 1): 0.5})
+        oracle = _exact(hidden)
+        subspace = DiagonalSubspace(("Z",) * n)
+        tr = apply_twirl(hidden, subspace, ("I" * n,))
+        assert tr.residual
+        with pytest.raises(ValueError, match="dense route"):
+            oracle.effective_identity_prob(tr, 1.0)
+        assert oracle.ledger == EvolutionLedger()
+
+
+class TestDifferenceMemo:
+    def test_same_reference_subtracts_once(self, monkeypatch):
+        calls = []
+        real = oracle_module.subtract
+
+        def counting(a, b):
+            calls.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(oracle_module, "subtract", counting)
+        hidden = PauliSum(2, {"XZ": 0.3, "ZZ": 0.4})
+        h0, other = PauliSum(2, {"ZZ": 0.4}), PauliSum(2, {"XX": 0.1})
+        oracle = _exact(hidden)
+        rng = np.random.default_rng(3)
+        subspace = DiagonalSubspace(("Z", "Z"))
+        first = oracle.sample_twirl(h0, subspace, 4, rng)
+        oracle.sample_twirl(PauliSum(2, {"ZZ": 0.4}), subspace, 4, rng)
+        assert len(calls) == 1
+        switched = oracle.sample_twirl(other, subspace, 4, rng)
+        assert len(calls) == 2
+        assert not first.effective
+        assert switched.effective == PauliSum(2, {"ZZ": 0.4})

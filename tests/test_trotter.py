@@ -1,5 +1,7 @@
 """Tests for the sector unrolling and the symmetric product formula."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionOracle, OracleMode, OracleModeError
 from hamcert.pauli import PauliSum, conjugate, scale, subtract
 from hamcert.trotter import (
+    TROTTER_STEP_CAP,
     TrotterPlan,
     calibrate_steps,
     steps_from_bound,
@@ -90,6 +93,13 @@ class TestStepsFromBound:
 
     def test_clamped_to_cap(self):
         assert steps_from_bound(8, 100.0, 1e-12) == 2**16
+
+    def test_tiny_budget_saturates_instead_of_overflowing(self):
+        assert steps_from_bound(2, 1.0, 5e-324) == TROTTER_STEP_CAP
+
+    def test_huge_duration_saturates_instead_of_overflowing(self):
+        assert steps_from_bound(2, 1e200, 1e-3) == TROTTER_STEP_CAP
+        assert steps_from_bound(2, math.inf, 1e-3) == TROTTER_STEP_CAP
 
 
 class TestTrotterEvolve:

@@ -10,6 +10,7 @@ from hamcert.instances import random_pauli_sum
 from hamcert.pauli import PauliSum, frobenius_norm
 from hamcert.twirl import (
     DiagonalSubspace,
+    TwirlTranscript,
     apply_twirl,
     project_effective,
     run_twirl,
@@ -75,6 +76,33 @@ class TestSampleTwirlPaulis:
         rng = np.random.default_rng(44)
         with pytest.raises(ValueError):
             sample_twirl_paulis(DiagonalSubspace(("Z",)), 0, rng)
+
+    @pytest.mark.parametrize("n,steps", [(1, 1), (3, 34), (6, 17), (20, 5)])
+    def test_matches_the_per_row_construction(self, n, steps):
+        for seed in range(5):
+            s = sample_subspace(n, np.random.default_rng([seed, n]))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            bits = ref_rng.integers(0, 2, size=(steps, n))
+            expected = tuple(s.element(row) for row in bits)
+            assert sample_twirl_paulis(s, steps, rng) == expected
+            # The same draws leave the generator in the same state.
+            assert rng.random() == ref_rng.random()
+
+
+class TestTranscriptCheck:
+    def _transcript(self, paulis):
+        empty = PauliSum(2)
+        return TwirlTranscript(DiagonalSubspace(("X", "Z")), paulis, empty, empty, empty)
+
+    def test_members_accepted(self):
+        assert self._transcript(("II", "XI", "IZ", "XZ")).paulis[-1] == "XZ"
+
+    @pytest.mark.parametrize(
+        "bad", ["XX", "ZZ", "YI", "IQ", "I\u00e9", "X", "XZI"],
+    )
+    def test_foreign_paulis_rejected(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            self._transcript(("XZ", bad, "II"))
 
 
 class TestProjectEffective:

@@ -1,10 +1,22 @@
 """Tests for the verification-suite plumbing itself."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hamcert
 from hamcert.cli import main
-from hamcert.verification import SUITES, SuiteResult, run_suite, suite_names
+from hamcert.verification import (
+    SUITES,
+    SuiteResult,
+    chi_square_pvalue,
+    run_suite,
+    suite_names,
+)
 
 
 class TestSuiteResult:
@@ -96,3 +108,24 @@ class TestLedgerArithmetic:
         merged = workers[0].merge(workers[1]).merge(workers[2])
         assert merged.query_count == sequential.query_count == 30
         assert merged.total_time == pytest.approx(sequential.total_time, rel=1e-12)
+
+
+def test_chi_square_pvalue_matches_scipy_stats():
+    from scipy import stats
+
+    observed = np.array([18.0, 25.0, 31.0, 9.0, 17.0])
+    expected = np.array([20.0, 22.5, 27.5, 12.5, 17.5])
+    assert chi_square_pvalue(observed, expected) == float(
+        stats.chisquare(observed, expected).pvalue
+    )
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(hamcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hamcert.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
