@@ -30,6 +30,7 @@ __all__ = [
     "bell_distribution",
     "bell_measure_choi",
     "identity_prob_spectral",
+    "identity_probs_spectral",
     "identity_prob_trace",
     "outcome_bits",
     "outcome_pauli_label",
@@ -47,7 +48,8 @@ def identity_prob_spectral(spectrum: np.ndarray, t: float) -> float:
 
     Evaluates the pairwise cosine average ``(1/N^2) sum_{j,k}
     cos((l_j - l_k) t)`` in its coherent form ``|sum_j exp(-i l_j t)|^2 /
-    N^2``, which is the same quantity computed in O(N).
+    N^2``, which is the same quantity computed in O(N).  This is
+    :func:`identity_probs_spectral` at the single time ``t``.
 
     Args:
         spectrum: Real eigenvalues (any order).
@@ -56,15 +58,41 @@ def identity_prob_spectral(spectrum: np.ndarray, t: float) -> float:
     Returns:
         A probability in [0, 1].
     """
-    if t < 0:
-        raise ValueError(f"Time must be nonnegative, got {t}.")
+    return float(identity_probs_spectral(spectrum, np.array([t], dtype=float))[0])
+
+
+#: Entries of the time-by-eigenvalue phase array evaluated at once (2 MiB).
+_PHASE_ENTRIES = 2**18
+
+
+def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """:func:`identity_prob_spectral` at every entry of ``times``.
+
+    Row ``r`` of the phase array is ``times[r] * spectrum``, and its cosine
+    and sine sums are taken along the row, so each probability equals the
+    one-time evaluation bit for bit.  Rows are evaluated in blocks of at
+    most :data:`_PHASE_ENTRIES` entries.
+
+    Raises:
+        ValueError: On a negative time or an empty or non-1-D spectrum.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("Times must be a 1-D array.")
+    negative = times[times < 0]
+    if negative.size:
+        raise ValueError(f"Time must be nonnegative, got {negative[0]}.")
     values = np.asarray(spectrum, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
-    phase = values * float(t)
-    c = float(np.sum(np.cos(phase)))
-    s = float(np.sum(np.sin(phase)))
-    return min((c * c + s * s) / values.size**2, 1.0)
+    probs = np.empty(times.size)
+    rows = max(1, _PHASE_ENTRIES // values.size)
+    for start in range(0, times.size, rows):
+        phase = np.multiply.outer(times[start : start + rows], values)
+        c = np.cos(phase).sum(axis=1)
+        s = np.sin(phase).sum(axis=1)
+        probs[start : start + rows] = (c * c + s * s) / values.size**2
+    return np.minimum(probs, 1.0, out=probs)
 
 
 def identity_prob_trace(u: np.ndarray, atol: float = 1e-8) -> float:
@@ -165,7 +193,9 @@ def bell_measure_choi(
     probs = bell_distribution(u)
     n = (u.shape[0]).bit_length() - 1
     draws = rng.choice(probs.size, size=shots, p=probs)
-    return [outcome_bits(int(i), n) for i in draws]
+    # Format each of the 4^n outcomes once rather than once per shot.
+    strings = [outcome_bits(i, n) for i in range(probs.size)]
+    return [strings[i] for i in draws.tolist()]
 
 
 def sample_identity_shots(p: float, m: int, rng: np.random.Generator) -> int:

@@ -1,9 +1,10 @@
 """Dense complex-matrix backend for small systems.
 
-Materializes Pauli sums as ``2^n x 2^n`` complex arrays, provides the
-Hermitian eigendecomposition, unitary time evolution through the spectral
-form, and the mean-square eigenvalue displacement used to bound spectral
-perturbations.
+Materializes Pauli sums as ``2^n x 2^n`` complex arrays, building each
+Pauli term as a signed permutation (one phase per column, no Kronecker
+product of matrices), provides the Hermitian eigendecomposition, unitary
+time evolution through the spectral form, and the mean-square eigenvalue
+displacement used to bound spectral perturbations.
 
 Index convention: qubit 0 is the most significant bit of the computational
 basis index, matching the Kronecker order ``letters[0] (x) ... (x)
@@ -72,6 +73,22 @@ _LETTER_PHASES = {
 }
 
 
+def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
+    """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``.
+
+    ``ph`` is the Kronecker product of the letters' phases, formed by the
+    same complex products as :func:`pauli_matrix`, so ``ph[j]`` equals
+    ``pauli_matrix(label)[j ^ x, j]`` bit for bit.  The label is not
+    validated here.
+    """
+    phase = np.ones(1, dtype=complex)
+    flip = 0
+    for ch in label:
+        phase = np.multiply.outer(phase, _LETTER_PHASES[ch]).ravel()
+        flip = flip << 1 | (ch in "XY")
+    return flip, phase
+
+
 def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
     """``P @ m @ P`` for the Pauli string ``P``, without forming ``P``.
 
@@ -84,11 +101,7 @@ def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
     n = len(label)
     if m.shape != (2**n, 2**n):
         raise ValueError(f"Matrix shape {m.shape} does not match {n} qubits.")
-    phase = np.array([1.0 + 0.0j])
-    flip = 0
-    for ch in label:
-        phase = np.kron(phase, _LETTER_PHASES[ch])
-        flip = flip << 1 | (ch in "XY")
+    flip, phase = _signed_permutation(label)
     index = np.arange(2**n) ^ flip
     return phase[index][:, None] * m[np.ix_(index, index)] * phase
 
@@ -96,14 +109,23 @@ def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
 def to_dense(h: PauliSum, cap: int = QUBIT_CAP) -> np.ndarray:
     """Materialize a Pauli sum as a dense Hermitian matrix.
 
+    Each term is a signed permutation (see :func:`pauli_conjugate`), so
+    it adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only,
+    in term order.  The entries the dense sum ``coeff * pauli_matrix``
+    would add as well are signed zeros, which never change an entry of
+    ``out``: those start at ``+0`` and a sum of floats is ``-0`` only when
+    both of its terms are.  The result is the dense sum bit for bit.
+
     Raises:
         ValueError: If the system size exceeds ``cap``.
     """
     _check_cap(h.n, cap)
     dim = 2**h.n
     out = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
     for label, coeff in h.items():
-        out += coeff * pauli_matrix(label, cap)
+        flip, phase = _signed_permutation(label)
+        out[rows ^ flip, rows] += coeff * phase
     return out
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bell import identity_prob_spectral
+from .bell import identity_probs_spectral
 from .dense import QUBIT_CAP, eigenvalues, to_dense
 from .pauli import PauliSum, add, frobenius_norm
 
@@ -23,6 +23,7 @@ __all__ = [
     "DropTime",
     "GapStatConfig",
     "find_drop_time",
+    "find_drop_times",
     "lambda_stat",
     "stability_bound",
     "verify_stability",
@@ -103,14 +104,53 @@ def find_drop_time(
     draw misses.  Uses exact identity probabilities (an analysis-side
     utility); nothing is charged anywhere.
     """
+    return find_drop_times(spectrum, cfg, rng, 1)[0]
+
+
+#: Searches of :func:`find_drop_times` that share one block of draws.
+_SEARCH_BATCH = 1024
+
+
+def find_drop_times(
+    spectrum: np.ndarray, cfg: GapStatConfig, rng: np.random.Generator, searches: int
+) -> list[Optional[DropTime]]:
+    """``searches`` successive :func:`find_drop_time` calls, vectorised.
+
+    A block of searches draws the most times it can use, ``m_times`` per
+    search, with one ``rng.random`` call and evaluates them all at once.
+    The searches then take their draws in order, each up to and including
+    its first hit.  Finally ``rng`` is rewound and advanced by exactly the
+    draws taken.  The results and the final ``rng`` state are those of
+    ``searches`` calls of :func:`find_drop_time` that draw one
+    ``rng.uniform(0.0, 2/epsilon)`` at a time: ``random() * horizon`` is
+    that draw bit for bit.
+    """
+    if searches < 0:
+        raise ValueError(f"Search count must be nonnegative, got {searches}.")
     target = 1.0 - cfg.d / 4.0
     horizon = 2.0 / cfg.epsilon
-    for _ in range(cfg.m_times):
-        t = float(rng.uniform(0.0, horizon))
-        prob = identity_prob_spectral(spectrum, t)
-        if prob <= target:
-            return DropTime(t, prob)
-    return None
+    draws = cfg.m_times
+    found: list[Optional[DropTime]] = []
+    while len(found) < searches:
+        block = min(searches - len(found), _SEARCH_BATCH)
+        state = rng.bit_generator.state
+        times = rng.random(block * draws) * horizon
+        probs = identity_probs_spectral(spectrum, times)
+        hits = (probs <= target).tolist()
+        times, probs = times.tolist(), probs.tolist()
+        used = 0
+        for _ in range(block):
+            for i in range(used, used + draws):
+                if hits[i]:
+                    found.append(DropTime(times[i], probs[i]))
+                    used = i + 1
+                    break
+            else:
+                found.append(None)
+                used += draws
+        rng.bit_generator.state = state
+        rng.random(used)
+    return found
 
 
 def stability_bound(p: float, q: float) -> float:

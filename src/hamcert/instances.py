@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from .pauli import PauliSum, frobenius_norm, scale
+from .pauli import PauliSum
 
 __all__ = [
     "all_k_local_labels",
     "random_diagonal_sum",
-    "random_direction",
     "random_hermitian",
     "random_pauli_sum",
 ]
 
 
-def all_k_local_labels(n: int, k: int, letters: str = "XYZ") -> list[str]:
-    """Every label on ``n`` qubits with weight between 1 and ``k``."""
+@functools.lru_cache(maxsize=64)
+def all_k_local_labels(n: int, k: int, letters: str = "XYZ") -> tuple[str, ...]:
+    """Every label on ``n`` qubits with weight between 1 and ``k``.
+
+    Kept per ``(n, k, letters)``: the suites draw thousands of instances
+    from a few pools.
+    """
     if k < 1 or k > n:
         raise ValueError(f"Need 1 <= k <= n, got k={k}, n={n}.")
     labels = []
@@ -29,7 +34,7 @@ def all_k_local_labels(n: int, k: int, letters: str = "XYZ") -> list[str]:
                 for site, ch in zip(sites, choice):
                     chars[site] = ch
                 labels.append("".join(chars))
-    return labels
+    return tuple(labels)
 
 
 def random_pauli_sum(
@@ -57,12 +62,6 @@ def random_diagonal_sum(
 ) -> PauliSum:
     """A k-local sum using only I/Z letters."""
     return random_pauli_sum(n, k, rng, num_terms, letters="Z")
-
-
-def random_direction(n: int, k: int, rng: np.random.Generator) -> PauliSum:
-    """A unit-Frobenius-norm k-local sum."""
-    h = random_pauli_sum(n, k, rng)
-    return scale(h, 1.0 / frobenius_norm(h))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, width: float = 1.0) -> np.ndarray:

@@ -256,8 +256,11 @@ class EvolutionOracle:
         :meth:`effective_shot`.  When the twirl left no residual, ``H_T``
         is the effective part, diagonal in the transcript's frame, and the
         probability comes from the Walsh spectrum of its coefficient table
-        in ``O(n 2^n)`` with no dense matrix.  Otherwise it is
-        ``identity_prob_trace(effective_shot(...))``, the dense route.
+        in ``O(n 2^n)`` with no dense matrix.  When the effective part is
+        empty too (``H = H0``), that spectrum is all zeros and the
+        probability is exactly ``1.0``, returned without the transform.
+        Otherwise it is ``identity_prob_trace(effective_shot(...))``, the
+        dense route.
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
@@ -270,6 +273,9 @@ class EvolutionOracle:
                 self.effective_shot(transcript.twirled, t, shots=shots)
             )
         t = self._charge_shots(transcript.subspace.n, t, shots)
+        if not transcript.effective:
+            # 2^n ones sum to 2^n exactly, so the Walsh route gives N^2 / N^2.
+            return 1.0
         spectrum = walsh_transform(walsh_table(transcript.effective))
         return identity_prob_spectral(spectrum, t)
 

@@ -11,6 +11,8 @@ from hamcert.bell import (
     bell_measure_choi,
     identity_prob_spectral,
     identity_prob_trace,
+    identity_probs_spectral,
+    outcome_bits,
     outcome_pauli_label,
     sample_identity_shots,
 )
@@ -82,9 +84,29 @@ class TestIdentityProbSpectral:
             )
             assert lhs <= h * max_gap + 1e-12
 
+    def test_equals_the_np_sum_form_bit_for_bit(self):
+        def np_sum_form(spectrum, t):
+            phase = np.asarray(spectrum, dtype=float) * float(t)
+            c = float(np.sum(np.cos(phase)))
+            s = float(np.sum(np.sin(phase)))
+            return min((c * c + s * s) / phase.size**2, 1.0)
+
+        rng = np.random.default_rng(9)
+        # 2^17 eigenvalues: two times per block of the vectorised form.
+        for size in (1, 2, 3, 7, 8, 9, 64, 100, 1024, 4097, 2**17):
+            spec = rng.normal(scale=3.0, size=size)
+            times = rng.uniform(0.0, 50.0, size=20)
+            want = np.array([np_sum_form(spec, t) for t in times])
+            got = np.array([identity_prob_spectral(spec, t) for t in times])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = identity_probs_spectral(spec, times)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             identity_prob_spectral(np.array([0.0, 1.0]), -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            identity_probs_spectral(np.array([0.0, 1.0]), np.array([1.0, -0.1]))
 
 
 class TestIdentityProbTrace:
@@ -155,6 +177,16 @@ class TestBellMeasureChoi:
         p = math.cos(eps * t) ** 2
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(freq - p) <= 3 * sigma
+
+    def test_equals_per_draw_formatting(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4):
+            u = evolve(random_pauli_sum(n, min(n, 2), rng), float(rng.uniform(0, 10)))
+            got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = bell_measure_choi(u, got_rng, shots=2000)
+            draws = want_rng.choice(4**n, size=2000, p=bell_distribution(u))
+            assert got == [outcome_bits(int(i), n) for i in draws]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_outcome_label_mapping(self):
         assert outcome_pauli_label("00") == "I"

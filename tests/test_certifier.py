@@ -304,6 +304,22 @@ class TestExactModeAtSixteenQubits:
         assert report.verdict == "REJECT"
 
 
+class TestExactModeAtTwentyQubits:
+    def test_equal_pair_accepts_with_the_walsh_route_ledger(self):
+        # H = H0 leaves the twirl nothing, so each round's identity
+        # probability is exactly 1 without a 2^20-entry transform.
+        rng = np.random.default_rng(20)
+        h0 = random_pauli_sum(20, 2, rng, num_terms=80)
+        cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=2, seed=1)
+        report = certify(h0, make_oracle(h0), cfg)
+        assert report.verdict == "ACCEPT"
+        assert report.rounds_run == cfg.rounds
+        assert all(r.identity_fraction == 1.0 for r in report.records)
+        # The ledger the Walsh route charged for this run.
+        assert report.ledger_total_time == 35771877.60386038
+        assert report.ledger_query_count == 808704 == cfg.rounds * cfg.shots_per_round
+
+
 class TestSweep:
     def test_direction_must_be_unit_norm(self):
         cfg = CertificationConfig(epsilon=0.4, delta=0.2, k=1, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hamcert.dense import (
+    PAULI_MATRICES,
     eig_decompose,
     eigenvalues,
     evolve,
@@ -52,6 +53,47 @@ class TestToDense:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             to_dense(PauliSum(11, {"X" + "I" * 10: 1.0}))
+
+
+def _kron_sum(h):
+    """``sum coeff * (letter (x) ... (x) letter)``, one dense term at a time."""
+    out = np.zeros((2**h.n, 2**h.n), dtype=complex)
+    for label, coeff in h.items():
+        m = np.array([[1.0 + 0.0j]])
+        for ch in label:
+            m = np.kron(m, PAULI_MATRICES[ch])
+        out += coeff * m
+    return out
+
+
+class TestToDenseBitIdentity:
+    """The signed-permutation scatter equals the Kronecker sum bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_single_label(self, n):
+        for letters in itertools.product("IXYZ", repeat=n):
+            label = "".join(letters)
+            if label == "I" * n:
+                continue
+            for coeff in (1.0, -0.37, 2.5e-300):
+                h = PauliSum(n, {label: coeff})
+                got, want = to_dense(h), _kron_sum(h)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+
+    def test_random_sums_up_to_eight_qubits(self):
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            h = random_pauli_sum(n, int(rng.integers(1, min(n, 3) + 1)), rng)
+            got, want = to_dense(h), _kron_sum(h)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), h
+
+    def test_cancelling_terms_leave_positive_zeros(self):
+        # XX and YY share a flip mask; their corner entries cancel.
+        h = PauliSum(2, {"XX": 0.5, "YY": 0.5})
+        got, want = to_dense(h), _kron_sum(h)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.signbit(got.real[got.real == 0]).any()
 
 
 class TestPauliConjugate:

@@ -7,8 +7,10 @@ import pytest
 
 from hamcert.bell import identity_prob_spectral
 from hamcert.gaps import (
+    DropTime,
     GapStatConfig,
     find_drop_time,
+    find_drop_times,
     lambda_stat,
     stability_bound,
     verify_stability,
@@ -105,6 +107,41 @@ class TestFindDropTime:
         ivals = np.cos(eps * ts) ** 2
         measure = float(np.mean(ivals <= 1.0 - d / 4.0))
         assert measure >= 1.0 / 3.0
+
+    def test_equals_the_uniform_draw_loop(self):
+        def uniform_loop(spectrum, cfg, rng):
+            target = 1.0 - cfg.d / 4.0
+            for _ in range(cfg.m_times):
+                t = float(rng.uniform(0.0, 2.0 / cfg.epsilon))
+                prob = identity_prob_spectral(spectrum, t)
+                if prob <= target:
+                    return DropTime(t, prob)
+            return None
+
+        def bits(found):
+            return [None if f is None else np.array(f).view(np.uint64).tolist()
+                    for f in found]
+
+        cfg = GapStatConfig(epsilon=0.7, d=0.5, delta=0.05)
+        for seed, spec in enumerate(
+            [np.array([-0.5, 0.5]), np.array([-2.0, -1.0, 1.0, 2.0]), np.zeros(8)]
+        ):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            want = [uniform_loop(spec, cfg, rngs[0]) for _ in range(2500)]
+            one_at_a_time = [find_drop_time(spec, cfg, rngs[1]) for _ in range(2500)]
+            # 2500 searches span three blocks of draws.
+            at_once = find_drop_times(spec, cfg, rngs[2], 2500)
+            assert bits(one_at_a_time) == bits(at_once) == bits(want)
+            states = [r.bit_generator.state for r in rngs]
+            assert states[0] == states[1] == states[2]
+
+    def test_negative_search_count_rejected(self):
+        cfg = GapStatConfig(epsilon=1.0, d=0.5, delta=0.1)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_drop_times(np.zeros(2), cfg, rng, -1)
+        assert find_drop_times(np.zeros(2), cfg, rng, 0) == []
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_failure_rate_within_envelope(self):
         spec = np.array([-0.5, 0.5])

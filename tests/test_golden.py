@@ -68,3 +68,10 @@ def test_sweep_csv_bytes(monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
     assert main(SWEEP_ARGS) == 0
     assert capsys.readouterr().out == (GOLDEN / "sweep.csv").read_text()
+
+
+def test_verify_all_output_bytes(monkeypatch, capsys):
+    # The default seed comes from $HAMCERT_SEED, so pin it to 0 by removing it.
+    monkeypatch.delenv("HAMCERT_SEED", raising=False)
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-all.txt").read_text()

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hamcert import oracle as oracle_module
-from hamcert.bell import identity_prob_trace
+from hamcert.bell import identity_prob_spectral, identity_prob_trace
 from hamcert.dense import evolve
 from hamcert.instances import random_pauli_sum
-from hamcert.moments import WALSH_QUBIT_CAP
+from hamcert.moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
 from hamcert.oracle import (
     AccessModelError,
     EvolutionLedger,
@@ -261,6 +261,18 @@ class TestEffectiveIdentityProb:
         assert oracle.effective_identity_prob(tr, 7.5, shots=4) == 1.0
         assert oracle.ledger.total_time == 30.0
         assert oracle.ledger.query_count == 4
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_empty_difference_matches_the_walsh_route(self, n):
+        h = PauliSum(n, {"X" * n: 0.5})
+        oracle = _exact(h)
+        tr = oracle.sample_twirl(h, DiagonalSubspace(("Y",) * n), 5,
+                                 np.random.default_rng(n))
+        assert not tr.effective and not tr.residual
+        for t in (0.0, 1e-3, 2.75, 1e6):
+            walsh = identity_prob_spectral(walsh_transform(walsh_table(tr.effective)), t)
+            assert oracle.effective_identity_prob(tr, t, shots=3) == walsh == 1.0
+        assert oracle.ledger.query_count == 12
 
     def test_a_residual_takes_the_dense_route(self):
         # One twirl step (a weak c2) lets off-subspace terms survive.

@@ -123,9 +123,12 @@ def test_chi_square_pvalue_matches_scipy_stats():
 def test_cli_import_leaves_scipy_stats_out():
     src = str(Path(hamcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, hamcert.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, hamcert.cli; "
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
