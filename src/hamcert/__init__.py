@@ -29,12 +29,7 @@ from .gaps import (
     stability_bound,
     verify_stability,
 )
-from .moments import (
-    gap_moments,
-    paley_zygmund_bound,
-    verify_gap_bound,
-    walsh_eigenvalues,
-)
+from .moments import verify_gap_bound, walsh_eigenvalues
 from .oracle import (
     AccessModelError,
     EvolutionLedger,
@@ -53,12 +48,7 @@ from .pauli import (
     subtract,
     weight,
 )
-from .trotter import (
-    TrotterPlan,
-    trotter_error,
-    trotter_evolve,
-    unroll_twirl,
-)
+from .trotter import TrotterPlan, trotter_error, trotter_evolve
 from .twirl import (
     DiagonalSubspace,
     TwirlTranscript,
@@ -93,13 +83,11 @@ __all__ = [
     "evolve_known",
     "find_drop_time",
     "frobenius_norm",
-    "gap_moments",
     "hoffman_wielandt_gap",
     "identity_prob_spectral",
     "identity_prob_trace",
     "is_k_local",
     "lambda_stat",
-    "paley_zygmund_bound",
     "parse_hamiltonian",
     "project_effective",
     "run_round",
@@ -112,7 +100,6 @@ __all__ = [
     "to_dense",
     "trotter_error",
     "trotter_evolve",
-    "unroll_twirl",
     "verify_gap_bound",
     "verify_stability",
     "walsh_eigenvalues",

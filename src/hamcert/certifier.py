@@ -200,9 +200,6 @@ class CertificationConfig:
                 f"eps_trott {tol:.3e} falls below c0/9^k = {margin:.3e}."
             )
 
-    def mode_name(self) -> str:
-        return self.mode.value
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -241,7 +238,6 @@ class CertificationReport:
     ledger_total_time: float
     ledger_query_count: int
     seed: int
-    scheduling: str
     config: CertificationConfig
 
     def render(self) -> str:
@@ -253,8 +249,7 @@ class CertificationReport:
             f"rounds_run: {self.rounds_run}",
             f"rejecting_round: {self.rejecting_round if self.rejecting_round is not None else '-'}",
             f"seed: {self.seed}",
-            f"scheduling: {self.scheduling}",
-            f"mode: {cfg.mode_name()}",
+            f"mode: {cfg.mode.value}",
             f"epsilon: {cfg.epsilon!r}",
             f"delta: {cfg.delta!r}",
             f"k: {cfg.k}",
@@ -373,7 +368,6 @@ def certify(
         ledger_total_time=oracle.ledger.total_time,
         ledger_query_count=oracle.ledger.query_count,
         seed=cfg.seed,
-        scheduling="sequential",
         config=cfg,
     )
 
@@ -395,7 +389,8 @@ def sweep_epsilon(
     mean totals.
 
     Raises:
-        ValueError: If the direction is not unit-norm or sizes mismatch.
+        ValueError: If the direction is not unit-norm, sizes mismatch, or
+            an epsilon value repeats (the slope needs distinct points).
     """
     norm = frobenius_norm(direction)
     if abs(norm - 1.0) > 1e-9:
@@ -404,6 +399,8 @@ def sweep_epsilon(
         raise ValueError(f"System sizes differ: {direction.n} vs {h0.n}.")
     if not eps_list:
         raise ValueError("Need at least one epsilon value.")
+    if len(set(eps_list)) != len(eps_list):
+        raise ValueError(f"Epsilon values must be distinct, got {eps_list}.")
     if repeats < 1:
         raise ValueError(f"Repeat count must be positive, got {repeats}.")
     rows: list[SweepRow] = []

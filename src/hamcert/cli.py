@@ -19,7 +19,7 @@ from .certifier import (
     sweep_epsilon,
 )
 from .oracle import EvolutionOracle, OracleMode
-from .pauli import HamiltonianFormatError, PauliSum
+from .pauli import HamiltonianFormatError, PauliSum, parse_hamiltonian
 from .verification import run_suite, suite_names
 
 EXIT_ACCEPT = 0
@@ -35,7 +35,7 @@ def _load_hamiltonian(path: str) -> PauliSum:
     except OSError as exc:
         raise HamiltonianFormatError(f"cannot read {path!r}: {exc}") from None
     try:
-        return PauliSum.from_text(text)
+        return parse_hamiltonian(text)
     except HamiltonianFormatError as exc:
         raise HamiltonianFormatError(f"{path}: {exc}") from None
 
@@ -124,7 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"# repeats = {args.repeats}",
         f"# delta = {cfg.delta!r}",
         f"# k = {cfg.k}",
-        f"# mode = {cfg.mode_name()}",
+        f"# mode = {cfg.mode.value}",
         f"# c1 = {cfg.c1!r}",
         f"# c2 = {cfg.c2!r}",
         f"# c3 = {cfg.c3!r}",

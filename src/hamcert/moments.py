@@ -3,10 +3,10 @@
 The spectrum of a Hamiltonian built only from I/Z letters is the
 Walsh-Hadamard transform of its coefficient table: the eigenvalue attached
 to basis state ``s`` is ``f(s) = sum_p (-1)^{s.p} a_p`` with ``p`` ranging
-over the Z-support bitmasks.  That makes eigenvalue-gap moments exactly
-computable by enumeration, and lets the fourth-moment (hypercontractive)
-bound and the Paley-Zygmund anti-concentration step be verified
-numerically instead of assumed.
+over the Z-support bitmasks.  That makes the spectrum and the moments of
+a multilinear function exactly computable by enumeration, and lets the
+eigenvalue-gap guarantee and the fourth-moment (hypercontractive) bound be
+verified numerically instead of assumed.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from .pauli import PauliSum, frobenius_norm
 
 __all__ = [
     "WALSH_QUBIT_CAP",
-    "MOMENT_SIZE_CAP",
     "function_moments",
-    "gap_moments",
-    "paley_zygmund_bound",
     "verify_gap_bound",
     "walsh_eigenvalues",
     "walsh_table",
@@ -29,9 +26,6 @@ __all__ = [
 ]
 
 WALSH_QUBIT_CAP = 20
-
-#: Largest spectrum size for exact pairwise moment enumeration.
-MOMENT_SIZE_CAP = 2**12
 
 
 def walsh_transform(table: np.ndarray) -> np.ndarray:
@@ -92,34 +86,6 @@ def walsh_eigenvalues(h: PauliSum, cap: int = WALSH_QUBIT_CAP) -> np.ndarray:
     return np.sort(walsh_transform(walsh_table(h)))
 
 
-def gap_moments(spectrum: np.ndarray, chunk: int = 1024) -> tuple[float, float]:
-    """Exact second and fourth moments of eigenvalue differences.
-
-    Enumerates all ordered pairs ``(j, k)`` (self-pairs included) and
-    returns the means of ``(l_j - l_k)^2`` and ``(l_j - l_k)^4``.
-
-    Raises:
-        ValueError: If the spectrum exceeds :data:`MOMENT_SIZE_CAP`.
-    """
-    values = np.asarray(spectrum, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
-    if values.size > MOMENT_SIZE_CAP:
-        raise ValueError(
-            f"Spectrum size {values.size} exceeds the enumeration cap "
-            f"{MOMENT_SIZE_CAP}."
-        )
-    total2 = 0.0
-    total4 = 0.0
-    for start in range(0, values.size, chunk):
-        diff = values[start : start + chunk, None] - values[None, :]
-        sq = diff * diff
-        total2 += float(sq.sum())
-        total4 += float((sq * sq).sum())
-    pairs = values.size**2
-    return total2 / pairs, total4 / pairs
-
-
 def function_moments(table: np.ndarray) -> tuple[float, float]:
     """Second and fourth moments of a multilinear function on the cube.
 
@@ -130,24 +96,6 @@ def function_moments(table: np.ndarray) -> tuple[float, float]:
     values = walsh_transform(table)
     sq = values * values
     return float(sq.mean()), float((sq * sq).mean())
-
-
-def paley_zygmund_bound(m2: float, m4: float, theta: float) -> float:
-    """Anti-concentration lower bound ``(1-theta)^2 m2^2 / m4``.
-
-    For a nonnegative variable with mean ``m2`` and second moment ``m4``
-    (here: the squared gap), this bounds the probability of exceeding
-    ``theta`` times the mean from below.
-    """
-    if not 0 <= theta <= 1:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}.")
-    if m4 < 0 or m2 < 0:
-        raise ValueError("Moments must be nonnegative.")
-    if m4 == 0:
-        if m2 > 0:
-            raise ValueError("Impossible moments: m4 = 0 with m2 > 0.")
-        return 0.0
-    return (1.0 - theta) ** 2 * m2 * m2 / m4
 
 
 def verify_gap_bound(h: PauliSum, k: int) -> bool:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import identity_prob_spectral, identity_prob_trace
-from .dense import QUBIT_CAP, eig_decompose, propagator, to_dense
+from .dense import QUBIT_CAP, eig_decompose, evolve, propagator, to_dense
 from .moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
 from .pauli import PauliSum, subtract
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -82,8 +82,7 @@ class EvolutionLedger:
     """Cumulative forward evolution time and query count.
 
     ``total_time`` is the sum of all charged durations and is monotone
-    nondecreasing.  Per-worker ledgers can be merged with :meth:`merge`;
-    totals are independent of scheduling because charges only add.
+    nondecreasing.
     """
 
     total_time: float = 0.0
@@ -96,13 +95,6 @@ class EvolutionLedger:
             raise ValueError(f"Query count increment must be nonnegative: {queries}.")
         self.total_time += duration
         self.query_count += queries
-
-    def merge(self, other: "EvolutionLedger") -> "EvolutionLedger":
-        """Combined ledger of two workers (order-independent)."""
-        return EvolutionLedger(
-            total_time=self.total_time + other.total_time,
-            query_count=self.query_count + other.query_count,
-        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -244,8 +236,7 @@ class EvolutionOracle:
                 "no residual (diagonal in the sampled frame) are supported."
             )
         t = self._charge_shots(h_t.n, t, shots)
-        w, v = eig_decompose(to_dense(h_t, self._cap))
-        return propagator(w, v, t)
+        return evolve(h_t, t, self._cap)
 
     def effective_identity_prob(
         self, transcript: TwirlTranscript, t: float, shots: int = 1

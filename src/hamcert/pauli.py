@@ -133,15 +133,15 @@ class PauliSum:
     """A traceless Hermitian operator as a sparse real Pauli expansion.
 
     Instances are immutable value objects: the term map is canonicalized
-    (sorted by label) at construction and never mutated afterwards, so
-    sums are safe to share across concurrent workers.
+    (sorted by label) at construction and never mutated afterwards.
 
     Invariants enforced at construction:
 
     * every label has length ``n``;
     * the all-identity label is rejected (tracelessness);
     * every stored coefficient is finite, real, and at least
-      :data:`COEFF_DROP_TOL` in magnitude (smaller ones are dropped).
+      :data:`COEFF_DROP_TOL` in magnitude (smaller ones are dropped);
+      finiteness is checked after duplicate labels are summed.
 
     Args:
         n: Number of qubits (``n >= 1``).
@@ -170,10 +170,13 @@ class PauliSum:
                 raise ValueError(
                     "The all-identity term is not allowed (operators are traceless)."
                 )
-            value = float(coeff)
+            value = accum.get(label, 0.0) + float(coeff)
             if not math.isfinite(value):
-                raise ValueError(f"Coefficient for {label!r} is not finite: {coeff!r}.")
-            accum[label] = accum.get(label, 0.0) + value
+                raise ValueError(
+                    f"Coefficient for {label!r} is not finite: adding {coeff!r} "
+                    f"gives {value!r}."
+                )
+            accum[label] = value
         self._n = n
         self._terms: dict[str, float] = {
             label: accum[label]
@@ -238,11 +241,6 @@ class PauliSum:
         """Largest term weight present (0 for the empty sum)."""
         return max((weight(p) for p in self._terms), default=0)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        """Parse the one-term-per-line text format (see module docstring)."""
-        return parse_hamiltonian(text)
-
     def to_text(self) -> str:
         """Render in the text format, one term per line, sorted by label."""
         lines = [f"{coeff!r} {label}" for label, coeff in self._terms.items()]
@@ -288,12 +286,7 @@ def add(a: PauliSum, b: PauliSum) -> PauliSum:
 
 def subtract(a: PauliSum, b: PauliSum) -> PauliSum:
     """Coefficient-wise difference ``a - b``; zero entries are dropped."""
-    if a.n != b.n:
-        raise ValueError(f"System sizes differ: {a.n} vs {b.n}.")
-    merged = dict(a._terms)
-    for p, c in b._terms.items():
-        merged[p] = merged.get(p, 0.0) - c
-    return PauliSum(a.n, merged)
+    return add(a, scale(b, -1.0))
 
 
 def scale(h: PauliSum, factor: float) -> PauliSum:
@@ -324,7 +317,8 @@ def parse_hamiltonian(text: str) -> PauliSum:
 
     Raises:
         HamiltonianFormatError: On any malformed line, with the 1-based
-            line number in the message.
+            line number in the message, or when the summed coefficients of
+            a repeated label overflow, with that label in the message.
     """
     n: int | None = None
     pairs: list[tuple[str, float]] = []
@@ -369,4 +363,8 @@ def parse_hamiltonian(text: str) -> PauliSum:
         raise HamiltonianFormatError(
             "no terms found: the system size cannot be determined."
         )
-    return PauliSum(n, pairs)
+    try:
+        return PauliSum(n, pairs)
+    except ValueError as exc:
+        # Every line is valid on its own, so only a sum can fail here.
+        raise HamiltonianFormatError(str(exc)) from None

@@ -28,7 +28,7 @@ import numpy as np
 from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugate
 from .oracle import EvolutionOracle, OracleMode, OracleModeError, evolve_known
 from .pauli import PauliSum
-from .twirl import DiagonalSubspace, TwirlTranscript
+from .twirl import DiagonalSubspace
 
 __all__ = [
     "TROTTER_STEP_CAP",
@@ -40,7 +40,6 @@ __all__ = [
     "trotter_error",
     "trotter_evolve",
     "twirl_conjugators",
-    "unroll_twirl",
 ]
 
 #: Hard ceiling on product-formula steps when calibrating adaptively.
@@ -98,11 +97,6 @@ def twirl_conjugators(
                 q = _sitewise_product(q, paulis[i])
         sectors.append(q)
     return tuple(sectors)
-
-
-def unroll_twirl(transcript: TwirlTranscript) -> tuple[str, ...]:
-    """Sector conjugators of a recorded twirl transcript."""
-    return twirl_conjugators(transcript.subspace, transcript.paulis)
 
 
 @dataclass(frozen=True)

@@ -73,16 +73,15 @@ class DiagonalSubspace:
 class TwirlTranscript:
     """Record of one twirl: the subspace, the drawn Paulis, and the split.
 
-    ``twirled`` always equals ``effective + residual``; ``effective`` holds
-    the in-subspace terms of the input (untouched by every step) and
-    ``residual`` the off-subspace terms that happened to survive all draws.
+    ``effective`` holds the in-subspace terms of the input (untouched by
+    every step) and ``residual`` the off-subspace terms that happened to
+    survive all draws; ``twirled`` is their sum.
     """
 
     subspace: DiagonalSubspace
     paulis: tuple[str, ...]
     effective: PauliSum
     residual: PauliSum
-    twirled: PauliSum
 
     def __post_init__(self) -> None:
         n = self.subspace.n
@@ -96,6 +95,11 @@ class TwirlTranscript:
             if joined[i::n].strip("I" + ax):
                 bad = next(p for p in self.paulis if p[i] not in ("I", ax))
                 raise ValueError(f"Transcript Pauli {bad!r} is not in the subspace.")
+
+    @property
+    def twirled(self) -> PauliSum:
+        """The twirled operator, ``effective + residual``."""
+        return self.effective + self.residual
 
 
 def sample_subspace(n: int, rng: np.random.Generator) -> DiagonalSubspace:
@@ -153,14 +157,11 @@ def apply_twirl(
     for label, coeff in off.items():
         if all(commutes(p, label) for p in paulis):
             surviving[label] = coeff
-    residual = PauliSum(h1.n, surviving)
-    twirled = effective + residual
     return TwirlTranscript(
         subspace=subspace,
         paulis=tuple(paulis),
         effective=effective,
-        residual=residual,
-        twirled=twirled,
+        residual=PauliSum(h1.n, surviving),
     )
 
 

@@ -526,30 +526,18 @@ def suite_bonami(trials: int = 1000, seed: int = 0) -> SuiteResult:
     return result
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
-    "bell": suite_bell,
-    "gapbound": suite_gapbound,
-    "basis": suite_basis,
-    "twirl": suite_twirl,
-    "stability": suite_stability,
-    "droptime": suite_droptime,
-    "trotter": suite_trotter,
-    "endtoend": suite_endtoend,
-    "heisenberg": suite_heisenberg,
-    "bonami": suite_bonami,
-}
-
-_PRIMARY_KNOB: dict[str, str | None] = {
-    "bell": "instances",
-    "gapbound": "trials_per_k",
-    "basis": "draws",
-    "twirl": "transcripts",
-    "stability": "pairs",
-    "droptime": "reps",
-    "trotter": None,
-    "endtoend": "runs",
-    "heisenberg": "repeats",
-    "bonami": "trials",
+#: Suite name -> (suite function, keyword of its main trial count or None).
+SUITES: dict[str, tuple[Callable[..., SuiteResult], str | None]] = {
+    "bell": (suite_bell, "instances"),
+    "gapbound": (suite_gapbound, "trials_per_k"),
+    "basis": (suite_basis, "draws"),
+    "twirl": (suite_twirl, "transcripts"),
+    "stability": (suite_stability, "pairs"),
+    "droptime": (suite_droptime, "reps"),
+    "trotter": (suite_trotter, None),
+    "endtoend": (suite_endtoend, "runs"),
+    "heisenberg": (suite_heisenberg, "repeats"),
+    "bonami": (suite_bonami, "trials"),
 }
 
 
@@ -558,11 +546,18 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run a suite by name, optionally overriding its main trial count."""
+    """Run a suite by name, optionally overriding its main trial count.
+
+    Raises:
+        KeyError: If the suite name is unknown.
+        ValueError: If ``trials`` is given and below 1.
+    """
     if name not in SUITES:
         raise KeyError(f"Unknown suite {name!r}; choose from {suite_names()}.")
+    if trials is not None and trials < 1:
+        raise ValueError(f"Trial count must be at least 1, got {trials}.")
+    suite, knob = SUITES[name]
     kwargs: dict[str, int] = {"seed": seed}
-    knob = _PRIMARY_KNOB[name]
     if trials is not None and knob is not None:
         kwargs[knob] = trials
-    return SUITES[name](**kwargs)
+    return suite(**kwargs)

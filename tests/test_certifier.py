@@ -328,6 +328,13 @@ class TestSweep:
                 PauliSum(1, {"Z": 0.3}), PauliSum(1, {"X": 0.5}), [0.4], cfg
             )
 
+    def test_repeated_epsilon_rejected(self):
+        cfg = CertificationConfig(epsilon=0.4, delta=0.2, k=1, seed=0)
+        with pytest.raises(ValueError, match="distinct"):
+            sweep_epsilon(
+                PauliSum(1, {"Z": 0.3}), PauliSum(1, {"X": 1.0}), [0.4, 0.2, 0.4], cfg
+            )
+
     def test_rows_and_pairing(self):
         cfg = CertificationConfig(epsilon=0.4, delta=0.2, k=1, seed=100)
         result = sweep_epsilon(

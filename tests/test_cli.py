@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hamcert.cli import main
+from hamcert.verification import suite_names
 
 
 @pytest.fixture
@@ -52,6 +53,15 @@ class TestCertifyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_overflowing_duplicate_label_is_a_usage_error(self, files, capsys):
+        (files / "huge.txt").write_text("1e308 X\n1e308 X\n")
+        assert main(certify_args(files, "huge.txt")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {files / 'huge.txt'}: ")
+        assert "'X'" in captured.err and "not finite" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_file_is_a_usage_error(self, files, capsys):
         assert main(certify_args(files, "nope.txt")) == 2
@@ -105,6 +115,14 @@ class TestSweepCommand:
 
     def test_malformed_eps_list_is_a_usage_error(self, files, capsys):
         assert main(self.sweep_args(files, eps="0.4,abc")) == 2
+
+    @pytest.mark.parametrize("eps", ["0.4,0.4", "0.4,0.2,0.40"])
+    def test_repeated_epsilon_is_a_usage_error(self, files, capsys, eps):
+        assert main(self.sweep_args(files, eps=eps)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "distinct" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestOutOfRangeNumbers:
@@ -215,6 +233,14 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         assert main(["verify", "--suite", "nosuch"]) == 2
+
+    @pytest.mark.parametrize("suite", suite_names() + ["all"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_a_usage_error(self, capsys, suite, trials):
+        assert main(["verify", "--suite", suite, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Trial count must be at least 1, got {trials}.\n"
 
 
 class TestSeedResolution:

@@ -8,8 +8,6 @@ from hamcert.gaps import lambda_stat
 from hamcert.instances import random_diagonal_sum
 from hamcert.moments import (
     function_moments,
-    gap_moments,
-    paley_zygmund_bound,
     verify_gap_bound,
     walsh_eigenvalues,
     walsh_transform,
@@ -68,63 +66,6 @@ class TestWalshEigenvalues:
     def test_non_diagonal_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
             walsh_eigenvalues(PauliSum(2, {"XI": 1.0}))
-
-
-class TestGapMoments:
-    def test_four_pair_enumeration(self):
-        """Spectrum (-1, 1): gaps are 0, 0, 2, -2, so m2 = 2 and m4 = 8."""
-        m2, m4 = gap_moments(np.array([-1.0, 1.0]))
-        assert m2 == pytest.approx(2.0)
-        assert m4 == pytest.approx(8.0)
-
-    def test_constant_spectrum(self):
-        assert gap_moments(np.full(4, 0.3)) == (0.0, 0.0)
-
-    def test_matches_direct_double_loop(self):
-        rng = np.random.default_rng(73)
-        spec = rng.normal(size=12)
-        m2, m4 = gap_moments(spec)
-        ref2 = np.mean([(a - b) ** 2 for a in spec for b in spec])
-        ref4 = np.mean([(a - b) ** 4 for a in spec for b in spec])
-        assert m2 == pytest.approx(ref2, rel=1e-12)
-        assert m4 == pytest.approx(ref4, rel=1e-12)
-
-    def test_second_moment_is_twice_squared_norm(self):
-        rng = np.random.default_rng(74)
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            k = min(n, int(rng.integers(1, 4)))
-            h = random_diagonal_sum(n, k, rng)
-            m2, m4 = gap_moments(walsh_eigenvalues(h))
-            assert abs(m2 - 2.0 * frobenius_norm(h) ** 2) <= 1e-9
-            assert m4 <= 9.0**k * m2 * m2 * (1 + 1e-9)
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            gap_moments(np.zeros(2**13))
-
-
-class TestPaleyZygmund:
-    def test_saturated_fourth_moment(self):
-        for k in (1, 2, 3):
-            m2 = 0.8
-            m4 = 9.0**k * m2 * m2
-            assert paley_zygmund_bound(m2, m4, 0.5) == pytest.approx(
-                0.25 * 9.0 ** (-k)
-            )
-
-    def test_theta_one_gives_zero(self):
-        assert paley_zygmund_bound(1.0, 2.0, 1.0) == 0.0
-
-    def test_theta_zero_is_second_moment_method(self):
-        assert paley_zygmund_bound(2.0, 5.0, 0.0) == pytest.approx(4.0 / 5.0)
-
-    def test_impossible_moments_rejected(self):
-        with pytest.raises(ValueError):
-            paley_zygmund_bound(1.0, 0.0, 0.5)
-
-    def test_degenerate_zero_variable(self):
-        assert paley_zygmund_bound(0.0, 0.0, 0.3) == 0.0
 
 
 class TestVerifyGapBound:

@@ -40,11 +40,6 @@ class TestLedger:
         with pytest.raises(AccessModelError):
             EvolutionLedger().charge(-0.1)
 
-    def test_merge_is_order_independent(self):
-        a = EvolutionLedger(1.5, 3)
-        b = EvolutionLedger(0.25, 7)
-        assert a.merge(b) == b.merge(a) == EvolutionLedger(1.75, 10)
-
 
 class TestQueryForward:
     def test_zero_time_identity_and_zero_charge(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hamcert.dense import pauli_matrix, to_dense
+from hamcert.instances import random_pauli_sum
 from hamcert.pauli import (
     HamiltonianFormatError,
     PauliSum,
@@ -84,6 +85,12 @@ class TestPauliSum:
     def test_duplicates_summed(self):
         h = PauliSum(1, [("X", 0.25), ("X", 0.5)])
         assert h.coefficient("X") == 0.75
+
+    def test_overflowing_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="'XI' is not finite"):
+            PauliSum(2, [("XI", 1e308), ("ZZ", 1.0), ("XI", 1e308)])
+        with pytest.raises(ValueError, match="'X' is not finite"):
+            PauliSum(1, [("X", -1e308), ("X", -1e308)])
 
     def test_canonical_term_order(self):
         h = PauliSum(2, [("ZI", 1.0), ("IX", 2.0)])
@@ -183,6 +190,19 @@ class TestSubtractAdd:
         with pytest.raises(ValueError):
             subtract(PauliSum(1, {"X": 1.0}), PauliSum(2, {"XI": 1.0}))
 
+    def test_subtract_equals_the_coefficientwise_difference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            a = random_pauli_sum(n, n, rng)
+            # Shared labels with nearby values exercise rounding and drops.
+            b = add(random_pauli_sum(n, n, rng), scale(a, 1 + 1e-15))
+            want = dict(a.terms)
+            for p, c in b.items():
+                want[p] = want.get(p, 0.0) - c
+            # Float == is exact here: stored coefficients are never zero.
+            assert subtract(a, b) == PauliSum(n, want)
+
 
 class TestKLocal:
     def test_examples(self):
@@ -209,6 +229,10 @@ class TestTextFormat:
     def test_duplicates_summed(self):
         h = parse_hamiltonian("0.25 X\n0.5 X\n")
         assert h.coefficient("X") == 0.75
+
+    def test_overflowing_duplicate_label_is_a_format_error(self):
+        with pytest.raises(HamiltonianFormatError, match="'XI' is not finite"):
+            parse_hamiltonian("1e308 XI\n0.5 ZZ\n1e308 XI\n")
 
     def test_malformed_coefficient_reports_line(self):
         with pytest.raises(HamiltonianFormatError, match="line 2"):

@@ -18,7 +18,6 @@ from hamcert.trotter import (
     trotter_error,
     trotter_evolve,
     twirl_conjugators,
-    unroll_twirl,
 )
 from hamcert.twirl import (
     DiagonalSubspace,
@@ -60,13 +59,6 @@ class TestUnroll:
         s = DiagonalSubspace(("Z", "Z"))
         sectors = twirl_conjugators(s, ("II", "II"))
         assert sectors == ("II", "II", "II", "II")
-
-    def test_unroll_from_transcript(self):
-        rng = np.random.default_rng(61)
-        h1 = random_pauli_sum(2, 2, rng)
-        s = DiagonalSubspace(("X", "Z"))
-        tr = apply_twirl(h1, s, sample_twirl_paulis(s, 3, rng))
-        assert unroll_twirl(tr) == twirl_conjugators(s, tr.paulis)
 
     def test_sector_products_are_phase_free(self):
         rng = np.random.default_rng(62)

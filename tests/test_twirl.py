@@ -92,7 +92,7 @@ class TestSampleTwirlPaulis:
 class TestTranscriptCheck:
     def _transcript(self, paulis):
         empty = PauliSum(2)
-        return TwirlTranscript(DiagonalSubspace(("X", "Z")), paulis, empty, empty, empty)
+        return TwirlTranscript(DiagonalSubspace(("X", "Z")), paulis, empty, empty)
 
     def test_members_accepted(self):
         assert self._transcript(("II", "XI", "IZ", "XZ")).paulis[-1] == "XZ"
