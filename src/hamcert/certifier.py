@@ -37,7 +37,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bell import identity_prob_trace, sample_identity_shots
-from .dense import QUBIT_CAP
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, add, frobenius_norm, is_k_local, scale
 from .trotter import (
@@ -99,7 +98,6 @@ class CertificationConfig:
     eps_trott: Optional[float] = None
     mode: OracleMode = OracleMode.EXACT_EFFECTIVE
     seed: int = 0
-    dense_cap: int = QUBIT_CAP
     allow_weak_constants: bool = False
 
     def __post_init__(self) -> None:
@@ -162,8 +160,8 @@ class CertificationConfig:
         for name, value in counts.items():
             if value > _INT64_MAX:
                 raise ConfigError(f"{name}={value} does not fit in a 64-bit integer.")
-        if not math.isfinite(time_cap):
-            raise ConfigError("time_cap overflows: epsilon is too small or c3 too large.")
+        if not math.isfinite(counts["rounds"] * counts["shots_per_round"] * time_cap):
+            raise ConfigError("Ledger ceiling rounds * shots * time_cap overflows.")
         if tol <= 0:
             raise ConfigError(f"eps_trott must be positive, got {tol}.")
         if self.mode is OracleMode.TROTTERIZED and self.twirl_steps > UNROLL_DRAW_CAP:
@@ -410,7 +408,7 @@ def sweep_epsilon(
         for rep in range(repeats):
             run_cfg = dataclasses.replace(cfg, epsilon=eps, seed=cfg.seed + rep)
             hidden = add(h0, scale(direction, eps))
-            oracle = EvolutionOracle(hidden, run_cfg.mode, cap=run_cfg.dense_cap)
+            oracle = EvolutionOracle(hidden, run_cfg.mode)
             report = certify(h0, oracle, run_cfg)
             rows.append(
                 SweepRow(

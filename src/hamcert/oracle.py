@@ -30,13 +30,13 @@ In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
 sample_twirl`), so the certifier never holds the hidden Hamiltonian.  What
 crosses back is the twirl transcript and, per shot batch, the Bell
 identity probability of the twirled generator
-(:meth:`EvolutionOracle.effective_identity_prob`).  When no off-subspace
-term survived the twirl, the generator is diagonal in the sampled frame
-and that probability comes from the Walsh spectrum of its coefficient
-table without any dense matrix, so this mode accepts systems up to
-:data:`~hamcert.moments.WALSH_QUBIT_CAP` qubits.  Otherwise it comes from
-the dense unitary (:meth:`EvolutionOracle.effective_shot`), within the
-dense cap.
+(:meth:`EvolutionOracle.effective_identity_prob`).  In the frame where
+every site's axis is Z, each Pauli term maps ``s`` to ``s ^ x`` with a
+phase, so the generator splits into ``2^(n-r)`` blocks of size ``2^r``,
+one per coset of the rank-``r`` span of the residual's flip masks, with
+the effective part's Walsh spectrum on their diagonal.  No dense matrix
+is formed: this mode accepts up to :data:`~hamcert.moments.WALSH_QUBIT_CAP`
+qubits and refuses only residuals whose blocks exceed ``2^23`` entries.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import identity_prob_spectral, identity_prob_trace
+from .bell import identity_prob_spectral
 from .dense import QUBIT_CAP, eig_decompose, evolve, propagator, to_dense
+from .dense import _signed_permutation
 from .moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
 from .pauli import PauliSum, subtract
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -118,6 +119,61 @@ def evolve_known(h0: PauliSum, t: float, cap: int = QUBIT_CAP) -> np.ndarray:
     return propagator(*_reference_eig(h0, cap), float(t))
 
 
+#: Sign-free cyclic letter maps taking each site's axis to Z.
+_TO_Z_FRAME = {"X": str.maketrans("XYZ", "ZXY"), "Y": str.maketrans("XYZ", "YZX")}
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+
+
+def _z_frame_residual(tr: TwirlTranscript) -> tuple[list[tuple[str, float]], list[int]]:
+    """Residual terms rotated so every site's axis is Z, and their flip basis.
+
+    No vector of the GF(2) basis has its top bit set in another.  Raises
+    ValueError when the coset blocks would exceed ``2^23`` entries.
+    """
+    maps = [_TO_Z_FRAME.get(ax, {}) for ax in tr.subspace.axes]
+    terms = [("".join(map(str.translate, label, maps)), coeff)
+             for label, coeff in tr.residual.items()]
+    basis: list[int] = []
+    for label, _ in terms:
+        x = int(label.translate(_FLIP_BITS), 2)
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis = [min(b, b ^ x) for b in basis] + [x]
+    n, r = tr.subspace.n, len(basis)
+    if n + r > 23:  # 2^(n + r) complex entries: 128 MiB at most
+        raise ValueError(
+            f"The residual at n={n} has flip rank r={r}: its coset blocks "
+            f"would hold 2^{n + r} complex entries, above the cap of 2^23."
+        )
+    return terms, basis
+
+
+def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.ndarray:
+    """Spectrum of ``effective + terms``, one block per coset of ``span(basis)``.
+
+    Block row ``b`` holds the states ``rep_b ^ combos[a]``: ``rep_b`` has no
+    top basis bit, ``combos[a]`` sums the basis vectors the bits of ``a``
+    pick, and a flip ``x = combos[shift]`` takes ``a`` to ``a ^ shift``.
+    """
+    diagonal = walsh_transform(walsh_table(effective))
+    if not basis:
+        return diagonal
+    pivots = [b.bit_length() - 1 for b in basis]
+    states, combos = np.arange(diagonal.size), np.zeros(1, dtype=int)
+    for b in basis:
+        combos = np.concatenate((combos, combos ^ b))
+    grid = states[(states & sum(1 << p for p in pivots)) == 0][:, None] ^ combos
+    inner = np.arange(combos.size)
+    blocks = np.zeros((grid.shape[0], inner.size, inner.size), dtype=complex)
+    blocks[:, inner, inner] = diagonal[grid]
+    for label, coeff in terms:
+        flip, phase = _signed_permutation(label)
+        shift = sum((flip >> p & 1) << i for i, p in enumerate(pivots))
+        blocks[:, inner ^ shift, inner] += coeff * phase[grid]
+    return np.linalg.eigvalsh(blocks).ravel()
+
+
 class EvolutionOracle:
     """Black-box forward evolution of a hidden Hamiltonian.
 
@@ -128,16 +184,10 @@ class EvolutionOracle:
     Args:
         hidden: The unknown Hamiltonian being certified.
         mode: Fixed per run; see module docstring.
-        cap: Dense-backend size limit.  It bounds the system size in
-            ``TROTTERIZED`` mode; ``EXACT_EFFECTIVE`` mode accepts up to
-            :data:`~hamcert.moments.WALSH_QUBIT_CAP` qubits and needs the
-            dense backend only for a twirl that leaves a residual.
     """
 
-    def __init__(
-        self, hidden: PauliSum, mode: OracleMode, cap: int = QUBIT_CAP
-    ) -> None:
-        limit = WALSH_QUBIT_CAP if mode is OracleMode.EXACT_EFFECTIVE else cap
+    def __init__(self, hidden: PauliSum, mode: OracleMode) -> None:
+        limit = WALSH_QUBIT_CAP if mode is OracleMode.EXACT_EFFECTIVE else QUBIT_CAP
         if hidden.n > limit:
             raise ValueError(
                 f"Hidden system size n={hidden.n} exceeds the {mode.value}-mode "
@@ -151,7 +201,6 @@ class EvolutionOracle:
         # hidden - h0 of the most recent reference: a certify run twirls
         # the same difference every round.
         self._difference: tuple[PauliSum, PauliSum] | None = None
-        self._cap = cap
         self.mode = mode
         self.ledger = EvolutionLedger()
 
@@ -186,7 +235,7 @@ class EvolutionOracle:
         self.ledger.charge(count * t, queries=count)
         if self._last_query is None or self._last_query[0] != t:
             if self._eig is None:
-                self._eig = eig_decompose(to_dense(self._hidden, self._cap))
+                self._eig = eig_decompose(to_dense(self._hidden))
             u = propagator(*self._eig, t)
             u.setflags(write=False)
             self._last_query = (t, u)
@@ -221,7 +270,8 @@ class EvolutionOracle:
         Returns ``exp(-i t H_T)`` computed exactly in the dense backend
         and charges ``shots * t`` to the ledger (one duration-``t`` charge
         per shot; the shots reuse a single computed unitary, which is
-        statistically identical and exponentially cheaper).
+        statistically identical and exponentially cheaper).  It is the dense
+        reference that :meth:`effective_identity_prob` is checked against.
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
@@ -229,14 +279,10 @@ class EvolutionOracle:
             ValueError: If the generator exceeds the dense cap; checked,
                 like every other error, before anything is charged.
         """
-        if h_t.n > self._cap:
-            raise ValueError(
-                f"The dense route of exact mode is limited to {self._cap} "
-                f"qubits, got n={h_t.n}; beyond it only twirls that leave "
-                "no residual (diagonal in the sampled frame) are supported."
-            )
+        if h_t.n > QUBIT_CAP:
+            raise ValueError(f"n={h_t.n} exceeds the dense cap of {QUBIT_CAP} qubits.")
         t = self._charge_shots(h_t.n, t, shots)
-        return evolve(h_t, t, self._cap)
+        return evolve(h_t, t)
 
     def effective_identity_prob(
         self, transcript: TwirlTranscript, t: float, shots: int = 1
@@ -244,30 +290,25 @@ class EvolutionOracle:
         """Bell identity probability ``|Tr exp(-i t H_T)|^2 / 4^n`` of a shot batch.
 
         Makes the same checks and the same single ``shots * t`` charge as
-        :meth:`effective_shot`.  When the twirl left no residual, ``H_T``
-        is the effective part, diagonal in the transcript's frame, and the
-        probability comes from the Walsh spectrum of its coefficient table
-        in ``O(n 2^n)`` with no dense matrix.  When the effective part is
-        empty too (``H = H0``), that spectrum is all zeros and the
-        probability is exactly ``1.0``, returned without the transform.
-        Otherwise it is ``identity_prob_trace(effective_shot(...))``, the
-        dense route.
+        :meth:`effective_shot`, then takes the spectrum of ``H_T`` from its
+        coset blocks (see the module docstring): with no residual, the
+        Walsh transform of the effective part in ``O(n 2^n)``.  When the
+        effective part is empty too (``H = H0``), that spectrum is all
+        zeros and the probability is exactly ``1.0``, returned without
+        building it.
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
             AccessModelError: If ``t < 0``.
-            ValueError: If a residual survived and ``n`` exceeds the dense
-                cap.
+            ValueError: If the residual's coset blocks would hold more
+                than ``2^23`` entries; checked before anything is charged.
         """
-        if transcript.residual:
-            return identity_prob_trace(
-                self.effective_shot(transcript.twirled, t, shots=shots)
-            )
+        terms, basis = _z_frame_residual(transcript) if transcript.residual else ([], [])
         t = self._charge_shots(transcript.subspace.n, t, shots)
-        if not transcript.effective:
+        if not transcript.effective and not terms:
             # 2^n ones sum to 2^n exactly, so the Walsh route gives N^2 / N^2.
             return 1.0
-        spectrum = walsh_transform(walsh_table(transcript.effective))
+        spectrum = _block_spectrum(transcript.effective, terms, basis)
         return identity_prob_spectral(spectrum, t)
 
     def sample_twirl(

@@ -103,12 +103,18 @@ class TestConfigDerivation:
             ({"delta": 5e-324}, "overflow"),
             ({"k": 400}, "overflow"),
             ({"c4": 1e30, "allow_weak_constants": True}, "64-bit"),
+            ({"epsilon": 1e-305, "k": 2}, "ceiling"),
         ],
     )
     def test_unrepresentable_derived_values_rejected(self, overrides, match):
         kwargs = dict(epsilon=0.2, delta=0.2, k=1) | overrides
         with pytest.raises(ConfigError, match=match):
             CertificationConfig(**kwargs)
+
+    def test_largest_finite_ledger_ceiling_is_accepted(self):
+        cfg = CertificationConfig(epsilon=1e-300, delta=0.2, k=2)
+        ceiling = cfg.rounds * cfg.shots_per_round * cfg.time_cap
+        assert 1e307 < ceiling < math.inf
 
 
 class TestCertifyExactMode:

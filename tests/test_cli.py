@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hamcert.cli import main
+from hamcert.oracle import EvolutionOracle
 from hamcert.verification import suite_names
 
 
@@ -201,17 +203,21 @@ class TestTrotterModeCommand:
         assert "unroll" in capsys.readouterr().err
 
 
-class TestExactModeBeyondTheDenseCap:
-    def test_residual_beyond_the_dense_cap_is_an_error(self, files, capsys):
+def _single_site_terms(n, letters, coeffs):
+    return "".join(
+        f"{c} " + "I" * i + letters[i % len(letters)] + "I" * (n - 1 - i) + "\n"
+        for i, c in enumerate(coeffs)
+    )
+
+
+class TestExactModeResidualRounds:
+    def test_residual_beyond_the_dense_cap_follows_the_verdict(self, files, capsys):
         # With one twirl draw the off-subspace X term survives a round with
         # probability 1/2 when its site's axis is not X; at seed 1 such a
-        # round comes before any verdict, and only the dense route, capped
-        # at 10 qubits, can evolve a residual.
+        # round comes before any verdict, and the coset blocks evaluate it
+        # beyond the dense cap.
         n = 12
-        terms = "".join(
-            f"0.{i + 1} " + "I" * i + "XYZ"[i % 3] + "I" * (n - 1 - i) + "\n"
-            for i in range(n)
-        )
+        terms = _single_site_terms(n, "XYZ", [f"0.{i + 1}" for i in range(n)])
         (files / "h12.txt").write_text(terms)
         (files / "h12_far.txt").write_text(terms.replace("0.1 X", "-0.4 X"))
         args = [
@@ -219,10 +225,58 @@ class TestExactModeBeyondTheDenseCap:
             "--epsilon", "0.2", "--delta", "0.2", "--k", "1", "--seed", "1",
             "--c2", "1", "--allow-weak-constants",
         ]
-        assert main(args) == 2
+        code = main(args)
         captured = capsys.readouterr()
-        assert "dense route" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == ""
+        assert code == (0 if "verdict: ACCEPT" in captured.out else 1)
+
+    def test_twenty_qubit_run_with_residual_rounds_completes(
+        self, files, capsys, monkeypatch
+    ):
+        # The difference is a single X term; a round keeps it as a residual
+        # when the axis at site 0 is not X and the one draw commutes with it.
+        # At seed 0 several such rounds pass before the verdict.
+        n = 20
+        terms = _single_site_terms(n, "Z", [f"0.{i + 1}" for i in range(n)])
+        (files / "h20.txt").write_text(terms)
+        (files / "h20_far.txt").write_text(terms + "0.001 X" + "I" * (n - 1) + "\n")
+        seen = []
+        sample_twirl = EvolutionOracle.sample_twirl
+
+        def recording(self, *args):
+            seen.append(sample_twirl(self, *args))
+            return seen[-1]
+
+        monkeypatch.setattr(EvolutionOracle, "sample_twirl", recording)
+        args = [
+            "certify", "--h0", str(files / "h20.txt"), "--h", str(files / "h20_far.txt"),
+            "--epsilon", "0.2", "--delta", "0.2", "--k", "1", "--seed", "0",
+            "--c2", "1", "--allow-weak-constants",
+        ]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == (0 if "verdict: ACCEPT" in captured.out else 1)
+        assert sum(bool(tr.residual) for tr in seen[:-1]) >= 2
+
+
+class TestLedgerCeiling:
+    def _args(self, epsilon):
+        h0 = str(Path(__file__).parent / "golden" / "k2n6.h0")
+        return ["certify", "--h0", h0, "--h", h0, "--epsilon", epsilon,
+                "--delta", "0.2", "--k", "2", "--seed", "3"]
+
+    def test_overflowing_ceiling_is_a_usage_error(self, capsys):
+        assert main(self._args("1e-305")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ceiling" in captured.err
+
+    def test_largest_finite_ceilings_still_run(self, capsys):
+        assert main(self._args("1e-300")) == 0
+        out = capsys.readouterr().out
+        assert "ledger_total_time: inf" not in out
+        assert "verdict: ACCEPT" in out
 
 
 class TestVerifyCommand:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert import oracle as oracle_module
 from hamcert.bell import identity_prob_spectral, identity_prob_trace
@@ -269,20 +271,44 @@ class TestEffectiveIdentityProb:
             assert oracle.effective_identity_prob(tr, t, shots=3) == walsh == 1.0
         assert oracle.ledger.query_count == 12
 
-    def test_a_residual_takes_the_dense_route(self):
+    def test_residuals_agree_with_the_dense_reference(self):
         # One twirl step (a weak c2) lets off-subspace terms survive.
         rng = np.random.default_rng(5)
-        hidden = random_pauli_sum(3, 2, rng, num_terms=9)
-        h0 = random_pauli_sum(3, 2, rng, num_terms=9)
-        spectral, dense = _twins(hidden)
-        for _ in range(20):
-            tr = spectral.sample_twirl(h0, sample_subspace(3, rng), 1, rng)
-            if tr.residual:
-                break
-        assert tr.residual
-        got = spectral.effective_identity_prob(tr, 2.25, shots=6)
-        assert got == identity_prob_trace(dense.effective_shot(tr.twirled, 2.25, shots=6))
-        assert spectral.ledger == dense.ledger
+        residuals = 0
+        for n in (2, 3, 4, 5):
+            hidden = random_pauli_sum(n, 2, rng, num_terms=3 * n)
+            h0 = random_pauli_sum(n, 2, rng, num_terms=3 * n)
+            blocks, dense = _twins(hidden)
+            for _ in range(10):
+                tr = blocks.sample_twirl(h0, sample_subspace(n, rng), 1, rng)
+                residuals += bool(tr.residual)
+                t = float(rng.uniform(0.0, 30.0))
+                got = blocks.effective_identity_prob(tr, t, shots=6)
+                want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=6))
+                assert abs(got - want) <= 1e-12
+            assert blocks.ledger == dense.ledger
+        assert residuals >= 20
+
+    @pytest.mark.parametrize("n, ranks", [(4, range(5)), (7, range(8)), (10, [10])])
+    def test_forced_residuals_of_every_rank(self, n, ranks):
+        # Every off-subspace term survives a twirl with no draws.  Term j
+        # leaves the axis at site j only, so the flip masks have rank r.
+        rng = np.random.default_rng(300 + n)
+        subspace = sample_subspace(n, rng)
+        for r in ranks:
+            terms = dict(_frame_diagonal_sum(subspace, rng, 2 * n).items())
+            for j in range(r):
+                letters = list(subspace.element(rng.integers(0, 2, size=n)))
+                letters[j] = rng.choice([a for a in "XYZ" if a != subspace.axes[j]])
+                terms["".join(letters)] = float(rng.normal())
+            tr = apply_twirl(PauliSum(n, terms), subspace, ())
+            assert len(tr.residual) == r
+            blocks, dense = _twins(PauliSum(n, {"X" * n: 1.0}))
+            t = float(rng.uniform(0.0, 30.0))
+            got = blocks.effective_identity_prob(tr, t, shots=2)
+            want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=2))
+            assert abs(got - want) <= 1e-12
+            assert blocks.ledger == dense.ledger
 
     def test_checks_run_before_any_charge(self):
         oracle = _exact(PauliSum(2, {"XX": 0.3}))
@@ -300,6 +326,40 @@ class TestEffectiveIdentityProb:
             trotter.effective_identity_prob(tr, 1.0)
         for o in (oracle, other, trotter):
             assert o.ledger == EvolutionLedger()
+
+
+@st.composite
+def transcripts(draw, max_n=6):
+    """A random Pauli sum twirled by 0-2 draws from a random subspace."""
+    n = draw(st.integers(1, max_n))
+    axes = draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    subspace = DiagonalSubspace(tuple(axes))
+    labels = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: s.strip("I"))
+    coeffs = st.floats(-1.0, 1.0, allow_subnormal=False)
+    terms = draw(st.dictionaries(labels, coeffs, max_size=3 * n))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    paulis = tuple(subspace.element(b) for b in draw(st.lists(bits, max_size=2)))
+    return apply_twirl(PauliSum(n, terms), subspace, paulis)
+
+
+class TestBlockSpectrumProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tr=transcripts(), t=st.floats(0.0, 30.0), shots=st.integers(1, 4))
+    def test_agrees_with_the_dense_reference(self, tr, t, shots):
+        blocks, dense = _twins(PauliSum(tr.subspace.n, {"X" * tr.subspace.n: 1.0}))
+        got = blocks.effective_identity_prob(tr, t, shots=shots)
+        want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=shots))
+        assert abs(got - want) <= 1e-12
+        assert blocks.ledger == dense.ledger
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(tr=transcripts(), t=st.floats(0.0, 1e4))
+    def test_no_residual_gives_the_walsh_value_bit_for_bit(self, tr, t):
+        tr = apply_twirl(tr.effective, tr.subspace, tr.paulis)
+        assert not tr.residual
+        oracle = _exact(PauliSum(tr.subspace.n, {"X" * tr.subspace.n: 1.0}))
+        walsh = identity_prob_spectral(walsh_transform(walsh_table(tr.effective)), t)
+        assert oracle.effective_identity_prob(tr, t) == walsh
 
 
 class TestSizeLimits:
@@ -325,15 +385,26 @@ class TestSizeLimits:
             np.cos(0.7 * t) ** 2, abs=1e-12
         )
 
-    def test_dense_fallback_beyond_the_cap_is_a_clear_error(self):
+    def test_single_x_residual_beyond_the_dense_cap(self):
         n = 12
         hidden = PauliSum(n, {"X" + "I" * (n - 1): 0.5})
         oracle = _exact(hidden)
         subspace = DiagonalSubspace(("Z",) * n)
         tr = apply_twirl(hidden, subspace, ("I" * n,))
-        assert tr.residual
-        with pytest.raises(ValueError, match="dense route"):
-            oracle.effective_identity_prob(tr, 1.0)
+        assert tr.residual and not tr.effective
+        for t in (0.0, 1.0, 2.5, 40.0):
+            got = oracle.effective_identity_prob(tr, t, shots=2)
+            assert got == pytest.approx(np.cos(0.5 * t) ** 2, abs=1e-12)
+        assert oracle.ledger == EvolutionLedger(total_time=87.0, query_count=8)
+
+    def test_oversized_blocks_are_refused_before_any_charge(self):
+        # Rank 4 at n=20 asks for 2^24 entries; rank 3 (2^23) is the limit.
+        n = 20
+        hidden = PauliSum(n, {"I" * j + "X" + "I" * (n - 1 - j): 0.1 for j in range(4)})
+        oracle = _exact(hidden)
+        tr = apply_twirl(hidden, DiagonalSubspace(("Z",) * n), ())
+        with pytest.raises(ValueError, match="n=20 has flip rank r=4"):
+            oracle.effective_identity_prob(tr, 1.0, shots=3)
         assert oracle.ledger == EvolutionLedger()
 
 
