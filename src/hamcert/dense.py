@@ -27,7 +27,6 @@ __all__ = [
     "evolve",
     "hoffman_wielandt_gap",
     "is_hermitian",
-    "is_unitary",
     "normalized_frobenius",
     "operator_norm",
     "pauli_conjugate",
@@ -49,15 +48,15 @@ for _m in PAULI_MATRICES.values():
     _m.setflags(write=False)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"System size n={n} exceeds the dense cap of {cap} qubits.")
+def _check_cap(n: int) -> None:
+    if n > QUBIT_CAP:
+        raise ValueError(f"System size n={n} exceeds the dense cap of {QUBIT_CAP} qubits.")
 
 
-def pauli_matrix(label: str, cap: int = QUBIT_CAP) -> np.ndarray:
+def pauli_matrix(label: str) -> np.ndarray:
     """Dense matrix of a Pauli string (Kronecker product of its letters)."""
     validate_label(label)
-    _check_cap(len(label), cap)
+    _check_cap(len(label))
     m = np.array([[1.0 + 0.0j]])
     for ch in label:
         m = np.kron(m, PAULI_MATRICES[ch])
@@ -106,7 +105,7 @@ def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
     return phase[index][:, None] * m[np.ix_(index, index)] * phase
 
 
-def to_dense(h: PauliSum, cap: int = QUBIT_CAP) -> np.ndarray:
+def to_dense(h: PauliSum) -> np.ndarray:
     """Materialize a Pauli sum as a dense Hermitian matrix.
 
     Each term is a signed permutation (see :func:`pauli_conjugate`), so
@@ -117,9 +116,9 @@ def to_dense(h: PauliSum, cap: int = QUBIT_CAP) -> np.ndarray:
     both of its terms are.  The result is the dense sum bit for bit.
 
     Raises:
-        ValueError: If the system size exceeds ``cap``.
+        ValueError: If the system size exceeds :data:`QUBIT_CAP`.
     """
-    _check_cap(h.n, cap)
+    _check_cap(h.n)
     dim = 2**h.n
     out = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
@@ -129,13 +128,9 @@ def to_dense(h: PauliSum, cap: int = QUBIT_CAP) -> np.ndarray:
     return out
 
 
-def is_hermitian(m: np.ndarray, atol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol) if m.size else True
-
-
-def is_unitary(m: np.ndarray, atol: float = 1e-8) -> bool:
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= atol)
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether ``m`` equals its adjoint entrywise within ``1e-10``."""
+    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-10) if m.size else True
 
 
 def normalized_frobenius(m: np.ndarray) -> float:
@@ -148,20 +143,20 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def eigenvalues(m: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, sorted ascending.
 
     Raises:
-        ValueError: If the input is not Hermitian within ``atol``.
+        ValueError: If the input is not Hermitian (see :func:`is_hermitian`).
     """
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         raise ValueError("Matrix is not Hermitian within tolerance.")
     return np.linalg.eigvalsh(m)
 
 
-def eig_decompose(m: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eig_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition ``(w, V)`` with ``M = V diag(w) V^dag``."""
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         raise ValueError("Matrix is not Hermitian within tolerance.")
     w, v = np.linalg.eigh(m)
     return w, v
@@ -173,17 +168,17 @@ def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def evolve(h: PauliSum, t: float, cap: int = QUBIT_CAP) -> np.ndarray:
+def evolve(h: PauliSum, t: float) -> np.ndarray:
     """Unitary ``exp(-i t H)`` for a Pauli sum, via eigendecomposition.
 
     ``t`` may be any real number here; forward-only restrictions are
     enforced at the oracle boundary, not by this raw primitive.
     """
-    w, v = eig_decompose(to_dense(h, cap))
+    w, v = eig_decompose(to_dense(h))
     return propagator(w, v, float(t))
 
 
-def hoffman_wielandt_gap(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> float:
+def hoffman_wielandt_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Mean-square eigenvalue displacement under ascending-sorted pairing.
 
     Returns ``(1/d) * sum_i (lambda_i(A) - lambda_i(B))^2`` with both
@@ -196,6 +191,6 @@ def hoffman_wielandt_gap(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> f
     """
     if a.shape != b.shape:
         raise ValueError(f"Dimension mismatch: {a.shape} vs {b.shape}.")
-    wa = eigenvalues(a, atol)
-    wb = eigenvalues(b, atol)
+    wa = eigenvalues(a)
+    wb = eigenvalues(b)
     return float(np.mean((wa - wb) ** 2))

@@ -9,14 +9,13 @@ finds such a dip with high probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .bell import identity_probs_spectral
-from .dense import QUBIT_CAP, eigenvalues, to_dense
+from .dense import eigenvalues, to_dense
 from .pauli import PauliSum, add, frobenius_norm
 
 __all__ = [
@@ -57,18 +56,11 @@ def lambda_stat(spectrum: np.ndarray, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class GapStatConfig:
-    """Parameters of the randomized drop-time search.
-
-    ``m_times`` defaults to the smallest draw count with miss probability
-    ``(2/3)**m_times <= delta``, since each uniform draw on
-    ``[0, 2/epsilon]`` lands in the dip region with probability >= 1/3
-    whenever the pair fraction at ``epsilon`` is at least ``d``.
-    """
+    """Parameters of the randomized drop-time search."""
 
     epsilon: float
     d: float
     delta: float
-    m_times: int | None = None
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -77,16 +69,19 @@ class GapStatConfig:
             raise ValueError(f"d must lie in (0, 1], got {self.d}.")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}.")
-        if self.m_times is None:
-            draws = math.ceil(math.log(1 / self.delta) / math.log(1.5))
-            object.__setattr__(self, "m_times", max(draws, 1))
-        if self.m_times < 1:
-            raise ValueError(f"m_times must be positive, got {self.m_times}.")
-        if (2 / 3) ** self.m_times > self.delta:
-            raise ValueError(
-                f"m_times={self.m_times} is too small for delta={self.delta}: "
-                f"(2/3)^m = {(2 / 3) ** self.m_times:.4g} exceeds it."
-            )
+
+    @property
+    def m_times(self) -> int:
+        """Smallest draw count with miss probability ``(2/3)**m_times <= delta``.
+
+        Each uniform draw on ``[0, 2/epsilon]`` lands in the dip region with
+        probability >= 1/3 whenever the pair fraction at ``epsilon`` is at
+        least ``d``.  Counting up tests the bound as stated, in floats.
+        """
+        draws = 1
+        while (2 / 3) ** draws > self.delta:
+            draws += 1
+        return draws
 
 
 class DropTime(NamedTuple):
@@ -168,9 +163,7 @@ def stability_bound(p: float, q: float) -> float:
     return max(0.0, p - 32.0 * q * q)
 
 
-def verify_stability(
-    a: PauliSum, b: PauliSum, epsilon: float, cap: int = QUBIT_CAP
-) -> bool:
+def verify_stability(a: PauliSum, b: PauliSum, epsilon: float) -> bool:
     """Numerically check the perturbation bound on one concrete pair.
 
     Computes the exact pair fractions of ``a`` at ``epsilon`` and of
@@ -181,8 +174,8 @@ def verify_stability(
     """
     if epsilon <= 0:
         raise ValueError(f"Separation threshold must be positive, got {epsilon}.")
-    spec_a = eigenvalues(to_dense(a, cap))
-    spec_ab = eigenvalues(to_dense(add(a, b), cap))
+    spec_a = eigenvalues(to_dense(a))
+    spec_ab = eigenvalues(to_dense(add(a, b)))
     p = lambda_stat(spec_a, epsilon)
     q = frobenius_norm(b) / epsilon
     return lambda_stat(spec_ab, epsilon / 2) + 1e-9 >= stability_bound(p, q)

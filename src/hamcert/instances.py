@@ -64,9 +64,7 @@ def random_diagonal_sum(
     return random_pauli_sum(n, k, rng, num_terms, letters="Z")
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, width: float = 1.0) -> np.ndarray:
-    """A dense Hermitian matrix with Gaussian entries."""
-    g = rng.normal(scale=width, size=(dim, dim)) + 1j * rng.normal(
-        scale=width, size=(dim, dim)
-    )
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A dense Hermitian matrix with standard Gaussian entries."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2.0

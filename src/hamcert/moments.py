@@ -67,17 +67,17 @@ def walsh_table(h: PauliSum) -> np.ndarray:
     return table
 
 
-def walsh_eigenvalues(h: PauliSum, cap: int = WALSH_QUBIT_CAP) -> np.ndarray:
+def walsh_eigenvalues(h: PauliSum) -> np.ndarray:
     """Spectrum of a Hamiltonian with only I/Z letters, sorted ascending.
 
     Bitmask convention matches the dense backend: letter ``i`` maps to bit
     ``n - 1 - i``, so the unsorted transform equals the dense diagonal.
 
     Raises:
-        ValueError: On non-diagonal terms or if ``n`` exceeds ``cap``.
+        ValueError: On non-diagonal terms or above :data:`WALSH_QUBIT_CAP`.
     """
-    if h.n > cap:
-        raise ValueError(f"System size n={h.n} exceeds the Walsh cap of {cap}.")
+    if h.n > WALSH_QUBIT_CAP:
+        raise ValueError(f"System size n={h.n} exceeds the Walsh cap of {WALSH_QUBIT_CAP}.")
     for label in h.labels():
         if not set(label) <= {"I", "Z"}:
             raise ValueError(

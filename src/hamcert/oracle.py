@@ -99,16 +99,16 @@ class EvolutionLedger:
 
 
 @functools.lru_cache(maxsize=1)
-def _reference_eig(h0: PauliSum, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _reference_eig(h0: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     # One entry: a certify run evolves under the same reference every
     # round.  PauliSum is immutable, so the key cannot go stale.
-    w, v = eig_decompose(to_dense(h0, cap))
+    w, v = eig_decompose(to_dense(h0))
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
 
 
-def evolve_known(h0: PauliSum, t: float, cap: int = QUBIT_CAP) -> np.ndarray:
+def evolve_known(h0: PauliSum, t: float) -> np.ndarray:
     """Compiled evolution ``exp(-i t H0)`` of the known reference.
 
     Never charges any ledger; both signs of ``t`` are permitted because
@@ -116,7 +116,7 @@ def evolve_known(h0: PauliSum, t: float, cap: int = QUBIT_CAP) -> np.ndarray:
     of the most recent reference is kept, so repeated calls with the same
     ``h0`` diagonalize it once.
     """
-    return propagator(*_reference_eig(h0, cap), float(t))
+    return propagator(*_reference_eig(h0), float(t))
 
 
 #: Sign-free cyclic letter maps taking each site's axis to Z.

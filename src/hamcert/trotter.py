@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugate
+from .dense import evolve, operator_norm, pauli_conjugate
 from .oracle import EvolutionOracle, OracleMode, OracleModeError, evolve_known
 from .pauli import PauliSum
 from .twirl import DiagonalSubspace
@@ -197,9 +197,7 @@ class TrotterError(NamedTuple):
     bell_deviation: float
 
 
-def trotter_error(
-    v: np.ndarray, h_t: PauliSum, t: float, cap: int = QUBIT_CAP
-) -> TrotterError:
+def trotter_error(v: np.ndarray, h_t: PauliSum, t: float) -> TrotterError:
     """Implementation error of ``v`` against the exact twirled evolution.
 
     ``op_norm`` is the spectral norm of the difference (the proxy for the
@@ -207,7 +205,7 @@ def trotter_error(
     deviation ``|Tr(exp(-i t H_T) - V)| / 2^n``, which bounds the shift of
     the identity-outcome probability and never exceeds ``op_norm``.
     """
-    exact = evolve(h_t, t, cap)
+    exact = evolve(h_t, t)
     diff = exact - v
     op = operator_norm(diff)
     bell = float(abs(np.trace(diff))) / v.shape[0]
@@ -220,7 +218,6 @@ def calibrate_steps(
     plan: TrotterPlan,
     h_t: PauliSum,
     eps_target: float,
-    step_cap: int = TROTTER_STEP_CAP,
 ) -> tuple[int, float]:
     """Double the step count until the measured error meets the target.
 
@@ -230,7 +227,7 @@ def calibrate_steps(
     ``plan.steps`` and returns ``(steps, measured_op_norm_error)``.
 
     Raises:
-        RuntimeError: If the cap is reached before meeting the target.
+        RuntimeError: If :data:`TROTTER_STEP_CAP` steps miss the target.
     """
     if eps_target <= 0:
         raise ValueError(f"Error target must be positive, got {eps_target}.")
@@ -242,9 +239,9 @@ def calibrate_steps(
         err = trotter_error(v, h_t, plan.total_time).op_norm
         if err <= eps_target:
             return steps, err
-        if steps >= step_cap:
+        if steps >= TROTTER_STEP_CAP:
             raise RuntimeError(
-                f"Step cap {step_cap} reached with error {err:.3e} > "
+                f"Step cap {TROTTER_STEP_CAP} reached with error {err:.3e} > "
                 f"target {eps_target:.3e}."
             )
-        steps = min(steps * 2, step_cap)
+        steps = min(steps * 2, TROTTER_STEP_CAP)

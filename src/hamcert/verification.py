@@ -83,16 +83,17 @@ def chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
     return float(chdtrc(len(observed) - 1, stat))
 
 
-def suite_bell(instances: int = 100, mc_shots: int = 100_000, seed: int = 0) -> SuiteResult:
+def suite_bell(instances: int = 100, seed: int = 0) -> SuiteResult:
     """Identity-outcome probability: spectral form vs trace form vs sampling.
 
     The spectral and trace routes must agree to 1e-10 on random local
-    instances, the measured identity frequency must sit within three
-    binomial sigmas of the trace value, and the full outcome histogram
+    instances, the identity frequency of 100,000 shots must sit within
+    three binomial sigmas of the trace value, and the full outcome histogram
     must pass a 1% chi-square test against the trace-formula weights.
     """
     from collections import Counter
 
+    mc_shots = 100_000
     rng = np.random.default_rng(seed)
     result = SuiteResult("bell")
     worst = 0.0
@@ -170,13 +171,13 @@ def suite_gapbound(trials_per_k: int = 500, seed: int = 0) -> SuiteResult:
     return result
 
 
-def suite_basis(draws: int = 100_000, instances_per_k: int = 5, seed: int = 0) -> SuiteResult:
+def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
     """Random subspace selection: survival rates and norm retention.
 
     A weight-w term survives into the subspace with probability 3^-w; the
     retained squared norm matches its closed-form mean; and the retained
-    norm clears the anti-concentration threshold with probability at
-    least 1/(4*3^k).  All checks at three sigma.
+    norm of five instances per k clears the anti-concentration threshold
+    with probability at least 1/(4*3^k).  All checks at three sigma.
     """
     if draws < 100:
         raise ValueError(
@@ -202,7 +203,7 @@ def suite_basis(draws: int = 100_000, instances_per_k: int = 5, seed: int = 0) -
             )
     min_margin = math.inf
     for k in (1, 2):
-        for _ in range(instances_per_k):
+        for _ in range(5):
             h = random_pauli_sum(n, k, rng)
             axes_draws = rng.integers(0, 3, size=(draws, n))
             retained_sq = np.zeros(draws)
@@ -234,10 +235,11 @@ def suite_basis(draws: int = 100_000, instances_per_k: int = 5, seed: int = 0) -
     return result
 
 
-def suite_twirl(transcripts: int = 20_000, max_steps: int = 6, seed: int = 0) -> SuiteResult:
+def suite_twirl(transcripts: int = 20_000, seed: int = 0) -> SuiteResult:
     """Twirl contraction: residual norm mean and its Markov tail.
 
-    The off-subspace squared norm surviving ``T`` steps has exact mean
+    For each depth ``T = 1..6``, the off-subspace squared norm surviving
+    ``T`` steps has exact mean
     ``2^-T`` times the initial off-subspace squared norm, and stays below
     twice ``2^-T/2`` of the full initial norm with probability >= 3/4.
     """
@@ -276,6 +278,7 @@ def suite_twirl(transcripts: int = 20_000, max_steps: int = 6, seed: int = 0) ->
     ]
     off_norm_sq = frobenius_norm(off) ** 2
     h1_norm_sq = frobenius_norm(h1) ** 2
+    max_steps = 6
     for steps in range(1, max_steps + 1):
         bits = rng.integers(0, 2, size=(transcripts, steps, n))
         residual_sq = np.zeros(transcripts)
@@ -300,14 +303,16 @@ def suite_twirl(transcripts: int = 20_000, max_steps: int = 6, seed: int = 0) ->
     return result
 
 
-def suite_stability(pairs: int = 1000, stability_trials: int = 500, seed: int = 0) -> SuiteResult:
+def suite_stability(pairs: int = 1000, seed: int = 0) -> SuiteResult:
     """Eigenvalue displacement bound and the gap-fraction stability bound.
 
     Sorted-pairing mean-square displacement never exceeds the squared
     normalized Frobenius distance, and the half-threshold pair fraction
-    of a perturbed operator never falls below the quadratic degradation
-    bound.  Both are exact inequalities: zero violations allowed.
+    of 500 general and 100 diagonal perturbed operators never falls below
+    the quadratic degradation bound.  Both are exact inequalities: zero
+    violations allowed.
     """
+    stability_trials, diag_trials = 500, 100
     rng = np.random.default_rng(seed)
     result = SuiteResult("stability")
     for _ in range(pairs):
@@ -327,7 +332,6 @@ def suite_stability(pairs: int = 1000, stability_trials: int = 500, seed: int = 
         b = scale(b_raw, target / frobenius_norm(b_raw))
         if not verify_stability(a, b, eps):
             result.fail(f"stability bound violated at n={n}")
-    diag_trials = max(stability_trials // 5, 1)
     for _ in range(diag_trials):
         n = int(rng.integers(2, 5))
         a = random_diagonal_sum(n, 2, rng)
@@ -342,15 +346,16 @@ def suite_stability(pairs: int = 1000, stability_trials: int = 500, seed: int = 
     return result
 
 
-def suite_droptime(reps: int = 10_000, grid_points: int = 200_001, seed: int = 0) -> SuiteResult:
+def suite_droptime(reps: int = 10_000, seed: int = 0) -> SuiteResult:
     """Drop-time search: dip measure and randomized-finder failure rate.
 
     Whenever the pair fraction at ``eps`` is ``d``, the times in
     ``[0, 2/eps]`` where the identity probability falls to ``1 - d/4``
-    fill at least a third of the interval (grid-resolved, with a small
-    grid slack), and the randomized finder misses with probability at
-    most delta.
+    fill at least a third of the interval (resolved on a grid of 200,001
+    points, with a small grid slack), and the randomized finder misses
+    with probability at most delta.
     """
+    grid_points = 200_001
     rng = np.random.default_rng(seed)
     result = SuiteResult("droptime")
     cases: list[tuple[np.ndarray, float]] = [
@@ -387,14 +392,16 @@ def suite_droptime(reps: int = 10_000, grid_points: int = 200_001, seed: int = 0
     return result
 
 
-def suite_trotter(seed: int = 0, steps_list: tuple[int, ...] = (8, 16, 32, 64), t: float = 1.0) -> SuiteResult:
+def suite_trotter(seed: int = 0) -> SuiteResult:
     """Product-formula quality: second-order decay, exact time accounting.
 
-    The operator-norm error must fall roughly fourfold per step doubling
-    (log-log slope in [-2.4, -1.6]), the ledger charge per shot must equal
-    the shot duration to 1e-12, and the trace deviation can never exceed
-    the operator-norm error.
+    Over 8, 16, 32 and 64 steps of a shot of duration 1, the operator-norm
+    error must fall roughly fourfold per step doubling (log-log slope in
+    [-2.4, -1.6]), the ledger charge per shot must equal the shot duration
+    to 1e-12, and the trace deviation can never exceed the operator-norm
+    error.
     """
+    steps_list, t = (8, 16, 32, 64), 1.0
     rng = np.random.default_rng(seed)
     result = SuiteResult("trotter")
     n = 3

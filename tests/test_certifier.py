@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hamcert import certifier
 from hamcert.certifier import (
     CertificationConfig,
     ConfigError,
@@ -15,7 +16,7 @@ from hamcert.certifier import (
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionOracle, OracleMode
 from hamcert.pauli import PauliSum, frobenius_norm
-from hamcert.trotter import steps_from_bound
+from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound, trotter_evolve
 
 
 def make_oracle(hidden, mode=OracleMode.EXACT_EFFECTIVE):
@@ -256,6 +257,44 @@ class TestTrotterizedMode:
         report = certify(h0, oracle, cfg)
         expected = cfg.shots_per_round * sum(r.time for r in report.records)
         assert report.ledger_total_time == pytest.approx(expected, rel=1e-9)
+
+
+class TestTrotterRoundUnitarity:
+    """A trotter round allows a unitarity defect of 1e-8 per step."""
+
+    def test_eight_qubit_round_at_the_step_cap_completes(self):
+        # 64 sectors and 65536 steps leave a defect of about 1.7e-8, which
+        # a flat 1e-8 bound rejected.
+        h = PauliSum(8, [("I" * i + "XYZ"[i % 3] + "I" * (7 - i), 0.1 * (i + 1))
+                         for i in range(8)])
+        cfg = CertificationConfig(epsilon=0.2, delta=0.5, k=1, c2=6.0,
+                                  mode=OracleMode.TROTTERIZED,
+                                  allow_weak_constants=True)
+        oracle = make_oracle(h, OracleMode.TROTTERIZED)
+        rec = run_round(h, oracle, cfg, np.random.default_rng(4))
+        assert steps_from_bound(6, rec.time, cfg.trotter_tolerance) == TROTTER_STEP_CAP
+        assert rec.identity_fraction == 1.0
+
+    @pytest.mark.parametrize("per_step, raises", [(0.4e-8, False), (1e-8, True)])
+    def test_the_bound_scales_with_the_step_count(self, monkeypatch, per_step, raises):
+        # Scaling U by 1 + a moves max|U^dag U - I| by about 2a.
+        seen = []
+
+        def inflated(oracle, h0, plan, shots):
+            seen.append(plan.steps)
+            return trotter_evolve(oracle, h0, plan, shots=shots) * (1 + per_step * plan.steps)
+
+        monkeypatch.setattr(certifier, "trotter_evolve", inflated)
+        h0 = PauliSum(1, {"X": -1.0})
+        cfg = TestTrotterizedMode()._cfg(0)
+        oracle = make_oracle(h0, OracleMode.TROTTERIZED)
+        if raises:
+            with pytest.raises(ValueError, match="not unitary"):
+                run_round(h0, oracle, cfg, np.random.default_rng(0))
+        else:
+            run_round(h0, oracle, cfg, np.random.default_rng(0))
+            # 0.8e-8 per step is above a flat 1e-8 from two steps on.
+            assert seen[0] >= 2
 
 
 def test_trotter_mode_at_the_paper_constants():

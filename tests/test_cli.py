@@ -1,10 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hamcert.cli import main
 from hamcert.oracle import EvolutionOracle
@@ -277,6 +281,60 @@ class TestLedgerCeiling:
         out = capsys.readouterr().out
         assert "ledger_total_time: inf" not in out
         assert "verdict: ACCEPT" in out
+
+
+#: Finite ranges of the certify flags.  At ``k = 1`` they keep a valid run
+#: small: at most 100 rounds and a twirl depth of at most 64.
+_FLAG_RANGES = {
+    "epsilon": (1e-300, 1e3),
+    "delta": (0.01, 0.99),
+    "c1": (1e-3, 6.0),
+    "c2": (1e-3, 64.0),
+    "c3": (1e-3, 1e6),
+    "c4": (1e-3, 1e15),
+    "c0": (1e-6, 0.999),
+    "eps-trott": (1e-12, 1.0),
+}
+_BAD_VALUES = [0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf"), 1e308]
+
+
+class TestCertifyConfigFuzz:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        h=st.sampled_from(["h_same.txt", "h_far.txt"]),
+        seed=st.integers(-2, 2**70),
+        flags=st.fixed_dictionaries({
+            name: (st.floats(*bounds) if name in ("epsilon", "delta")
+                   else st.none() | st.floats(*bounds))
+            for name, bounds in _FLAG_RANGES.items()
+        }),
+        # At most one flag takes a bad or huge value.  A c2 of 1e308 would be
+        # a valid twirl depth of 1e308 draws, so it is not drawn.
+        bad=st.none() | st.tuples(
+            st.sampled_from(sorted(_FLAG_RANGES)), st.sampled_from(_BAD_VALUES)
+        ).filter(lambda bad: bad != ("c2", 1e308)),
+    )
+    def test_exit_code_matches_the_output(self, files, h, seed, flags, bad):
+        if bad is not None:
+            flags[bad[0]] = bad[1]
+        args = ["certify", "--h0", str(files / "h0.txt"), "--h", str(files / h),
+                "--k=1", f"--seed={seed}", "--allow-weak-constants"]
+        args += [f"--{name}={value!r}" for name, value in flags.items() if value is not None]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert (code == 1) == ("verdict: REJECT" in out)
+        assert (code == 0) == ("verdict: ACCEPT" in out)
+        if code == 2:
+            assert out == ""
+            assert err and "Traceback" not in err
 
 
 class TestVerifyCommand:

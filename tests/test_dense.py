@@ -11,7 +11,6 @@ from hamcert.dense import (
     eigenvalues,
     evolve,
     hoffman_wielandt_gap,
-    is_unitary,
     normalized_frobenius,
     pauli_conjugate,
     pauli_matrix,
@@ -183,7 +182,7 @@ class TestEvolve:
         for _ in range(10):
             h = random_pauli_sum(3, 2, rng)
             u = evolve(h, float(rng.uniform(0, 10)))
-            assert is_unitary(u, atol=1e-10)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-10
 
     def test_negative_time_allowed_for_raw_primitive(self):
         h = PauliSum(1, {"Z": 0.4})

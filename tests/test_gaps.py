@@ -1,5 +1,6 @@
 """Tests for eigenvalue-gap statistics and the drop-time finder."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,9 +70,22 @@ class TestGapStatConfig:
         assert cfg.m_times == 6
         assert (2 / 3) ** cfg.m_times <= 0.1
 
-    def test_explicit_m_times_validated(self):
-        with pytest.raises(ValueError, match="too small"):
-            GapStatConfig(epsilon=1.0, d=0.5, delta=0.01, m_times=2)
+    def test_m_times_at_the_edges(self):
+        # delta exactly (2/3)^m and one float either side of it.  Just below
+        # (2/3)^23 the closed form ceil(log(1/delta) / log(1.5)) gives 23,
+        # one draw short of the bound.
+        for m in range(1, 41):
+            edge = (2 / 3) ** m
+            for delta in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                draws = GapStatConfig(epsilon=1.0, d=0.5, delta=float(delta)).m_times
+                assert (2 / 3) ** draws <= delta
+                assert draws == 1 or (2 / 3) ** (draws - 1) > delta
+            assert GapStatConfig(epsilon=1.0, d=0.5, delta=edge).m_times == m
+
+    def test_three_fields(self):
+        assert [f.name for f in dataclasses.fields(GapStatConfig)] == [
+            "epsilon", "d", "delta"
+        ]
 
     def test_ranges(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hamcert.dense import pauli_matrix, to_dense
 from hamcert.instances import random_pauli_sum
@@ -257,4 +259,15 @@ class TestTextFormat:
 
     def test_roundtrip(self):
         h = PauliSum(2, {"XZ": 0.1 + 0.2, "YI": -1.5})
+        assert parse_hamiltonian(h.to_text()) == h
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_roundtrip_of_random_sums(self, data, n):
+        # Any finite float: subnormals, -0.0, 1e308 and values below the
+        # drop tolerance, which the constructor removes on both sides.
+        label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: set(s) != {"I"})
+        coeff = st.floats(allow_nan=False, allow_infinity=False)
+        h = PauliSum(n, data.draw(st.dictionaries(label, coeff, min_size=1, max_size=12)))
+        assume(h)
         assert parse_hamiltonian(h.to_text()) == h
