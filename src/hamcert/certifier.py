@@ -178,13 +178,6 @@ class CertificationConfig:
                 f"Twirl depth {steps} is too shallow: need 2^steps >= "
                 f"2^11 * 27^k = {2**11 * 27**self.k}."
             )
-        contraction = 2.0 * 2.0 ** (-steps / 2.0)
-        required = (1.0 / 16.0) * 3.0 ** (-self.k) / (math.sqrt(2.0) * 3.0 ** (self.k / 2.0))
-        if contraction > required * (1 + 1e-12):
-            raise ConfigError(
-                f"Twirl contraction {contraction:.3e} exceeds the stability "
-                f"budget {required:.3e}."
-            )
         if tol > 1.0 / (128.0 * 9**self.k) * (1 + 1e-12):
             raise ConfigError(
                 f"eps_trott={tol:.3e} exceeds the admissible budget "
@@ -227,16 +220,33 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Verdict plus everything needed to reproduce the run byte for byte."""
+    """Verdict plus everything needed to reproduce the run byte for byte.
 
-    verdict: str
-    rounds_run: int
-    rejecting_round: Optional[int]
+    The verdict and round counts follow from ``records``: a run stops at
+    its first flagged round, so only the last record can be flagged.
+    """
+
     records: tuple[RoundRecord, ...]
     ledger_total_time: float
     ledger_query_count: int
-    seed: int
     config: CertificationConfig
+
+    @property
+    def rejecting_round(self) -> Optional[int]:
+        flagged = self.records and self.records[-1].flagged
+        return self.records[-1].index if flagged else None
+
+    @property
+    def verdict(self) -> str:
+        return "ACCEPT" if self.rejecting_round is None else "REJECT"
+
+    @property
+    def rounds_run(self) -> int:
+        return len(self.records)
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     def render(self) -> str:
         """Stable-order plain-text form: key-value header, then a CSV block."""
@@ -354,21 +364,14 @@ def certify(
         )
     rng = np.random.default_rng(cfg.seed)
     records: list[RoundRecord] = []
-    rejecting: Optional[int] = None
     for index in range(1, cfg.rounds + 1):
-        record = run_round(h0, oracle, cfg, rng, index)
-        records.append(record)
-        if record.flagged:
-            rejecting = index
+        records.append(run_round(h0, oracle, cfg, rng, index))
+        if records[-1].flagged:
             break
     return CertificationReport(
-        verdict="REJECT" if rejecting is not None else "ACCEPT",
-        rounds_run=len(records),
-        rejecting_round=rejecting,
         records=tuple(records),
         ledger_total_time=oracle.ledger.total_time,
         ledger_query_count=oracle.ledger.query_count,
-        seed=cfg.seed,
         config=cfg,
     )
 

@@ -40,11 +40,7 @@ def _load_hamiltonian(path: str) -> PauliSum:
         raise HamiltonianFormatError(f"{path}: {exc}") from None
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, require_epsilon: bool = True) -> None:
-    parser.add_argument("--epsilon", type=float, required=require_epsilon,
-                        help="separation threshold in normalized Frobenius norm"
-                             + ("" if require_epsilon else
-                                " (default: first --eps-list entry)"))
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, required=True,
                         help="allowed failure probability, in (0, 1)")
     parser.add_argument("--k", type=int, required=True, help="locality bound")
@@ -112,8 +108,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"malformed --eps-list {args.eps_list!r}") from None
     if not eps_list:
         raise ConfigError("--eps-list is empty")
-    if args.epsilon is None:
-        args.epsilon = eps_list[0]
+    # Every run replaces epsilon, so the base config takes the first value.
+    args.epsilon = eps_list[0]
     cfg = _config_from_args(args)
     result = sweep_epsilon(h0, direction, eps_list, cfg, repeats=args.repeats)
     lines = [
@@ -170,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--h0", required=True, help="reference Hamiltonian file")
     p_cert.add_argument("--h", required=True,
                         help="unknown Hamiltonian file (used only to build the oracle)")
+    p_cert.add_argument("--epsilon", type=float, required=True,
+                        help="separation threshold in normalized Frobenius norm")
     _add_config_flags(p_cert)
     p_cert.add_argument("--out", default=None, help="report output path")
     p_cert.set_defaults(func=_cmd_certify)
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated epsilon values")
     p_sweep.add_argument("--repeats", type=int, default=8,
                          help="seeded runs per epsilon (default: 8)")
-    _add_config_flags(p_sweep, require_epsilon=False)
+    _add_config_flags(p_sweep)
     p_sweep.add_argument("--out", default=None, help="CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -6,6 +6,10 @@ product of matrices), provides the Hermitian eigendecomposition, unitary
 time evolution through the spectral form, and the mean-square eigenvalue
 displacement used to bound spectral perturbations.
 
+:func:`evolve` keeps the eigendecompositions of the two Pauli sums it
+evolved last.  A trotter run evolves two, the hidden Hamiltonian and the
+reference, so it diagonalizes each of them once.
+
 Index convention: qubit 0 is the most significant bit of the computational
 basis index, matching the Kronecker order ``letters[0] (x) ... (x)
 letters[n-1]``.
@@ -14,6 +18,8 @@ Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -168,14 +174,25 @@ def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
+@functools.lru_cache(maxsize=2)
+def _spectrum(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    # PauliSum is immutable and stores its terms sorted, so equal keys
+    # give the same dense matrix bit for bit and an entry cannot go stale.
+    # Every caller shares the arrays, so they are read-only.
+    w, v = eig_decompose(to_dense(h))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
 def evolve(h: PauliSum, t: float) -> np.ndarray:
     """Unitary ``exp(-i t H)`` for a Pauli sum, via eigendecomposition.
 
     ``t`` may be any real number here; forward-only restrictions are
-    enforced at the oracle boundary, not by this raw primitive.
+    enforced at the oracle boundary, not by this raw primitive.  The last
+    two sums' eigendecompositions are kept (see the module docstring).
     """
-    w, v = eig_decompose(to_dense(h))
-    return propagator(w, v, float(t))
+    return propagator(*_spectrum(h), float(t))
 
 
 def hoffman_wielandt_gap(a: np.ndarray, b: np.ndarray) -> float:

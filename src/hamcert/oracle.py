@@ -10,6 +10,9 @@ and counted as ``N`` queries in a single charge.
 
 Evolution under the *known* reference Hamiltonian is compiled classically,
 costs nothing, and both time signs are allowed (:func:`evolve_known`).
+Both channels evolve through :func:`hamcert.dense.evolve`, which keeps the
+eigendecompositions of the two sums it evolved last: in a trotter round,
+the hidden Hamiltonian and the reference.
 
 Two oracle modes exist:
 
@@ -17,8 +20,8 @@ Two oracle modes exist:
   physically, through interleaved forward queries and compiled reference
   evolutions (see :mod:`hamcert.trotter`).  Feasible only for small twirl
   depth because the sector count doubles per twirl step.  Only this mode
-  diagonalizes the hidden Hamiltonian, on its first forward query, and it
-  is limited to the dense cap.
+  diagonalizes the hidden Hamiltonian, on a forward query, and it is
+  limited to the dense cap.
 * ``EXACT_EFFECTIVE`` substitutes the ideal evolution of the twirled
   difference and charges the same time per shot, which is what the
   resource accounting measures.  Used for statistical validation of the
@@ -42,15 +45,14 @@ qubits and refuses only residuals whose blocks exceed ``2^23`` entries.
 from __future__ import annotations
 
 import enum
-import functools
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import identity_prob_spectral
-from .dense import QUBIT_CAP, eig_decompose, evolve, propagator, to_dense
-from .dense import _signed_permutation
+from .dense import QUBIT_CAP, _signed_permutation, evolve
 from .moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
 from .pauli import PauliSum, subtract
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -90,33 +92,40 @@ class EvolutionLedger:
     query_count: int = 0
 
     def charge(self, duration: float, queries: int = 1) -> None:
-        if duration < 0:
-            raise AccessModelError(f"Cannot charge a negative duration: {duration}.")
+        if not duration >= 0:
+            raise AccessModelError(f"Cannot charge a duration that is not >= 0: {duration}.")
+        queries = operator.index(queries)
         if queries < 0:
             raise ValueError(f"Query count increment must be nonnegative: {queries}.")
         self.total_time += duration
         self.query_count += queries
 
 
-@functools.lru_cache(maxsize=1)
-def _reference_eig(h0: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    # One entry: a certify run evolves under the same reference every
-    # round.  PauliSum is immutable, so the key cannot go stale.
-    w, v = eig_decompose(to_dense(h0))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
 def evolve_known(h0: PauliSum, t: float) -> np.ndarray:
     """Compiled evolution ``exp(-i t H0)`` of the known reference.
 
     Never charges any ledger; both signs of ``t`` are permitted because
-    the reference is fully specified classically.  The eigendecomposition
-    of the most recent reference is kept, so repeated calls with the same
-    ``h0`` diagonalize it once.
+    the reference is fully specified classically.  Repeated calls with the
+    same ``h0`` diagonalize it once (see :func:`hamcert.dense.evolve`).
     """
-    return propagator(*_reference_eig(h0), float(t))
+    return evolve(h0, t)
+
+
+def _forward_request(t: float, count: int) -> tuple[float, int]:
+    """Checked ``(t, count)`` of ``count`` forward runs of duration ``t``.
+
+    Raises AccessModelError unless ``0 <= t < inf``, TypeError for a count
+    that is not an integer, and ValueError for ``count < 1``.
+    """
+    t = float(t)
+    count = operator.index(count)
+    if not 0 <= t < math.inf:
+        raise AccessModelError(
+            f"Forward-only access: requested t={t} is not a finite duration >= 0."
+        )
+    if count < 1:
+        raise ValueError(f"Query count must be positive, got {count}.")
+    return t, count
 
 
 #: Sign-free cyclic letter maps taking each site's axis to Z.
@@ -194,9 +203,6 @@ class EvolutionOracle:
                 f"cap of {limit}."
             )
         self._hidden = hidden
-        # Only forward queries need the spectrum of the hidden Hamiltonian,
-        # so it is computed on the first one.
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._last_query: tuple[float, np.ndarray] | None = None
         # hidden - h0 of the most recent reference: a certify run twirls
         # the same difference every round.
@@ -219,24 +225,16 @@ class EvolutionOracle:
         read-only.
 
         Raises:
-            AccessModelError: If ``t < 0`` (inverse evolution is not part
-                of the access model).
-            ValueError: If ``count < 1``.  Both checks run before any
+            AccessModelError: Unless ``0 <= t < inf`` (inverse evolution is
+                not part of the access model).
+            TypeError: If ``count`` is not an integer.
+            ValueError: If ``count < 1``.  All checks run before any
                 charge, so a rejected request leaves the ledger unchanged.
         """
-        t = float(t)
-        count = operator.index(count)
-        if t < 0:
-            raise AccessModelError(
-                f"Forward-only access: requested t={t} < 0 is rejected."
-            )
-        if count < 1:
-            raise ValueError(f"Query count must be positive, got {count}.")
+        t, count = _forward_request(t, count)
         self.ledger.charge(count * t, queries=count)
         if self._last_query is None or self._last_query[0] != t:
-            if self._eig is None:
-                self._eig = eig_decompose(to_dense(self._hidden))
-            u = propagator(*self._eig, t)
+            u = evolve(self._hidden, t)
             u.setflags(write=False)
             self._last_query = (t, u)
         return self._last_query[1]
@@ -248,13 +246,7 @@ class EvolutionOracle:
             raise OracleModeError(
                 "Effective shots are only available in EXACT_EFFECTIVE mode."
             )
-        t = float(t)
-        if t < 0:
-            raise AccessModelError(
-                f"Forward-only access: requested t={t} < 0 is rejected."
-            )
-        if shots < 1:
-            raise ValueError(f"Shot count must be positive, got {shots}.")
+        t, shots = _forward_request(t, shots)
         if n != self.n_qubits:
             raise ValueError(
                 f"Generator size {n} does not match the oracle's {self.n_qubits}."
@@ -275,7 +267,7 @@ class EvolutionOracle:
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
-            AccessModelError: If ``t < 0``.
+            AccessModelError: Unless ``0 <= t < inf``.
             ValueError: If the generator exceeds the dense cap; checked,
                 like every other error, before anything is charged.
         """
@@ -299,7 +291,7 @@ class EvolutionOracle:
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
-            AccessModelError: If ``t < 0``.
+            AccessModelError: Unless ``0 <= t < inf``.
             ValueError: If the residual's coset blocks would hold more
                 than ``2^23`` entries; checked before anything is charged.
         """

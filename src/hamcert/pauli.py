@@ -304,7 +304,7 @@ def is_k_local(h: PauliSum, k: int) -> bool:
     """
     if k < 0:
         raise ValueError(f"Locality bound must be nonnegative, got {k}.")
-    return all(weight(p) <= k for p in h._terms)
+    return h.max_weight() <= k
 
 
 def parse_hamiltonian(text: str) -> PauliSum:

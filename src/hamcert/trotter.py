@@ -49,31 +49,15 @@ TROTTER_STEP_CAP = 2**16
 UNROLL_DRAW_CAP = 8
 
 
-def _sitewise_product(a: str, b: str) -> str:
-    # Within one abelian subspace each site combines as I*I=I, I*Q=Q, Q*Q=I,
-    # so the product is phase-free.
-    out = []
-    for ca, cb in zip(a, b):
-        if ca == "I":
-            out.append(cb)
-        elif cb == "I":
-            out.append(ca)
-        elif ca == cb:
-            out.append("I")
-        else:
-            raise ValueError(
-                f"Labels {a!r} and {b!r} do not share a diagonal subspace."
-            )
-    return "".join(out)
-
-
 def twirl_conjugators(
     subspace: DiagonalSubspace, paulis: tuple[str, ...]
 ) -> tuple[str, ...]:
     """All ``2^T`` subset products of the twirl draws, in subset-mask order.
 
     The coefficient-space average of conjugation by these sectors equals
-    the twirl filter exactly.
+    the twirl filter exactly.  Within one subspace each site multiplies as
+    ``I*I = I``, ``I*Q = Q`` and ``Q*Q = I``, so a product is phase-free and
+    its inclusion bits are the XOR of its factors' bits.
 
     Raises:
         ValueError: If there are more than :data:`UNROLL_DRAW_CAP` draws
@@ -88,15 +72,12 @@ def twirl_conjugators(
     for p in paulis:
         if not subspace.contains(p):
             raise ValueError(f"Draw {p!r} is not in the subspace.")
-    identity = "I" * subspace.n
-    sectors = []
-    for mask in range(2**draws):
-        q = identity
-        for i in range(draws):
-            if mask >> i & 1:
-                q = _sitewise_product(q, paulis[i])
-        sectors.append(q)
-    return tuple(sectors)
+    # Doubling the list per draw puts the subset of mask m at index m.
+    bits = [np.zeros(subspace.n, dtype=bool)]
+    for p in paulis:
+        drawn = np.array([ch != "I" for ch in p])
+        bits += [b ^ drawn for b in bits]
+    return tuple(map(subspace.element, bits))
 
 
 @dataclass(frozen=True)
@@ -117,7 +98,7 @@ class TrotterPlan:
             raise ValueError("A plan needs at least one sector conjugator.")
         if self.steps < 1:
             raise ValueError(f"Step count must be positive, got {self.steps}.")
-        if self.total_time < 0:
+        if not self.total_time >= 0:
             raise ValueError(f"Shot duration must be nonnegative: {self.total_time}.")
 
     @property

@@ -106,7 +106,7 @@ def test_criterion_11_byte_determinism(tmp_path):
         code = main([
             "sweep", "--h0", str(h0), "--direction", str(direction),
             "--eps-list", "0.4,0.2", "--repeats", "2",
-            "--epsilon", "0.4", "--delta", "0.2", "--k", "1",
+            "--delta", "0.2", "--k", "1",
             "--seed", "11", "--out", str(out),
         ])
         assert code == 0

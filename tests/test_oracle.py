@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import dense as dense_module
 from hamcert import oracle as oracle_module
 from hamcert.bell import identity_prob_spectral, identity_prob_trace
 from hamcert.dense import evolve
@@ -41,6 +42,17 @@ class TestLedger:
     def test_negative_duration_rejected(self):
         with pytest.raises(AccessModelError):
             EvolutionLedger().charge(-0.1)
+
+    @pytest.mark.parametrize(
+        "duration, queries, error",
+        [(float("nan"), 1, AccessModelError), (1.0, 2.5, TypeError)],
+    )
+    def test_rejected_charge_leaves_the_ledger_unchanged(self, duration, queries, error):
+        ledger = EvolutionLedger()
+        ledger.charge(0.3)
+        with pytest.raises(error):
+            ledger.charge(duration, queries=queries)
+        assert ledger == EvolutionLedger(0.3, 1)
 
 
 class TestQueryForward:
@@ -79,7 +91,9 @@ class TestQueryForward:
 
     @pytest.mark.parametrize(
         "t, count, error",
-        [(0.5, 0, ValueError), (0.5, -3, ValueError), (-0.5, 4, AccessModelError)],
+        [(0.5, 0, ValueError), (0.5, -3, ValueError), (-0.5, 4, AccessModelError),
+         (float("nan"), 1, AccessModelError), (float("inf"), 1, AccessModelError),
+         (0.5, 2.5, TypeError)],
     )
     def test_rejected_batch_charges_nothing(self, t, count, error):
         oracle = EvolutionOracle(PauliSum(1, {"Z": 1.0}), OracleMode.TROTTERIZED)
@@ -90,19 +104,24 @@ class TestQueryForward:
 
     def test_hidden_spectrum_computed_on_first_query_only(self, monkeypatch):
         calls = []
-        original = oracle_module.eig_decompose
+        original = dense_module.eig_decompose
 
         def counting(m):
             calls.append(m.shape)
             return original(m)
 
-        monkeypatch.setattr(oracle_module, "eig_decompose", counting)
+        monkeypatch.setattr(dense_module, "eig_decompose", counting)
+        dense_module._spectrum.cache_clear()
         oracle = EvolutionOracle(PauliSum(2, {"XZ": 0.3}), OracleMode.TROTTERIZED)
         assert calls == []
         oracle.query_forward(0.4)
         oracle.query_forward(0.7)
         oracle.query_forward(0.4)
         assert calls == [(4, 4)]
+        # A trotter round interleaves the reference: both spectra are kept.
+        evolve_known(PauliSum(2, {"ZI": 0.2}), -0.7)
+        oracle.query_forward(0.9)
+        assert calls == [(4, 4), (4, 4)]
 
     def test_only_the_last_propagator_is_kept(self):
         hidden = PauliSum(2, {"XZ": 0.3, "YI": -0.2})
@@ -132,13 +151,14 @@ class TestEvolveKnown:
 
     def test_reference_diagonalized_once(self, monkeypatch):
         calls = []
-        original = oracle_module.eig_decompose
+        original = dense_module.eig_decompose
 
         def counting(m):
             calls.append(m.shape)
             return original(m)
 
-        monkeypatch.setattr(oracle_module, "eig_decompose", counting)
+        monkeypatch.setattr(dense_module, "eig_decompose", counting)
+        dense_module._spectrum.cache_clear()
         h0 = PauliSum(2, {"ZX": 0.35, "IY": 0.15})
         forward = evolve_known(h0, 0.6)
         backward = evolve_known(h0, -0.6)
@@ -146,7 +166,12 @@ class TestEvolveKnown:
         assert np.max(np.abs(forward @ backward - np.eye(4))) <= 1e-12
         evolve_known(PauliSum(2, {"ZZ": 0.5}), 0.6)
         evolve_known(h0, 0.6)
-        assert len(calls) == 3
+        assert len(calls) == 2
+        # Two other sums since h0 was last evolved push it out.
+        evolve_known(PauliSum(2, {"XX": 0.5}), 0.6)
+        evolve_known(PauliSum(2, {"ZZ": 0.5}), 0.6)
+        evolve_known(h0, 0.6)
+        assert len(calls) == 5
 
     def test_never_touches_the_ledger(self):
         oracle = EvolutionOracle(PauliSum(1, {"X": 0.4}), OracleMode.EXACT_EFFECTIVE)
@@ -326,6 +351,22 @@ class TestEffectiveIdentityProb:
             trotter.effective_identity_prob(tr, 1.0)
         for o in (oracle, other, trotter):
             assert o.ledger == EvolutionLedger()
+
+    @pytest.mark.parametrize(
+        "t, shots, error",
+        [(float("nan"), 1, AccessModelError), (float("inf"), 1, AccessModelError),
+         (1.0, 2.5, TypeError)],
+    )
+    def test_non_finite_time_and_fractional_shots_charge_nothing(self, t, shots, error):
+        oracle = _exact(PauliSum(2, {"XX": 0.3}))
+        tr = oracle.sample_twirl(PauliSum(2, {"ZZ": 0.1}), DiagonalSubspace(("X", "X")),
+                                 10, np.random.default_rng(1))
+        oracle.effective_identity_prob(tr, 0.5, shots=2)
+        with pytest.raises(error):
+            oracle.effective_identity_prob(tr, t, shots=shots)
+        with pytest.raises(error):
+            oracle.effective_shot(tr.twirled, t, shots=shots)
+        assert oracle.ledger == EvolutionLedger(2 * 0.5, 2)
 
 
 @st.composite

@@ -66,6 +66,15 @@ class TestCommutes:
                     comm = mats[a] @ mats[b] - mats[b] @ mats[a]
                     assert commutes(a, b) == (np.max(np.abs(comm)) < 1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_dense_products_swap_up_to_the_predicted_sign(self, data, n):
+        label = st.text("IXYZ", min_size=n, max_size=n)
+        a, b = data.draw(label), data.draw(label)
+        pa, pb = pauli_matrix(a), pauli_matrix(b)
+        sign = 1 if commutes(a, b) else -1
+        assert np.array_equal(pa @ pb, sign * (pb @ pa))
+
 
 class TestPauliSum:
     def test_identity_term_rejected(self):
@@ -123,6 +132,17 @@ class TestConjugate:
         assert got == PauliSum(2, {"XZ": -0.3, "ZZ": 0.4})
         p = pauli_matrix("ZI")
         assert np.allclose(to_dense(got), p @ to_dense(h) @ p, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_matches_dense_conjugation_of_random_sums(self, data, n):
+        label = st.text("IXYZ", min_size=n, max_size=n)
+        coeff = st.floats(-1.0, 1.0, allow_subnormal=False)
+        terms = data.draw(st.dictionaries(label.filter(lambda s: s.strip("I")), coeff,
+                                          max_size=2 * n))
+        h, p = PauliSum(n, terms), data.draw(label)
+        m = pauli_matrix(p)
+        assert np.allclose(to_dense(conjugate(h, p)), m @ to_dense(h) @ m, atol=1e-12)
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert.bell import identity_prob_trace
 from hamcert.dense import evolve, pauli_matrix
@@ -72,10 +74,34 @@ class TestUnroll:
                     expected = expected @ mats[i]
             assert np.array_equal(pauli_matrix(q), expected)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 4), draws=st.integers(0, 4))
+    def test_sectors_are_dense_products_of_random_draws(self, data, n, draws):
+        # At n <= 4 identity draws and repeated draws are frequent.
+        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+        s = DiagonalSubspace(tuple(axes))
+        member = st.lists(st.booleans(), min_size=n, max_size=n).map(s.element)
+        paulis = tuple(data.draw(st.lists(member, min_size=draws, max_size=draws)))
+        mats = [pauli_matrix(p) for p in paulis]
+        sectors = twirl_conjugators(s, paulis)
+        assert len(sectors) == 2**draws
+        for mask, q in enumerate(sectors):
+            expected = np.eye(2**n, dtype=complex)
+            for i in range(draws):
+                if mask >> i & 1:
+                    expected = expected @ mats[i]
+            assert np.array_equal(pauli_matrix(q), expected)
+
     def test_draw_cap(self):
         s = DiagonalSubspace(("Z",))
         with pytest.raises(ValueError, match="unroll"):
             twirl_conjugators(s, ("Z",) * 9)
+
+
+@pytest.mark.parametrize("total_time", [-1.0, float("nan")])
+def test_plan_rejects_a_duration_that_is_not_nonnegative(total_time):
+    with pytest.raises(ValueError, match="nonnegative"):
+        TrotterPlan(("I",), 1, total_time)
 
 
 class TestStepsFromBound:
