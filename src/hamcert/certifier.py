@@ -82,9 +82,10 @@ class CertificationConfig:
     ``eps_trott`` of ``None`` resolves to the largest admissible
     implementation-error budget ``1 / (128 * 9^k)``.  Constants may be
     overridden for experiments, but overrides that break the consistency
-    arithmetic require ``allow_weak_constants=True`` (the trotterized mode
-    at realistic twirl depth needs this, since the default depth exceeds
-    the sector-unrolling cap).
+    arithmetic require ``allow_weak_constants=True``.  The trotterized mode
+    needs this at any realistic twirl depth: the default depth exceeds
+    :data:`~hamcert.trotter.UNROLL_DRAW_CAP`, which keeps the rounding of
+    the product over ``2^T`` sectors far below the error budget.
     """
 
     epsilon: float
@@ -316,9 +317,8 @@ def run_round(
     else:
         paulis = sample_twirl_paulis(subspace, cfg.twirl_steps, rng)
         t = float(rng.uniform(0.0, cfg.time_cap))
-        sectors = twirl_conjugators(subspace, paulis)
         steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
-        plan = TrotterPlan(sectors, steps, t)
+        plan = TrotterPlan(twirl_conjugators(subspace, paulis), steps, t)
         u = trotter_evolve(oracle, h0, plan, shots=shots)
         # The unitarity defect of S^steps grows about steps times that of
         # the step operator S, so the 1e-8 bound holds per step.

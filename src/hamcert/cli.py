@@ -20,7 +20,7 @@ from .certifier import (
 )
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import HamiltonianFormatError, PauliSum, parse_hamiltonian
-from .verification import run_suite, suite_names
+from .verification import check_trials, run_suite, suite_names
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -146,6 +146,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = suite_names() if args.suite == "all" else [args.suite]
     seed = _resolve_seed(args.seed)
+    for name in names:
+        check_trials(name, args.trials)
     all_passed = True
     for name in names:
         result = run_suite(name, trials=args.trials, seed=seed)

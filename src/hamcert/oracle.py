@@ -19,14 +19,14 @@ Two oracle modes exist:
 * ``TROTTERIZED`` realizes shots of the twirled difference generator
   physically, through interleaved forward queries and compiled reference
   evolutions (see :mod:`hamcert.trotter`).  Feasible only for small twirl
-  depth because the sector count doubles per twirl step.  Only this mode
-  diagonalizes the hidden Hamiltonian, on a forward query, and it is
-  limited to the dense cap.
+  depth: the sector count doubles per twirl step, and the rounding of the
+  product formula grows with it.  Only this mode diagonalizes the hidden
+  Hamiltonian, on a forward query, and it is limited to the dense cap.
 * ``EXACT_EFFECTIVE`` substitutes the ideal evolution of the twirled
   difference and charges the same time per shot, which is what the
   resource accounting measures.  Used for statistical validation of the
-  full protocol at its default constants, where the twirl depth makes the
-  unrolled form intractable.
+  full protocol at its default constants, whose twirl depth is beyond
+  the product formula's reach.
 
 In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
 ``hidden - reference`` on the certifier's behalf (:meth:`EvolutionOracle.

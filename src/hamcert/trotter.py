@@ -1,16 +1,17 @@
 """Second-order product-formula implementation of the twirled evolution.
 
-The twirl of the difference generator unrolls into an average over sector
-conjugators: with draws ``P_1 .. P_T`` from an abelian subspace, the
-twirled generator equals ``2^-T * sum_b Q_b (H - H0) Q_b`` where ``Q_b``
-runs over products of all ``2^T`` subsets of the draws.  Each sector
-splits into a forward piece (realized by a forward query to the hidden
-Hamiltonian, conjugated by the Pauli ``Q_b``) and a compiled piece
-(reference evolution with reversed sign, free of charge).
+The twirl of the difference generator is ``T`` nested two-term averages:
+with draws ``P_1 .. P_T`` from an abelian subspace, each draw maps
+``X -> (X + P X P) / 2``, so the twirled generator equals
+``2^-T * sum_b Q_b (H - H0) Q_b`` where ``Q_b`` runs over products of all
+``2^T`` subsets of the draws.  Each sector splits into a forward piece
+(realized by a forward query to the hidden Hamiltonian, conjugated by the
+Pauli ``Q_b``) and a compiled piece (reference evolution with reversed
+sign, free of charge).
 
 One symmetric (Strang) step of length ``tau`` applies every sector's
-forward and compiled half-factors in a fixed order, then the same factors
-in exactly reversed order.  Each forward half-factor lasts
+forward and compiled half-factors in subset-mask order, then the same
+factors in exactly reversed order.  Each forward half-factor lasts
 ``tau * 2^-T / 2``, so a full shot of duration ``t`` charges exactly
 ``t`` of forward evolution time regardless of the step count, and the
 operator-norm error decays as ``O(t^3 / steps^2)``.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -45,19 +45,20 @@ __all__ = [
 #: Hard ceiling on product-formula steps when calibrating adaptively.
 TROTTER_STEP_CAP = 2**16
 
-#: Sector unrolling doubles per twirl draw; more than this is intractable.
+#: Deepest twirl a product formula may unroll.  The rounding of the step
+#: operator grows about as ``2^T``; at this depth it stays far below budget.
 UNROLL_DRAW_CAP = 8
 
 
 def twirl_conjugators(
     subspace: DiagonalSubspace, paulis: tuple[str, ...]
 ) -> tuple[str, ...]:
-    """All ``2^T`` subset products of the twirl draws, in subset-mask order.
+    """Check the twirl draws of one product formula and return them.
 
-    The coefficient-space average of conjugation by these sectors equals
-    the twirl filter exactly.  Within one subspace each site multiplies as
-    ``I*I = I``, ``I*Q = Q`` and ``Q*Q = I``, so a product is phase-free and
-    its inclusion bits are the XOR of its factors' bits.
+    Their ``2^T`` subset products are the sector conjugators, whose
+    coefficient-space average equals the twirl filter exactly.  Within one
+    subspace the draws commute and every product is phase-free, which
+    :func:`trotter_evolve` relies on.
 
     Raises:
         ValueError: If there are more than :data:`UNROLL_DRAW_CAP` draws
@@ -67,35 +68,28 @@ def twirl_conjugators(
     if draws > UNROLL_DRAW_CAP:
         raise ValueError(
             f"Cannot unroll {draws} twirl draws (cap {UNROLL_DRAW_CAP}): "
-            f"the sector count 2^{draws} is intractable."
+            f"the rounding of a product over 2^{draws} sectors grows with it."
         )
     for p in paulis:
         if not subspace.contains(p):
             raise ValueError(f"Draw {p!r} is not in the subspace.")
-    # Doubling the list per draw puts the subset of mask m at index m.
-    bits = [np.zeros(subspace.n, dtype=bool)]
-    for p in paulis:
-        drawn = np.array([ch != "I" for ch in p])
-        bits += [b ^ drawn for b in bits]
-    return tuple(map(subspace.element, bits))
+    return paulis
 
 
 @dataclass(frozen=True)
 class TrotterPlan:
     """A compiled product-formula schedule for one shot.
 
-    ``conjugators`` are the sector Paulis, ``steps`` the number of
-    symmetric steps, ``total_time`` the shot duration.  Sector weights are
-    uniform and sum to one.
+    ``draws`` are the twirl Paulis, whose subset products are the uniformly
+    weighted sectors; ``steps`` is the number of symmetric steps and
+    ``total_time`` the shot duration.
     """
 
-    conjugators: tuple[str, ...]
+    draws: tuple[str, ...]
     steps: int
     total_time: float
 
     def __post_init__(self) -> None:
-        if not self.conjugators:
-            raise ValueError("A plan needs at least one sector conjugator.")
         if self.steps < 1:
             raise ValueError(f"Step count must be positive, got {self.steps}.")
         if not self.total_time >= 0:
@@ -103,7 +97,7 @@ class TrotterPlan:
 
     @property
     def sector_weight(self) -> float:
-        return 1.0 / len(self.conjugators)
+        return 2.0 ** -len(self.draws)
 
 
 def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
@@ -136,14 +130,15 @@ def trotter_evolve(
 ) -> np.ndarray:
     """Run the symmetric product formula through the forward oracle.
 
-    Assembles one step operator from the sector factors and raises it to
-    the step count by repeated squaring.  Every physical forward query of
-    the batch has the same duration, so the batch is charged in one call
-    that counts each query: the ledger gains exactly
-    ``shots * steps * 2 * num_sectors`` queries and that count times the
-    half-factor duration, which is ``shots * plan.total_time`` up to
-    rounding at any query count.  Repeated shots reuse the
-    compiled circuit but are charged as separate runs.
+    Assembles one step operator and raises it to the step count by
+    repeated squaring.  Sector ``m + 2^j`` is sector ``m`` conjugated by
+    draw ``j``, so each half of the step operator doubles once per draw.
+    Every physical forward query of the batch has the same duration, so
+    the batch is charged in one call that counts each query: the ledger
+    gains exactly ``shots * steps * 2 * 2^T`` queries and that count times
+    the half-factor duration, which is ``shots * plan.total_time`` up to
+    rounding at any query count.  Repeated shots reuse the compiled
+    circuit but are charged as separate runs.
 
     Raises:
         OracleModeError: Outside ``TROTTERIZED`` mode.
@@ -156,20 +151,18 @@ def trotter_evolve(
         raise ValueError(
             f"Reference size {h0.n} does not match the oracle's {oracle.n_qubits}."
         )
-    sectors = plan.conjugators
-    weight = plan.sector_weight
-    half_dur = plan.total_time * weight / (2 * plan.steps)
+    half_dur = plan.total_time * plan.sector_weight / (2 * plan.steps)
 
     # One forward query per sector per half-step per shot.
-    queries = shots * plan.steps * 2 * len(sectors)
+    queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
     forward = oracle.query_forward(half_dur, count=queries)
     compiled = evolve_known(h0, -half_dur)
-    pair_fwd = forward @ compiled
-    pair_rev = compiled @ forward
-    first_half = reduce(np.matmul, [pauli_conjugate(pair_fwd, q) for q in sectors])
-    second_half = reduce(
-        np.matmul, [pauli_conjugate(pair_rev, q) for q in reversed(sectors)]
-    )
+    # Sectors in mask order, then in reversed order.
+    first_half = forward @ compiled
+    second_half = compiled @ forward
+    for p in plan.draws:
+        first_half = first_half @ pauli_conjugate(first_half, p)
+        second_half = pauli_conjugate(second_half, p) @ second_half
     return np.linalg.matrix_power(first_half @ second_half, plan.steps)
 
 
@@ -215,7 +208,7 @@ def calibrate_steps(
     steps = plan.steps
     while True:
         trial_oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-        trial_plan = TrotterPlan(plan.conjugators, steps, plan.total_time)
+        trial_plan = TrotterPlan(plan.draws, steps, plan.total_time)
         v = trotter_evolve(trial_oracle, h0, trial_plan)
         err = trotter_error(v, h_t, plan.total_time).op_norm
         if err <= eps_target:

@@ -40,7 +40,7 @@ from .pauli import PauliSum, frobenius_norm, scale, subtract
 from .trotter import TrotterPlan, trotter_error, trotter_evolve, twirl_conjugators
 from .twirl import apply_twirl, project_effective, sample_subspace, sample_twirl_paulis
 
-__all__ = ["SUITES", "SuiteResult", "run_suite", "suite_names"]
+__all__ = ["SUITES", "SuiteResult", "check_trials", "run_suite", "suite_names"]
 
 _AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 _MAX_RECORDED_FAILURES = 10
@@ -179,10 +179,6 @@ def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
     norm of five instances per k clears the anti-concentration threshold
     with probability at least 1/(4*3^k).  All checks at three sigma.
     """
-    if draws < 100:
-        raise ValueError(
-            f"basis suite needs at least 100 draws for its envelopes, got {draws}."
-        )
     rng = np.random.default_rng(seed)
     result = SuiteResult("basis")
     n = 4
@@ -243,11 +239,6 @@ def suite_twirl(transcripts: int = 20_000, seed: int = 0) -> SuiteResult:
     ``2^-T`` times the initial off-subspace squared norm, and stays below
     twice ``2^-T/2`` of the full initial norm with probability >= 3/4.
     """
-    if transcripts < 100:
-        raise ValueError(
-            "twirl suite needs at least 100 transcripts for its envelopes, "
-            f"got {transcripts}."
-        )
     rng = np.random.default_rng(seed)
     result = SuiteResult("twirl")
     n = 3
@@ -410,11 +401,11 @@ def suite_trotter(seed: int = 0) -> SuiteResult:
     subspace = sample_subspace(n, rng)
     paulis = sample_twirl_paulis(subspace, 3, rng)
     transcript = apply_twirl(subtract(hidden, h0), subspace, paulis)
-    sectors = twirl_conjugators(subspace, paulis)
+    draws = twirl_conjugators(subspace, paulis)
     op_errors = []
     for steps in steps_list:
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-        plan = TrotterPlan(sectors, steps, t)
+        plan = TrotterPlan(draws, steps, t)
         v = trotter_evolve(oracle, h0, plan)
         charge_dev = abs(oracle.ledger.total_time - t)
         if charge_dev > 1e-12:
@@ -533,18 +524,19 @@ def suite_bonami(trials: int = 1000, seed: int = 0) -> SuiteResult:
     return result
 
 
-#: Suite name -> (suite function, keyword of its main trial count or None).
-SUITES: dict[str, tuple[Callable[..., SuiteResult], str | None]] = {
-    "bell": (suite_bell, "instances"),
-    "gapbound": (suite_gapbound, "trials_per_k"),
-    "basis": (suite_basis, "draws"),
-    "twirl": (suite_twirl, "transcripts"),
-    "stability": (suite_stability, "pairs"),
-    "droptime": (suite_droptime, "reps"),
-    "trotter": (suite_trotter, None),
-    "endtoend": (suite_endtoend, "runs"),
-    "heisenberg": (suite_heisenberg, "repeats"),
-    "bonami": (suite_bonami, "trials"),
+#: Suite name -> (suite function, keyword of its main trial count or None,
+#: the least trial count its envelopes hold for).
+SUITES: dict[str, tuple[Callable[..., SuiteResult], str | None, int]] = {
+    "bell": (suite_bell, "instances", 1),
+    "gapbound": (suite_gapbound, "trials_per_k", 1),
+    "basis": (suite_basis, "draws", 100),
+    "twirl": (suite_twirl, "transcripts", 100),
+    "stability": (suite_stability, "pairs", 1),
+    "droptime": (suite_droptime, "reps", 1),
+    "trotter": (suite_trotter, None, 1),
+    "endtoend": (suite_endtoend, "runs", 1),
+    "heisenberg": (suite_heisenberg, "repeats", 1),
+    "bonami": (suite_bonami, "trials", 1),
 }
 
 
@@ -552,18 +544,29 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run a suite by name, optionally overriding its main trial count.
-
-    Raises:
-        KeyError: If the suite name is unknown.
-        ValueError: If ``trials`` is given and below 1.
-    """
+def check_trials(name: str, trials: int | None) -> None:
+    """Raise ``KeyError`` for an unknown suite and ``ValueError`` for a
+    given trial count below 1 or below the suite's minimum."""
     if name not in SUITES:
         raise KeyError(f"Unknown suite {name!r}; choose from {suite_names()}.")
     if trials is not None and trials < 1:
         raise ValueError(f"Trial count must be at least 1, got {trials}.")
-    suite, knob = SUITES[name]
+    _, knob, minimum = SUITES[name]
+    if trials is not None and trials < minimum:
+        raise ValueError(
+            f"{name} suite needs at least {minimum} {knob} for its envelopes, "
+            f"got {trials}."
+        )
+
+
+def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
+    """Run a suite by name, optionally overriding its main trial count.
+
+    Raises:
+        KeyError, ValueError: As :func:`check_trials`.
+    """
+    check_trials(name, trials)
+    suite, knob, _ = SUITES[name]
     kwargs: dict[str, int] = {"seed": seed}
     if trials is not None and knob is not None:
         kwargs[knob] = trials

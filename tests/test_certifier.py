@@ -262,17 +262,22 @@ class TestTrotterizedMode:
 class TestTrotterRoundUnitarity:
     """A trotter round allows a unitarity defect of 1e-8 per step."""
 
-    def test_eight_qubit_round_at_the_step_cap_completes(self):
+    @pytest.mark.parametrize("c2", [6.0, 8.0])
+    def test_eight_qubit_round_at_the_step_cap_completes(self, c2):
         # 64 sectors and 65536 steps leave a defect of about 1.7e-8, which
-        # a flat 1e-8 bound rejected.
+        # a flat 1e-8 bound rejected; c2=8 is the deepest twirl trotter
+        # mode unrolls, 256 sectors.
         h = PauliSum(8, [("I" * i + "XYZ"[i % 3] + "I" * (7 - i), 0.1 * (i + 1))
                          for i in range(8)])
-        cfg = CertificationConfig(epsilon=0.2, delta=0.5, k=1, c2=6.0,
+        cfg = CertificationConfig(epsilon=0.2, delta=0.5, k=1, c2=c2,
                                   mode=OracleMode.TROTTERIZED,
                                   allow_weak_constants=True)
         oracle = make_oracle(h, OracleMode.TROTTERIZED)
         rec = run_round(h, oracle, cfg, np.random.default_rng(4))
-        assert steps_from_bound(6, rec.time, cfg.trotter_tolerance) == TROTTER_STEP_CAP
+        assert cfg.twirl_steps == c2
+        assert steps_from_bound(cfg.twirl_steps, rec.time, cfg.trotter_tolerance) == (
+            TROTTER_STEP_CAP
+        )
         assert rec.identity_fraction == 1.0
 
     @pytest.mark.parametrize("per_step, raises", [(0.4e-8, False), (1e-8, True)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hamcert.cli import main
+from hamcert.cli import entrypoint, main
 from hamcert.oracle import EvolutionOracle
 from hamcert.verification import suite_names
 
@@ -354,6 +354,17 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: Trial count must be at least 1, got {trials}.\n"
 
+    def test_every_suite_minimum_is_checked_before_any_suite_runs(self, capsys):
+        # bell and gapbound run at 50; basis needs 100.
+        assert main(["verify", "--trials", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 100" in captured.err
+
+    def test_a_suite_without_a_higher_minimum_runs_at_fifty(self, capsys):
+        assert main(["verify", "--suite", "bell", "--trials", "50"]) == 0
+        assert capsys.readouterr().out.startswith("[PASS] bell")
+
 
 class TestSeedResolution:
     def test_env_var_provides_the_default_seed(self, files, tmp_path, monkeypatch):
@@ -385,6 +396,15 @@ class TestDeterminism:
         main(sweeper.sweep_args(files, out=out1))
         main(sweeper.sweep_args(files, out=out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_console_script_runs_main(monkeypatch):
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\nhamcert = "hamcert.cli:entrypoint"\n' in pyproject
+    monkeypatch.setattr(sys, "argv", ["hamcert", "verify", "--trials", "50"])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 2
 
 
 def test_module_entrypoint_smoke(files):

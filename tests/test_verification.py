@@ -73,7 +73,7 @@ def test_cli_verify_reports_failures_with_exit_one(capsys, monkeypatch):
 
     import hamcert.verification as verification
 
-    monkeypatch.setitem(verification.SUITES, "gapbound", (failing_suite, None))
+    monkeypatch.setitem(verification.SUITES, "gapbound", (failing_suite, None, 1))
     assert main(["verify", "--suite", "gapbound"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("[FAIL] synthetic")
