@@ -49,11 +49,12 @@ def identity_prob_spectral(spectrum: np.ndarray, t: float) -> float:
     Evaluates the pairwise cosine average ``(1/N^2) sum_{j,k}
     cos((l_j - l_k) t)`` in its coherent form ``|sum_j exp(-i l_j t)|^2 /
     N^2``, which is the same quantity computed in O(N).  This is
-    :func:`identity_probs_spectral` at the single time ``t``.
+    :func:`identity_probs_spectral` at the single time ``t``, which takes
+    the sines and cosines of every eigenvalue without sorting them.
 
     Args:
-        spectrum: Real eigenvalues (any order).
-        t: Evolution time, ``t >= 0``.
+        spectrum: Finite real eigenvalues (any order).
+        t: Finite evolution time, ``t >= 0``.
 
     Returns:
         A probability in [0, 1].
@@ -70,29 +71,63 @@ def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarr
 
     Row ``r`` of the phase array is ``times[r] * spectrum``, and its cosine
     and sine sums are taken along the row, so each probability equals the
-    one-time evaluation bit for bit.  Rows are evaluated in blocks of at
-    most :data:`_PHASE_ENTRIES` entries.
+    one-time evaluation bit for bit.  Rows are evaluated in blocks of
+    ``_PHASE_ENTRIES // N`` (at least one).
+
+    With more than one time, the cosine and sine are taken once per
+    distinct eigenvalue (Walsh spectra repeat a few values many times) and
+    gathered back to ``N`` columns with ``np.take``.  The gathered rows are
+    C-contiguous, hold the same doubles in the same order, and so sum to
+    the same bits.  A spectrum of distinct values skips the gather, and a
+    single time never pays for the sort.
 
     Raises:
-        ValueError: On a negative time or an empty or non-1-D spectrum.
+        ValueError: On a negative or non-finite time, an empty or non-1-D
+            spectrum, or, at any of the times, a non-finite eigenvalue or a
+            phase ``t * l`` that overflows.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("Times must be a 1-D array.")
-    negative = times[times < 0]
-    if negative.size:
-        raise ValueError(f"Time must be nonnegative, got {negative[0]}.")
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if bad.size:
+        raise ValueError(f"Time must be finite and nonnegative, got {bad[0]}.")
     values = np.asarray(spectrum, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    distinct, inverse = values, None
+    if times.size > 1:
+        unique, index = np.unique(values, return_inverse=True)
+        if unique.size < values.size:
+            distinct, inverse = unique, index
     probs = np.empty(times.size)
     rows = max(1, _PHASE_ENTRIES // values.size)
-    for start in range(0, times.size, rows):
-        phase = np.multiply.outer(times[start : start + rows], values)
-        c = np.cos(phase).sum(axis=1)
-        s = np.sin(phase).sum(axis=1)
-        probs[start : start + rows] = (c * c + s * s) / values.size**2
+    # A non-finite eigenvalue or an overflowing phase turns its rows into
+    # NaN, which is checked once below instead of in a pass over the spectrum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, times.size, rows):
+            phase = np.multiply.outer(times[start : start + rows], distinct)
+            c = _row_sums(np.cos(phase), inverse)
+            s = _row_sums(np.sin(phase), inverse)
+            probs[start : start + rows] = (c * c + s * s) / values.size**2
+    if np.isnan(probs).any():
+        if not np.isfinite(values).all():
+            raise ValueError("Spectrum must hold finite values only.")
+        scale = np.abs(values).max()
+        raise ValueError(f"Phase overflows: time {times.max()} by eigenvalue {scale}.")
     return np.minimum(probs, 1.0, out=probs)
+
+
+def _row_sums(block: np.ndarray, inverse: np.ndarray | None) -> np.ndarray:
+    """Row sums of ``block`` after gathering its columns by ``inverse``.
+
+    ``np.take`` along axis 1 returns a C-contiguous array, whose rows sum
+    pairwise exactly as the ungathered form does; ``block[:, inverse]`` is
+    F-ordered and would sum differently in the last bits.
+    """
+    if inverse is not None:
+        block = np.take(block, inverse, axis=1)
+    return block.sum(axis=1)
 
 
 def identity_prob_trace(u: np.ndarray, atol: float = 1e-8) -> float:

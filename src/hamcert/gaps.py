@@ -9,6 +9,7 @@ finds such a dip with high probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -37,17 +38,21 @@ def lambda_stat(spectrum: np.ndarray, epsilon: float) -> float:
     and are never counted since ``epsilon > 0``).
 
     Args:
-        spectrum: Real eigenvalues, any order.
-        epsilon: Separation threshold, strictly positive.
+        spectrum: Finite real eigenvalues, any order.
+        epsilon: Separation threshold, finite and strictly positive.
 
     Returns:
         The exact pair fraction in [0, 1].
     """
-    if epsilon <= 0:
-        raise ValueError(f"Separation threshold must be positive, got {epsilon}.")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(
+            f"Separation threshold must be finite and positive, got {epsilon}."
+        )
     values = np.sort(np.asarray(spectrum, dtype=float))
     if values.ndim != 1 or values.size == 0:
         raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    if not np.isfinite(values).all():
+        raise ValueError("Spectrum must hold finite values only.")
     n = values.size
     below = np.searchsorted(values, values - epsilon, side="right")
     above = n - np.searchsorted(values, values + epsilon, side="left")
@@ -63,8 +68,8 @@ class GapStatConfig:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}.")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}.")
         if not 0 < self.d <= 1:
             raise ValueError(f"d must lie in (0, 1], got {self.d}.")
         if not 0 < self.delta < 1:

@@ -122,6 +122,11 @@ def commutes(label_a: str, label_b: str) -> bool:
         raise ValueError(
             f"Pauli labels must have equal length, got {len(label_a)} and {len(label_b)}."
         )
+    return _commutes(label_a, label_b)
+
+
+def _commutes(label_a: str, label_b: str) -> bool:
+    """:func:`commutes` for two labels already known to be valid and equal in length."""
     clashes = 0
     for ca, cb in zip(label_a, label_b):
         if ca != "I" and cb != "I" and ca != cb:
@@ -183,6 +188,18 @@ class PauliSum:
             for label in sorted(accum)
             if abs(accum[label]) >= COEFF_DROP_TOL
         }
+
+    @classmethod
+    def _from_valid(cls, n: int, terms: dict[str, float]) -> "PauliSum":
+        """A sum over terms taken, in order, from valid sums on ``n`` qubits.
+
+        Skips every check and the sort of ``__init__``: the caller passes a
+        label-sorted dict whose labels and coefficients already passed them.
+        """
+        h = cls.__new__(cls)
+        h._n = n
+        h._terms = terms
+        return h
 
     @property
     def n(self) -> int:

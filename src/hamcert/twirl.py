@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, commutes, validate_label
+from .pauli import PauliSum, _commutes, validate_label
 
 __all__ = [
     "DiagonalSubspace",
@@ -57,13 +57,11 @@ class DiagonalSubspace:
         validate_label(label)
         if len(label) != self.n:
             raise ValueError(f"Label length {len(label)} does not match n={self.n}.")
-        return all(ch == "I" or ch == ax for ch, ax in zip(label, self.axes))
+        return self._holds(label)
 
-    def element(self, include_bits: np.ndarray) -> str:
-        """Subspace member selected by an inclusion bit per site."""
-        return "".join(
-            ax if bit else "I" for ax, bit in zip(self.axes, include_bits)
-        )
+    def _holds(self, label: str) -> bool:
+        """:meth:`contains` for a label already known to be valid on ``n`` qubits."""
+        return all(ch == "I" or ch == ax for ch, ax in zip(label, self.axes))
 
     def __str__(self) -> str:
         return "".join(self.axes)
@@ -133,14 +131,18 @@ def project_effective(
     """Split ``h`` into its in-subspace and off-subspace parts.
 
     Returns ``(effective, off)`` with ``effective + off == h`` exactly.
+    Both parts keep the terms of ``h`` in order, so they are built without
+    re-validating them.
     """
     if h.n != subspace.n:
         raise ValueError(f"System sizes differ: {h.n} vs {subspace.n}.")
+    if not h:
+        return h, h
     inside: dict[str, float] = {}
     outside: dict[str, float] = {}
     for label, coeff in h.items():
-        (inside if subspace.contains(label) else outside)[label] = coeff
-    return PauliSum(h.n, inside), PauliSum(h.n, outside)
+        (inside if subspace._holds(label) else outside)[label] = coeff
+    return PauliSum._from_valid(h.n, inside), PauliSum._from_valid(h.n, outside)
 
 
 def apply_twirl(
@@ -155,13 +157,14 @@ def apply_twirl(
     effective, off = project_effective(h1, subspace)
     surviving: dict[str, float] = {}
     for label, coeff in off.items():
-        if all(commutes(p, label) for p in paulis):
+        if all(_commutes(p, label) for p in paulis):
             surviving[label] = coeff
+    # The transcript rejects any draw that is not a member of the subspace.
     return TwirlTranscript(
         subspace=subspace,
         paulis=tuple(paulis),
         effective=effective,
-        residual=PauliSum(h1.n, surviving),
+        residual=PauliSum._from_valid(h1.n, surviving),
     )
 
 

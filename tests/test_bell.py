@@ -17,7 +17,8 @@ from hamcert.bell import (
     sample_identity_shots,
 )
 from hamcert.dense import eigenvalues, evolve, pauli_matrix, to_dense
-from hamcert.instances import random_pauli_sum
+from hamcert.instances import random_diagonal_sum, random_pauli_sum
+from hamcert.moments import walsh_eigenvalues
 from hamcert.pauli import PauliSum
 
 
@@ -29,6 +30,14 @@ def brute_identity_prob(spectrum, t):
         for lk in values:
             total += math.cos((lj - lk) * t)
     return total / values.size**2
+
+
+def np_sum_form(spectrum, t):
+    """One time at a time: the row sums that the vectorised form must equal."""
+    phase = np.asarray(spectrum, dtype=float) * float(t)
+    c = float(np.sum(np.cos(phase)))
+    s = float(np.sum(np.sin(phase)))
+    return min((c * c + s * s) / phase.size**2, 1.0)
 
 
 class TestIdentityProbSpectral:
@@ -85,12 +94,6 @@ class TestIdentityProbSpectral:
             assert lhs <= h * max_gap + 1e-12
 
     def test_equals_the_np_sum_form_bit_for_bit(self):
-        def np_sum_form(spectrum, t):
-            phase = np.asarray(spectrum, dtype=float) * float(t)
-            c = float(np.sum(np.cos(phase)))
-            s = float(np.sum(np.sin(phase)))
-            return min((c * c + s * s) / phase.size**2, 1.0)
-
         rng = np.random.default_rng(9)
         # 2^17 eigenvalues: two times per block of the vectorised form.
         for size in (1, 2, 3, 7, 8, 9, 64, 100, 1024, 4097, 2**17):
@@ -101,6 +104,69 @@ class TestIdentityProbSpectral:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             got = identity_probs_spectral(spec, times)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_repeated_eigenvalues_equal_the_np_sum_form_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        spectra = []
+        # t terms give at most 2^t distinct values among 2^n.
+        for n in range(4, 9):
+            for terms in (1, 2, 3):
+                h = random_diagonal_sum(n, 2, rng, num_terms=terms)
+                spectra.append(walsh_eigenvalues(h))
+        # Up to 2^17 entries; 3 * 2^15 does not divide the 2^18-entry block,
+        # and 21 times leave a short last block.
+        for size, distinct in ((2**17, 2), (2**17, 5), (3 * 2**15, 3), (4097, 17)):
+            base = rng.normal(scale=3.0, size=distinct)
+            spectra.append(np.repeat(base, -(-size // distinct))[:size])
+            spectra.append(np.tile(base, -(-size // distinct))[:size])
+        spectra.append(np.array([0.0, -0.0, 1.5, 0.0, -1.5, -0.0]))
+        spectra.append(np.array([-0.0, 0.0]))
+        gathers = []
+        take = np.take
+
+        def counted_take(*args, **kwargs):
+            gathers.append(1)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted_take)
+        for spec in spectra:
+            assert np.unique(spec).size < spec.size
+            times = np.concatenate(([0.0], rng.uniform(0.0, 50.0, size=20)))
+            want = np.array([np_sum_form(spec, t) for t in times])
+            gathers.clear()
+            got = identity_probs_spectral(spec, times)
+            assert gathers, "the repeated spectrum did not take the gather path"
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_single_time_never_sorts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called for a single time")
+
+        spec = np.repeat([-0.7, 0.7], 512)
+        want = np_sum_form(spec, 1.3)
+        monkeypatch.setattr(np, "unique", refuse)
+        assert identity_prob_spectral(spec, 1.3) == want
+        assert identity_probs_spectral(spec, np.array([1.3]))[0] == want
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            identity_prob_spectral(np.array([0.0, 1.0]), t)
+        with pytest.raises(ValueError, match="finite"):
+            identity_probs_spectral(np.array([0.0, 1.0]), np.array([1.0, t]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            identity_prob_spectral(np.array([0.0, bad, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            identity_probs_spectral(np.array([bad, 1.0]), np.array([0.0, 0.5]))
+
+    def test_overflowing_phase_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            identity_prob_spectral(np.array([-1e200, 1e200]), 1e200)
+        with pytest.raises(ValueError, match="overflows"):
+            identity_probs_spectral(np.array([0.0, 1e10]), np.array([1.0, 1e300]))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

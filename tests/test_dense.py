@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert.dense import (
     PAULI_MATRICES,
@@ -86,6 +88,20 @@ class TestToDenseBitIdentity:
             h = random_pauli_sum(n, int(rng.integers(1, min(n, 3) + 1)), rng)
             got, want = to_dense(h), _kron_sum(h)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), h
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_equals_the_sum_of_pauli_matrices(self, data, n):
+        # Subnormal, tiny and large coefficients, with terms that share a
+        # flip mask and so land on the same entries.
+        label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda p: p.strip("I"))
+        coeff = st.floats(-1e6, 1e6)
+        h = PauliSum(n, data.draw(st.dictionaries(label, coeff, max_size=12)))
+        want = np.zeros((2**n, 2**n), dtype=complex)
+        for p, c in h.items():
+            want += c * pauli_matrix(p)
+        got = to_dense(h)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), h
 
     def test_cancelling_terms_leave_positive_zeros(self):
         # XX and YY share a flip mask; their corner entries cancel.

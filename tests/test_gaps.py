@@ -59,6 +59,17 @@ class TestLambdaStat:
         for c in (2.0, 0.5, 8.0):
             assert lambda_stat(c * spec, c * 0.7) == lambda_stat(spec, 0.7)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # A NaN threshold used to give the fraction 1.0.
+        with pytest.raises(ValueError, match="finite"):
+            lambda_stat(np.array([-1.0, 1.0]), eps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            lambda_stat(np.array([-1.0, bad, 1.0]), 0.5)
+
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
             lambda_stat(np.array([0.0, 1.0]), 0.0)
@@ -94,6 +105,14 @@ class TestGapStatConfig:
             GapStatConfig(epsilon=1.0, d=1.5, delta=0.1)
         with pytest.raises(ValueError):
             GapStatConfig(epsilon=1.0, d=0.5, delta=1.0)
+
+    @pytest.mark.parametrize("field", ["epsilon", "d", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # A NaN epsilon used to be accepted, and every search then missed.
+        kwargs = {"epsilon": 1.0, "d": 0.5, "delta": 0.1, field: value}
+        with pytest.raises(ValueError):
+            GapStatConfig(**kwargs)
 
 
 class TestFindDropTime:

@@ -31,6 +31,11 @@ from hamcert.twirl import (
 )
 
 
+def _member(subspace, bits):
+    """The subspace member that holds the site's axis wherever ``bits`` is set."""
+    return "".join(ax if bit else "I" for ax, bit in zip(subspace.axes, bits))
+
+
 class TestLedger:
     def test_charges_accumulate(self):
         ledger = EvolutionLedger()
@@ -228,7 +233,7 @@ def test_sample_twirl_matches_direct_twirl():
 def _frame_diagonal_sum(subspace, rng, terms):
     """Random coefficients on non-identity members of the subspace."""
     members = {
-        subspace.element(rng.integers(0, 2, size=subspace.n)) for _ in range(terms)
+        _member(subspace, rng.integers(0, 2, size=subspace.n)) for _ in range(terms)
     }
     members.discard("I" * subspace.n)
     return PauliSum(subspace.n, {m: float(rng.normal()) for m in members})
@@ -323,7 +328,7 @@ class TestEffectiveIdentityProb:
         for r in ranks:
             terms = dict(_frame_diagonal_sum(subspace, rng, 2 * n).items())
             for j in range(r):
-                letters = list(subspace.element(rng.integers(0, 2, size=n)))
+                letters = list(_member(subspace, rng.integers(0, 2, size=n)))
                 letters[j] = rng.choice([a for a in "XYZ" if a != subspace.axes[j]])
                 terms["".join(letters)] = float(rng.normal())
             tr = apply_twirl(PauliSum(n, terms), subspace, ())
@@ -379,7 +384,7 @@ def transcripts(draw, max_n=6):
     coeffs = st.floats(-1.0, 1.0, allow_subnormal=False)
     terms = draw(st.dictionaries(labels, coeffs, max_size=3 * n))
     bits = st.lists(st.booleans(), min_size=n, max_size=n)
-    paulis = tuple(subspace.element(b) for b in draw(st.lists(bits, max_size=2)))
+    paulis = tuple(_member(subspace, b) for b in draw(st.lists(bits, max_size=2)))
     return apply_twirl(PauliSum(n, terms), subspace, paulis)
 
 

@@ -30,6 +30,11 @@ from hamcert.twirl import (
 )
 
 
+def _member(subspace, bits):
+    """The subspace member that holds the site's axis wherever ``bits`` is set."""
+    return "".join(ax if bit else "I" for ax, bit in zip(subspace.axes, bits))
+
+
 def _sectors(s, paulis):
     """The ``2^T`` subset products of the draws, in subset-mask order.
 
@@ -39,7 +44,7 @@ def _sectors(s, paulis):
     for p in paulis:
         drawn = np.array([ch != "I" for ch in p])
         bits += [b ^ drawn for b in bits]
-    return tuple(map(s.element, bits))
+    return tuple(_member(s, b) for b in bits)
 
 
 def _sector_matrices(paulis, dim):
@@ -103,7 +108,8 @@ class TestUnroll:
         # At n <= 4 identity draws and repeated draws are frequent.
         axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
         s = DiagonalSubspace(tuple(axes))
-        member = st.lists(st.booleans(), min_size=n, max_size=n).map(s.element)
+        bits = st.lists(st.booleans(), min_size=n, max_size=n)
+        member = bits.map(lambda b: _member(s, b))
         paulis = tuple(data.draw(st.lists(member, min_size=draws, max_size=draws)))
         mats = [pauli_matrix(p) for p in paulis]
         assert twirl_conjugators(s, paulis) == paulis
@@ -251,7 +257,8 @@ def test_doubling_matches_the_flat_product_over_all_sectors(data, n, draws, step
     mask-ordered sector matrices, identity and repeated draws included."""
     axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
     s = DiagonalSubspace(tuple(axes))
-    member = st.lists(st.booleans(), min_size=n, max_size=n).map(s.element)
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    member = bits.map(lambda b: _member(s, b))
     paulis = tuple(data.draw(st.lists(member, min_size=draws, max_size=draws)))
     rng = np.random.default_rng(seed)
     h0 = random_pauli_sum(n, min(n, 2), rng, num_terms=3)

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert.instances import random_pauli_sum
-from hamcert.pauli import PauliSum, frobenius_norm
+from hamcert.pauli import PauliSum, commutes, frobenius_norm
 from hamcert.twirl import (
     DiagonalSubspace,
     TwirlTranscript,
@@ -17,6 +19,11 @@ from hamcert.twirl import (
     sample_subspace,
     sample_twirl_paulis,
 )
+
+
+def _member(subspace, bits):
+    """The subspace member that holds the site's axis wherever ``bits`` is set."""
+    return "".join(ax if bit else "I" for ax, bit in zip(subspace.axes, bits))
 
 
 class TestDiagonalSubspace:
@@ -30,10 +37,6 @@ class TestDiagonalSubspace:
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError):
             DiagonalSubspace(("X", "I"))
-
-    def test_element_from_bits(self):
-        s = DiagonalSubspace(("Y", "Z", "X"))
-        assert s.element(np.array([1, 0, 1])) == "YIX"
 
 
 class TestSampleSubspace:
@@ -83,7 +86,7 @@ class TestSampleTwirlPaulis:
             s = sample_subspace(n, np.random.default_rng([seed, n]))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             bits = ref_rng.integers(0, 2, size=(steps, n))
-            expected = tuple(s.element(row) for row in bits)
+            expected = tuple(_member(s, row) for row in bits)
             assert sample_twirl_paulis(s, steps, rng) == expected
             # The same draws leave the generator in the same state.
             assert rng.random() == ref_rng.random()
@@ -121,6 +124,40 @@ class TestProjectEffective:
         assert eff + off == h
         assert all(s.contains(p) for p in eff.labels())
         assert not any(s.contains(p) for p in off.labels())
+
+    def test_empty_sum_is_its_own_split(self):
+        h = PauliSum(3)
+        eff, off = project_effective(h, DiagonalSubspace(("Y", "Z", "X")))
+        assert eff == off == h
+        with pytest.raises(ValueError, match="differ"):
+            project_effective(h, DiagonalSubspace(("Z",)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 6), draws=st.integers(0, 4))
+    def test_trusted_split_equals_the_validating_constructor(self, data, n, draws):
+        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+        s = DiagonalSubspace(tuple(axes))
+        label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda p: p.strip("I"))
+        coeff = st.floats(allow_nan=False, allow_infinity=False)
+        h = PauliSum(n, data.draw(st.dictionaries(label, coeff, max_size=12)))
+        bits = st.lists(st.booleans(), min_size=n, max_size=n)
+        rows = data.draw(st.lists(bits, min_size=draws, max_size=draws))
+        paulis = tuple(_member(s, b) for b in rows)
+        inside = {p: c for p, c in h.items() if s.contains(p)}
+        outside = {p: c for p, c in h.items() if not s.contains(p)}
+        surviving = {
+            p: c for p, c in outside.items() if all(commutes(q, p) for q in paulis)
+        }
+        tr = apply_twirl(h, s, paulis)
+        got = (*project_effective(h, s), tr.effective, tr.residual)
+        want = (
+            PauliSum(n, inside),
+            PauliSum(n, outside),
+            PauliSum(n, inside),
+            PauliSum(n, surviving),
+        )
+        for g, w in zip(got, want):
+            assert (g, g.to_text(), hash(g)) == (w, w.to_text(), hash(w))
 
 
 class TestTwirl:
