@@ -308,6 +308,7 @@ def run_round(
     the acceptance threshold.
     """
     subspace = sample_subspace(h0.n, rng)
+    axes = str(subspace)
     shots = cfg.shots_per_round
     if cfg.mode is OracleMode.EXACT_EFFECTIVE:
         transcript = oracle.sample_twirl(h0, subspace, cfg.twirl_steps, rng)
@@ -327,8 +328,8 @@ def run_round(
     fraction = count / shots
     return RoundRecord(
         index=index,
-        axes=str(subspace),
-        transcript_digest=_digest(str(subspace), paulis),
+        axes=axes,
+        transcript_digest=_digest(axes, paulis),
         time=t,
         identity_fraction=fraction,
         flagged=fraction <= cfg.accept_threshold,

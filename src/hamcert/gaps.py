@@ -119,11 +119,12 @@ def find_drop_times(
     A block of searches draws the most times it can use, ``m_times`` per
     search, with one ``rng.random`` call and evaluates them all at once.
     The searches then take their draws in order, each up to and including
-    its first hit.  Finally ``rng`` is rewound and advanced by exactly the
-    draws taken.  The results and the final ``rng`` state are those of
-    ``searches`` calls of :func:`find_drop_time` that draw one
-    ``rng.uniform(0.0, 2/epsilon)`` at a time: ``random() * horizon`` is
-    that draw bit for bit.
+    its first hit: with the index of the next hit at or after every draw
+    known, a search is one lookup.  Finally ``rng`` is rewound and
+    advanced by exactly the draws taken.  The results and the final
+    ``rng`` state are those of ``searches`` calls of :func:`find_drop_time`
+    that draw one ``rng.uniform(0.0, 2/epsilon)`` at a time:
+    ``random() * horizon`` is that draw bit for bit.
     """
     if searches < 0:
         raise ValueError(f"Search count must be nonnegative, got {searches}.")
@@ -136,15 +137,16 @@ def find_drop_times(
         state = rng.bit_generator.state
         times = rng.random(block * draws) * horizon
         probs = identity_probs_spectral(spectrum, times)
-        hits = (probs <= target).tolist()
+        # next_hit[i]: the first hit at or after draw i, or the draw count.
+        next_hit = np.where(probs <= target, np.arange(times.size), times.size)
+        next_hit = np.minimum.accumulate(next_hit[::-1])[::-1].tolist()
         times, probs = times.tolist(), probs.tolist()
         used = 0
         for _ in range(block):
-            for i in range(used, used + draws):
-                if hits[i]:
-                    found.append(DropTime(times[i], probs[i]))
-                    used = i + 1
-                    break
+            i = next_hit[used]
+            if i < used + draws:
+                found.append(DropTime(times[i], probs[i]))
+                used = i + 1
             else:
                 found.append(None)
                 used += draws

@@ -320,6 +320,7 @@ class EvolutionOracle:
             raise ValueError(
                 f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
             )
-        if self._difference is None or self._difference[0] != h0:
+        cached = self._difference
+        if cached is None or (cached[0] is not h0 and cached[0] != h0):
             self._difference = (h0, subtract(self._hidden, h0))
         return run_twirl(self._difference[1], subspace, steps, rng)

@@ -26,6 +26,23 @@ def _member(subspace, bits):
     return "".join(ax if bit else "I" for ax, bit in zip(subspace.axes, bits))
 
 
+@st.composite
+def _twirl_case(draw, max_n=8, max_draws=40):
+    """A subspace, a sum with in-subspace and foreign terms, and member draws
+    that include all-identity rows and repeats."""
+    n = draw(st.integers(1, max_n))
+    axes = draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    s = DiagonalSubspace(tuple(axes))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    member = bits.map(lambda b: _member(s, b)).filter(lambda p: p.strip("I"))
+    label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda p: p.strip("I"))
+    coeff = st.floats(allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(st.one_of(member, label), coeff, max_size=12))
+    pool = draw(st.lists(st.one_of(st.just([False] * n), bits), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=max_draws))
+    return PauliSum(n, terms), s, tuple(_member(s, b) for b in rows)
+
+
 class TestDiagonalSubspace:
     def test_membership(self):
         s = DiagonalSubspace(("X", "Z"))
@@ -37,6 +54,12 @@ class TestDiagonalSubspace:
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError):
             DiagonalSubspace(("X", "I"))
+
+    @pytest.mark.parametrize("bad", ["XY", "", "x"])
+    def test_axis_must_be_one_letter(self, bad):
+        # "XY" and "" are substrings of "XYZ" but not axis letters.
+        with pytest.raises(ValueError, match="Axis letters"):
+            DiagonalSubspace(("X", bad))
 
 
 class TestSampleSubspace:
@@ -133,16 +156,10 @@ class TestProjectEffective:
             project_effective(h, DiagonalSubspace(("Z",)))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(1, 6), draws=st.integers(0, 4))
-    def test_trusted_split_equals_the_validating_constructor(self, data, n, draws):
-        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
-        s = DiagonalSubspace(tuple(axes))
-        label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda p: p.strip("I"))
-        coeff = st.floats(allow_nan=False, allow_infinity=False)
-        h = PauliSum(n, data.draw(st.dictionaries(label, coeff, max_size=12)))
-        bits = st.lists(st.booleans(), min_size=n, max_size=n)
-        rows = data.draw(st.lists(bits, min_size=draws, max_size=draws))
-        paulis = tuple(_member(s, b) for b in rows)
+    @given(case=_twirl_case())
+    def test_trusted_split_equals_the_validating_constructor(self, case):
+        h, s, paulis = case
+        n = h.n
         inside = {p: c for p, c in h.items() if s.contains(p)}
         outside = {p: c for p, c in h.items() if not s.contains(p)}
         surviving = {
@@ -252,3 +269,72 @@ class TestTwirl:
             first /= count
             second /= count
             assert second <= 3**k * first * first * (1 + 1e-12)
+
+
+def _fields(tr):
+    return (tr.subspace, tr.paulis, tr.effective, tr.residual,
+            tr.effective.to_text(), tr.residual.to_text())
+
+
+class TestTwirlRoutes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_twirl_case(), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_run_twirl_equals_apply_twirl_on_the_same_draws(self, case, steps, seed):
+        h, s, _ = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = run_twirl(h, s, steps, rng)
+        want = apply_twirl(h, s, sample_twirl_paulis(s, steps, ref_rng))
+        assert _fields(got) == _fields(want)
+        assert all(type(p) is str for p in got.paulis)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_twirl_case(), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_trusted_values_equal_the_validated_ones(self, case, steps, seed):
+        h, _, _ = case
+        rng = np.random.default_rng(seed)
+        s = sample_subspace(h.n, rng)
+        checked = DiagonalSubspace(tuple(str(s)))
+        assert (s, hash(s), str(s)) == (checked, hash(checked), str(checked))
+        assert all(type(ax) is str for ax in s.axes)
+        tr = run_twirl(h, s, steps, rng)
+        rebuilt = TwirlTranscript(
+            checked, tuple(tr.paulis),
+            PauliSum(h.n, tr.effective.terms), PauliSum(h.n, tr.residual.terms),
+        )
+        assert (tr, hash(tr)) == (rebuilt, hash(rebuilt))
+        assert tr.twirled == rebuilt.twirled
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_twirl_case(max_draws=6), data=st.data())
+    def test_public_constructors_reject_foreign_values(self, case, data):
+        h, s, paulis = case
+        site = data.draw(st.integers(0, s.n - 1))
+        foreign = data.draw(st.sampled_from([c for c in "XYZ" if c != s.axes[site]]))
+        row = data.draw(st.sampled_from(paulis)) if paulis else "I" * s.n
+        bad = row[:site] + foreign + row[site + 1:]
+        draws = data.draw(st.permutations((*paulis, bad)))
+        with pytest.raises(ValueError, match="not in the subspace"):
+            apply_twirl(h, s, draws)
+        with pytest.raises(ValueError, match="not in the subspace"):
+            TwirlTranscript(s, draws, PauliSum(s.n), PauliSum(s.n))
+        axes = list(s.axes)
+        axes[site] = data.draw(st.sampled_from(["I", "W", "x", "XY", ""]))
+        with pytest.raises(ValueError, match="Axis letters"):
+            DiagonalSubspace(tuple(axes))
+
+
+class TestRunTwirlChecks:
+    def test_size_mismatch_leaves_the_generator_untouched(self):
+        rng = np.random.default_rng(53)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="differ"):
+            run_twirl(PauliSum(3, {"XZI": 0.5}), DiagonalSubspace(("Z", "Z")), 34, rng)
+        assert rng.bit_generator.state == before
+
+    def test_zero_steps_leave_the_generator_untouched(self):
+        rng = np.random.default_rng(54)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least one step"):
+            run_twirl(PauliSum(2, {"XZ": 0.5}), DiagonalSubspace(("Z", "Z")), 0, rng)
+        assert rng.bit_generator.state == before
