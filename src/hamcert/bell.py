@@ -29,6 +29,7 @@ __all__ = [
     "BELL_SAMPLER_QUBIT_CAP",
     "bell_distribution",
     "bell_measure_choi",
+    "identity_prob_factors",
     "identity_prob_spectral",
     "identity_probs_spectral",
     "identity_prob_trace",
@@ -136,14 +137,37 @@ def identity_prob_trace(u: np.ndarray, atol: float = 1e-8) -> float:
     Raises:
         ValueError: If ``u`` deviates from unitarity by more than ``atol``.
     """
-    dim = u.shape[0]
-    if u.shape != (dim, dim):
-        raise ValueError(f"Expected a square matrix, got shape {u.shape}.")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if defect > atol:
-        raise ValueError(f"Matrix is not unitary (defect {defect:.3e} > {atol:.1e}).")
-    tr = np.trace(u)
-    return min(float(abs(tr) ** 2) / dim**2, 1.0)
+    return identity_prob_factors([u], atol)
+
+
+def identity_prob_factors(factors: list[np.ndarray], atol: float = 1e-8) -> float:
+    """``|Tr U|^2 / 4^n`` of the Kronecker product ``U`` of unitary factors.
+
+    The identity on further sites leaves the probability unchanged, and
+    ``|Tr U|^2 / N^2`` is the product of the factors' ``|Tr U_J|^2 /
+    N_J^2``, each capped at 1.  With ``e_J = max|U_J^dag U_J - I|``, the
+    assembled ``U^dag U - I`` is at most ``prod(1 + e_J) - 1`` entrywise,
+    and that bound is checked against ``atol``; for one factor it is
+    ``e_J`` itself.
+
+    Raises:
+        ValueError: If a factor is not square, or if the bound exceeds
+            ``atol``.
+    """
+    bound = 0.0
+    for u in factors:
+        dim = u.shape[0]
+        if u.shape != (dim, dim):
+            raise ValueError(f"Expected a square matrix, got shape {u.shape}.")
+        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+        # (1 + bound)(1 + defect) - 1, without the rounding of the leading 1.
+        bound += defect + bound * defect
+    if bound > atol:
+        raise ValueError(f"Matrix is not unitary (defect {bound:.3e} > {atol:.1e}).")
+    return math.prod(
+        (min(float(abs(np.trace(u)) ** 2) / u.shape[0] ** 2, 1.0) for u in factors),
+        start=1.0,
+    )
 
 
 def _apply_hadamard(state: np.ndarray, qubit: int) -> np.ndarray:

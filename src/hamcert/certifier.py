@@ -36,14 +36,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bell import identity_prob_trace, sample_identity_shots
+from .bell import identity_prob_factors, sample_identity_shots
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, add, frobenius_norm, is_k_local, scale
 from .trotter import (
     UNROLL_DRAW_CAP,
     TrotterPlan,
     steps_from_bound,
-    trotter_evolve,
+    trotter_blocks,
     twirl_conjugators,
 )
 from .twirl import sample_subspace, sample_twirl_paulis
@@ -320,10 +320,10 @@ def run_round(
         t = float(rng.uniform(0.0, cfg.time_cap))
         steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
         plan = TrotterPlan(twirl_conjugators(subspace, paulis), steps, t)
-        u = trotter_evolve(oracle, h0, plan, shots=shots)
+        blocks = trotter_blocks(oracle, h0, plan, shots=shots)
         # The unitarity defect of S^steps grows about steps times that of
         # the step operator S, so the 1e-8 bound holds per step.
-        prob = identity_prob_trace(u, atol=1e-8 * steps)
+        prob = identity_prob_factors([u for _, u in blocks], atol=1e-8 * steps)
     count = sample_identity_shots(prob, shots, rng)
     fraction = count / shots
     return RoundRecord(

@@ -10,9 +10,9 @@ and counted as ``N`` queries in a single charge.
 
 Evolution under the *known* reference Hamiltonian is compiled classically,
 costs nothing, and both time signs are allowed (:func:`evolve_known`).
-Both channels evolve through :func:`hamcert.dense.evolve`, which keeps the
-eigendecompositions of the two sums it evolved last: in a trotter round,
-the hidden Hamiltonian and the reference.
+Both evolve through eigendecompositions: :func:`hamcert.dense.evolve`
+keeps those of the two sums it evolved last, and a trotter oracle keeps
+those of its blocks for the most recent reference.
 
 Two oracle modes exist:
 
@@ -21,25 +21,41 @@ Two oracle modes exist:
   evolutions (see :mod:`hamcert.trotter`).  Feasible only for small twirl
   depth: the sector count doubles per twirl step, and the rounding of the
   product formula grows with it.  Only this mode diagonalizes the hidden
-  Hamiltonian, on a forward query, and it is limited to the dense cap.
+  Hamiltonian, on a forward query.
 * ``EXACT_EFFECTIVE`` substitutes the ideal evolution of the twirled
   difference and charges the same time per shot, which is what the
   resource accounting measures.  Used for statistical validation of the
   full protocol at its default constants, whose twirl depth is beyond
   the product formula's reach.
 
+Both modes factor a round over the *blocks* of its support graph (see
+:func:`hamcert.pauli.support_blocks`): when no term links two sets of
+sites, the round's unitary is a tensor product ``U = (x)_J U_J``, and
+``|Tr U|^2 / N^2`` is the product of the blocks' ``|Tr U_J|^2 / N_J^2``.
+Sites no term touches contribute a factor of 1.  The size limits apply
+per block, not to ``n``.
+
+In ``TROTTERIZED`` mode the blocks are those of the hidden Hamiltonian
+and the reference together (:meth:`EvolutionOracle.query_forward_blocks`).
+A block factor of ``exp(-i t H)`` is ``exp(-i t H)`` restricted to the
+block's sites, and the dense matrix is their Kronecker product, so the
+factors reveal nothing that the dense forward query does not.  Each block
+is at most :data:`~hamcert.dense.QUBIT_CAP` sites; the construction of an
+oracle above that size refuses a hidden block beyond it.
+
 In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
 ``hidden - reference`` on the certifier's behalf (:meth:`EvolutionOracle.
 sample_twirl`), so the certifier never holds the hidden Hamiltonian.  What
 crosses back is the twirl transcript and, per shot batch, the Bell
 identity probability of the twirled generator
-(:meth:`EvolutionOracle.effective_identity_prob`).  In the frame where
-every site's axis is Z, each Pauli term maps ``s`` to ``s ^ x`` with a
-phase, so the generator splits into ``2^(n-r)`` blocks of size ``2^r``,
-one per coset of the rank-``r`` span of the residual's flip masks, with
-the effective part's Walsh spectrum on their diagonal.  No dense matrix
-is formed: this mode accepts up to :data:`~hamcert.moments.WALSH_QUBIT_CAP`
-qubits and refuses only residuals whose blocks exceed ``2^23`` entries.
+(:meth:`EvolutionOracle.effective_identity_prob`), taken per block of the
+twirled generator's support graph.  In the frame where every site's axis
+is Z, each Pauli term maps ``s`` to ``s ^ x`` with a phase, so a block of
+``n_J`` sites splits into ``2^(n_J-r)`` coset blocks of size ``2^r``, one
+per coset of the rank-``r`` span of the residual's flip masks, with the
+effective part's Walsh spectrum on their diagonal.  No dense matrix is
+formed, and no system size is refused: only a block whose coset blocks
+would exceed ``2^23`` entries is.
 """
 
 from __future__ import annotations
@@ -48,17 +64,19 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bell import identity_prob_spectral
-from .dense import QUBIT_CAP, _signed_permutation, evolve
-from .moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
-from .pauli import PauliSum, subtract
+from .dense import QUBIT_CAP, _signed_permutation, _spectrum, evolve, propagator
+from .moments import walsh_table, walsh_transform
+from .pauli import PauliSum, restrict, subtract, support_blocks
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
 
 __all__ = [
     "AccessModelError",
+    "BlockPropagators",
     "EvolutionLedger",
     "EvolutionOracle",
     "OracleMode",
@@ -133,15 +151,17 @@ _TO_Z_FRAME = {"X": str.maketrans("XYZ", "ZXY"), "Y": str.maketrans("XYZ", "YZX"
 _FLIP_BITS = str.maketrans("IXYZ", "0110")
 
 
-def _z_frame_residual(tr: TwirlTranscript) -> tuple[list[tuple[str, float]], list[int]]:
+def _z_frame_residual(
+    axes: list[str], residual: PauliSum
+) -> tuple[list[tuple[str, float]], list[int]]:
     """Residual terms rotated so every site's axis is Z, and their flip basis.
 
     No vector of the GF(2) basis has its top bit set in another.  Raises
     ValueError when the coset blocks would exceed ``2^23`` entries.
     """
-    maps = [_TO_Z_FRAME.get(ax, {}) for ax in tr.subspace.axes]
+    maps = [_TO_Z_FRAME.get(ax, {}) for ax in axes]
     terms = [("".join(map(str.translate, label, maps)), coeff)
-             for label, coeff in tr.residual.items()]
+             for label, coeff in residual.items()]
     basis: list[int] = []
     for label, _ in terms:
         x = int(label.translate(_FLIP_BITS), 2)
@@ -149,13 +169,30 @@ def _z_frame_residual(tr: TwirlTranscript) -> tuple[list[tuple[str, float]], lis
             x = min(x, x ^ b)
         if x:
             basis = [min(b, b ^ x) for b in basis] + [x]
-    n, r = tr.subspace.n, len(basis)
+    n, r = len(axes), len(basis)
     if n + r > 23:  # 2^(n + r) complex entries: 128 MiB at most
         raise ValueError(
-            f"The residual at n={n} has flip rank r={r}: its coset blocks "
-            f"would hold 2^{n + r} complex entries, above the cap of 2^23."
+            f"A block of the twirled generator at n={n} has flip rank r={r}: "
+            f"its coset blocks would hold 2^{n + r} complex entries, above "
+            "the cap of 2^23."
         )
     return terms, basis
+
+
+def _twirled_blocks(tr: TwirlTranscript) -> list[tuple[PauliSum, list, list[int]]]:
+    """The twirled generator per block of its support graph.
+
+    Each entry holds the block's effective part and its residual terms in
+    the Z frame with their flip basis, all cut to the block's sites: the
+    arguments of :func:`_block_spectrum`.  Raises ValueError for a block
+    whose coset blocks would exceed ``2^23`` entries.
+    """
+    blocks = []
+    for sites in support_blocks(tr.effective, tr.residual):
+        axes = [tr.subspace.axes[i] for i in sites]
+        residual = _z_frame_residual(axes, restrict(tr.residual, sites))
+        blocks.append((restrict(tr.effective, sites), *residual))
+    return blocks
 
 
 def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.ndarray:
@@ -183,6 +220,24 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     return np.linalg.eigvalsh(blocks).ravel()
 
 
+class BlockPropagators(NamedTuple):
+    """One block's factors of a forward batch (see :meth:`EvolutionOracle.
+    query_forward_blocks`): ``forward`` is ``exp(-i t H)`` and ``compiled``
+    the free reference evolution ``exp(+i t H0)``, both on ``sites``."""
+
+    sites: tuple[int, ...]
+    forward: np.ndarray
+    compiled: np.ndarray
+
+
+def _largest_block(blocks: list[tuple[int, ...]]) -> int:
+    return max(map(len, blocks), default=0)
+
+
+def _same_reference(cached: tuple | None, h0: PauliSum) -> bool:
+    return cached is not None and (cached[0] is h0 or cached[0] == h0)
+
+
 class EvolutionOracle:
     """Black-box forward evolution of a hidden Hamiltonian.
 
@@ -193,20 +248,28 @@ class EvolutionOracle:
     Args:
         hidden: The unknown Hamiltonian being certified.
         mode: Fixed per run; see module docstring.
+
+    Raises:
+        ValueError: In ``TROTTERIZED`` mode, if a block of the hidden
+            Hamiltonian's support graph exceeds the dense cap.
     """
 
     def __init__(self, hidden: PauliSum, mode: OracleMode) -> None:
-        limit = WALSH_QUBIT_CAP if mode is OracleMode.EXACT_EFFECTIVE else QUBIT_CAP
-        if hidden.n > limit:
-            raise ValueError(
-                f"Hidden system size n={hidden.n} exceeds the {mode.value}-mode "
-                f"cap of {limit}."
-            )
+        if mode is OracleMode.TROTTERIZED and hidden.n > QUBIT_CAP:
+            largest = _largest_block(support_blocks(hidden))
+            if largest > QUBIT_CAP:
+                raise ValueError(
+                    f"The hidden Hamiltonian links {largest} sites, above the "
+                    f"trotter-mode cap of {QUBIT_CAP} per block."
+                )
         self._hidden = hidden
         self._last_query: tuple[float, np.ndarray] | None = None
         # hidden - h0 of the most recent reference: a certify run twirls
         # the same difference every round.
         self._difference: tuple[PauliSum, PauliSum] | None = None
+        # The blocks of hidden + h0 for the most recent reference, each with
+        # the eigendecompositions of both sums cut to it.
+        self._blocks: tuple[PauliSum, list] | None = None
         self.mode = mode
         self.ledger = EvolutionLedger()
 
@@ -228,9 +291,14 @@ class EvolutionOracle:
             AccessModelError: Unless ``0 <= t < inf`` (inverse evolution is
                 not part of the access model).
             TypeError: If ``count`` is not an integer.
-            ValueError: If ``count < 1``.  All checks run before any
-                charge, so a rejected request leaves the ledger unchanged.
+            ValueError: If ``count < 1``, or if the system exceeds the
+                dense cap.  All checks run before any charge, so a rejected
+                request leaves the ledger unchanged.
         """
+        if self.n_qubits > QUBIT_CAP:
+            raise ValueError(
+                f"n={self.n_qubits} exceeds the dense cap of {QUBIT_CAP} qubits."
+            )
         t, count = _forward_request(t, count)
         self.ledger.charge(count * t, queries=count)
         if self._last_query is None or self._last_query[0] != t:
@@ -238,6 +306,51 @@ class EvolutionOracle:
             u.setflags(write=False)
             self._last_query = (t, u)
         return self._last_query[1]
+
+    def query_forward_blocks(
+        self, h0: PauliSum, t: float, count: int = 1
+    ) -> list[BlockPropagators]:
+        """Forward query ``exp(-i t H)``, one factor per block of ``H`` and ``h0``.
+
+        The blocks are those of the support graph of the hidden Hamiltonian
+        and the reference together, so ``exp(-i t H)`` is the Kronecker
+        product of the returned ``forward`` factors and the identity on the
+        sites no term touches; the factors reveal nothing that the dense
+        matrix does not.  Each block also carries the reference's compiled
+        evolution ``exp(+i t H0)`` on it, which is free.  Makes the same
+        single charge as :meth:`query_forward`: ``count * t`` and
+        ``count`` queries.
+
+        The blocks, and the eigendecompositions of both sums cut to each,
+        are kept for the most recent reference.  When one block spans every
+        site, the sums themselves are decomposed, so the spectra that
+        :func:`hamcert.dense.evolve` keeps are reused.
+
+        Raises:
+            AccessModelError, TypeError: As :meth:`query_forward`.
+            ValueError: If ``count < 1``, if ``h0`` has another size, or if
+                a block exceeds the dense cap.  All checks run before any
+                charge.
+        """
+        if h0.n != self.n_qubits:
+            raise ValueError(
+                f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
+            )
+        t, count = _forward_request(t, count)
+        if not _same_reference(self._blocks, h0):
+            blocks = support_blocks(self._hidden, h0)
+            largest = _largest_block(blocks)
+            if largest > QUBIT_CAP:
+                raise ValueError(
+                    f"The hidden Hamiltonian and the reference link {largest} "
+                    f"sites, above the trotter-mode cap of {QUBIT_CAP} per block."
+                )
+            spectra = [(sites, _spectrum(restrict(self._hidden, sites)),
+                        _spectrum(restrict(h0, sites))) for sites in blocks]
+            self._blocks = (h0, spectra)
+        self.ledger.charge(count * t, queries=count)
+        return [BlockPropagators(sites, propagator(*hidden, t), propagator(*known, -t))
+                for sites, hidden, known in self._blocks[1]]
 
     def _charge_shots(self, n: int, t: float, shots: int) -> float:
         # The checks shared by both effective-shot channels, then their one
@@ -282,26 +395,29 @@ class EvolutionOracle:
         """Bell identity probability ``|Tr exp(-i t H_T)|^2 / 4^n`` of a shot batch.
 
         Makes the same checks and the same single ``shots * t`` charge as
-        :meth:`effective_shot`, then takes the spectrum of ``H_T`` from its
-        coset blocks (see the module docstring): with no residual, the
-        Walsh transform of the effective part in ``O(n 2^n)``.  When the
-        effective part is empty too (``H = H0``), that spectrum is all
-        zeros and the probability is exactly ``1.0``, returned without
-        building it.
+        :meth:`effective_shot`.  The probability is the product over the
+        blocks of ``H_T``'s support graph of each block's probability,
+        whose spectrum comes from its coset blocks (see the module
+        docstring): with no residual, the Walsh transform of the block's
+        effective part in ``O(n_J 2^n_J)``.  When ``H_T`` is empty
+        (``H = H0``), there is no block and the probability is exactly
+        ``1.0``.
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
             AccessModelError: Unless ``0 <= t < inf``.
-            ValueError: If the residual's coset blocks would hold more
-                than ``2^23`` entries; checked before anything is charged.
+            ValueError: If a block's coset blocks would hold more than
+                ``2^23`` entries; checked before anything is charged.
         """
-        terms, basis = _z_frame_residual(transcript) if transcript.residual else ([], [])
+        # H = H0 leaves no term, so no partition is built: the empty
+        # product is 1.0.
+        empty = not transcript.effective and not transcript.residual
+        blocks = [] if empty else _twirled_blocks(transcript)
         t = self._charge_shots(transcript.subspace.n, t, shots)
-        if not transcript.effective and not terms:
-            # 2^n ones sum to 2^n exactly, so the Walsh route gives N^2 / N^2.
-            return 1.0
-        spectrum = _block_spectrum(transcript.effective, terms, basis)
-        return identity_prob_spectral(spectrum, t)
+        prob = 1.0
+        for block in blocks:
+            prob *= identity_prob_spectral(_block_spectrum(*block), t)
+        return prob
 
     def sample_twirl(
         self,
@@ -320,7 +436,6 @@ class EvolutionOracle:
             raise ValueError(
                 f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
             )
-        cached = self._difference
-        if cached is None or (cached[0] is not h0 and cached[0] != h0):
+        if not _same_reference(self._difference, h0):
             self._difference = (h0, subtract(self._hidden, h0))
         return run_twirl(self._difference[1], subspace, steps, rng)

@@ -37,8 +37,10 @@ __all__ = [
     "frobenius_norm",
     "is_k_local",
     "parse_hamiltonian",
+    "restrict",
     "scale",
     "subtract",
+    "support_blocks",
     "validate_label",
     "weight",
 ]
@@ -312,6 +314,64 @@ def scale(h: PauliSum, factor: float) -> PauliSum:
     if not math.isfinite(value):
         raise ValueError(f"Scale factor is not finite: {factor!r}.")
     return PauliSum(h.n, {p: c * value for p, c in h._terms.items()})
+
+
+def support_blocks(*sums: PauliSum) -> list[tuple[int, ...]]:
+    """Connected components of the support graph of ``sums``.
+
+    Two sites are linked when some term of one of the sums acts on both.
+    Only components that hold a term are returned: a site no term touches
+    belongs to none.  Each block lists its sites in increasing order, and
+    the blocks are ordered by their first site.
+
+    Examples:
+        >>> support_blocks(PauliSum(5, {"XIIZI": 1.0}), PauliSum(5, {"IIIZZ": 0.5}))
+        [(0, 3, 4)]
+        >>> support_blocks(PauliSum(4, {"XIII": 1.0, "IIYZ": 0.5}))
+        [(0,), (2, 3)]
+    """
+    parent: dict[int, int] = {}
+
+    def root(site: int) -> int:
+        while parent[site] != site:
+            parent[site] = site = parent[parent[site]]
+        return site
+
+    for h in sums:
+        for label in h._terms:
+            sites = [i for i, ch in enumerate(label) if ch != "I"]
+            for site in sites:
+                parent.setdefault(site, site)
+            first = root(sites[0])
+            for site in sites[1:]:
+                parent[root(site)] = first = root(first)
+    blocks: dict[int, list[int]] = {}
+    for site in sorted(parent):
+        blocks.setdefault(root(site), []).append(site)
+    return sorted(map(tuple, blocks.values()))
+
+
+def restrict(h: PauliSum, sites: tuple[int, ...]) -> PauliSum:
+    """The terms of ``h`` that act only on ``sites``, each cut to those sites.
+
+    ``sites`` must be increasing and lie in ``range(h.n)``; all ``n`` of
+    them give back ``h`` itself.  Two such terms first differ inside
+    ``sites``, so the cut labels keep the order of ``h``, and the result
+    is built without checking them again.
+
+    Examples:
+        >>> restrict(PauliSum(4, {"XIIZ": 1.0, "IYII": 0.5}), (0, 3))
+        PauliSum(n=2, +1*XZ)
+    """
+    if len(sites) == h.n:
+        return h
+    terms: dict[str, float] = {}
+    for label, coeff in h._terms.items():
+        cut = "".join([label[i] for i in sites])
+        # The term lies in the block when the cut keeps all its letters.
+        if len(sites) - cut.count("I") == len(label) - label.count("I"):
+            terms[cut] = coeff
+    return PauliSum._from_valid(len(sites), terms)
 
 
 def is_k_local(h: PauliSum, k: int) -> bool:

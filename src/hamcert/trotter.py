@@ -15,6 +15,15 @@ factors in exactly reversed order.  Each forward half-factor lasts
 ``tau * 2^-T / 2``, so a full shot of duration ``t`` charges exactly
 ``t`` of forward evolution time regardless of the step count, and the
 operator-norm error decays as ``O(t^3 / steps^2)``.
+
+The draws are tensor products of single-site Paulis, so the step operator
+factors over the blocks of the support graph of the hidden Hamiltonian
+and the reference (see :meth:`hamcert.oracle.EvolutionOracle.
+query_forward_blocks`): :func:`trotter_blocks` runs the product formula
+on each block's sites alone, with the draws cut to them.  A block holds at
+most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever the system size;
+:func:`trotter_evolve` assembles the dense unitary and so keeps that cap
+on ``n``.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import evolve, operator_norm, pauli_conjugate
-from .oracle import EvolutionOracle, OracleMode, OracleModeError, evolve_known
+from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugate
+from .oracle import EvolutionOracle, OracleMode, OracleModeError
 from .pauli import PauliSum
 from .twirl import DiagonalSubspace
 
@@ -37,6 +46,7 @@ __all__ = [
     "TrotterPlan",
     "calibrate_steps",
     "steps_from_bound",
+    "trotter_blocks",
     "trotter_error",
     "trotter_evolve",
     "twirl_conjugators",
@@ -58,7 +68,7 @@ def twirl_conjugators(
     Their ``2^T`` subset products are the sector conjugators, whose
     coefficient-space average equals the twirl filter exactly.  Within one
     subspace the draws commute and every product is phase-free, which
-    :func:`trotter_evolve` relies on.
+    :func:`trotter_blocks` relies on.
 
     Raises:
         ValueError: If there are more than :data:`UNROLL_DRAW_CAP` draws
@@ -122,17 +132,35 @@ def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
     return max(math.ceil(guess), 1)
 
 
-def trotter_evolve(
+def _strang_power(
+    forward: np.ndarray, compiled: np.ndarray, draws: tuple[str, ...], steps: int
+) -> np.ndarray:
+    """The symmetric step operator from its half-factors, to the power ``steps``.
+
+    Sector ``m + 2^j`` is sector ``m`` conjugated by draw ``j``, so each
+    half of the step operator doubles once per draw; repeated squaring
+    then raises it to the step count.
+    """
+    # Sectors in mask order, then in reversed order.
+    first_half = forward @ compiled
+    second_half = compiled @ forward
+    for p in draws:
+        first_half = first_half @ pauli_conjugate(first_half, p)
+        second_half = pauli_conjugate(second_half, p) @ second_half
+    return np.linalg.matrix_power(first_half @ second_half, steps)
+
+
+def trotter_blocks(
     oracle: EvolutionOracle,
     h0: PauliSum,
     plan: TrotterPlan,
     shots: int = 1,
-) -> np.ndarray:
-    """Run the symmetric product formula through the forward oracle.
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Run the symmetric product formula through the forward oracle, per block.
 
-    Assembles one step operator and raises it to the step count by
-    repeated squaring.  Sector ``m + 2^j`` is sector ``m`` conjugated by
-    draw ``j``, so each half of the step operator doubles once per draw.
+    Returns ``(sites, u)`` per block of the support graph of the hidden
+    Hamiltonian and ``h0``: the implemented unitary is the Kronecker
+    product of the ``u`` and the identity on the sites no term touches.
     Every physical forward query of the batch has the same duration, so
     the batch is charged in one call that counts each query: the ledger
     gains exactly ``shots * steps * 2 * 2^T`` queries and that count times
@@ -142,28 +170,52 @@ def trotter_evolve(
 
     Raises:
         OracleModeError: Outside ``TROTTERIZED`` mode.
+        ValueError: On a shot count below 1, a reference of another size,
+            or a block above the dense cap; checked before any charge.
     """
     if oracle.mode is not OracleMode.TROTTERIZED:
-        raise OracleModeError("trotter_evolve requires TROTTERIZED mode.")
+        raise OracleModeError("The product formula requires TROTTERIZED mode.")
     if shots < 1:
         raise ValueError(f"Shot count must be positive, got {shots}.")
-    if h0.n != oracle.n_qubits:
-        raise ValueError(
-            f"Reference size {h0.n} does not match the oracle's {oracle.n_qubits}."
-        )
     half_dur = plan.total_time * plan.sector_weight / (2 * plan.steps)
-
     # One forward query per sector per half-step per shot.
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
-    forward = oracle.query_forward(half_dur, count=queries)
-    compiled = evolve_known(h0, -half_dur)
-    # Sectors in mask order, then in reversed order.
-    first_half = forward @ compiled
-    second_half = compiled @ forward
-    for p in plan.draws:
-        first_half = first_half @ pauli_conjugate(first_half, p)
-        second_half = pauli_conjugate(second_half, p) @ second_half
-    return np.linalg.matrix_power(first_half @ second_half, plan.steps)
+    blocks = oracle.query_forward_blocks(h0, half_dur, count=queries)
+    out = []
+    for sites, forward, compiled in blocks:
+        draws = tuple("".join([p[i] for i in sites]) for p in plan.draws)
+        out.append((sites, _strang_power(forward, compiled, draws, plan.steps)))
+    return out
+
+
+def trotter_evolve(
+    oracle: EvolutionOracle,
+    h0: PauliSum,
+    plan: TrotterPlan,
+    shots: int = 1,
+) -> np.ndarray:
+    """The dense unitary of :func:`trotter_blocks`, with the same charge.
+
+    Qubit 0 is the most significant bit, as in :mod:`hamcert.dense`.
+
+    Raises:
+        OracleModeError: Outside ``TROTTERIZED`` mode.
+        ValueError: As :func:`trotter_blocks`, and if the system exceeds
+            the dense cap; checked before any charge.
+    """
+    n = oracle.n_qubits
+    if n > QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the dense cap of {QUBIT_CAP} qubits.")
+    u = np.ones((1, 1), dtype=complex)
+    order: list[int] = []
+    for sites, block in trotter_blocks(oracle, h0, plan, shots):
+        u = np.kron(u, block)
+        order += sites
+    idle = sorted(set(range(n)) - set(order))
+    u = np.kron(u, np.eye(2 ** len(idle)))
+    # Axis a of the product is site order[a]; move each site to its place.
+    axis = np.argsort(order + idle)
+    return u.reshape((2,) * 2 * n).transpose(*axis, *(axis + n)).reshape(2**n, 2**n)
 
 
 class TrotterError(NamedTuple):

@@ -185,12 +185,14 @@ def _split(
 
     A term survives exactly when its mismatch mask has even overlap with
     every draw; the survivors with a zero mask are the effective part.
+    The overlap counts come from a float64 product, which runs through
+    BLAS and is exact: each count is at most ``n``.
     """
     if not h1:
         return TwirlTranscript._trusted(subspace, paulis, h1, h1)
     mismatch = _mismatch(h1, subspace)
-    odd = (bits @ mismatch.T.astype(np.int64)) & 1
-    kept = (odd.sum(axis=0) == 0).tolist()
+    overlaps = bits.astype(np.float64) @ mismatch.T
+    kept = (~(overlaps.astype(np.int64) & 1).any(axis=0)).tolist()
     inside = (~mismatch.any(axis=1)).tolist()
     effective: dict[str, float] = {}
     residual: dict[str, float] = {}

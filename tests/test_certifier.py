@@ -1,11 +1,13 @@
 """Tests for the certification protocol, its config, and the sweep harness."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hamcert import certifier
+from hamcert import trotter
+from hamcert.bell import identity_prob_trace
 from hamcert.certifier import (
     CertificationConfig,
     ConfigError,
@@ -14,9 +16,9 @@ from hamcert.certifier import (
     sweep_epsilon,
 )
 from hamcert.instances import random_pauli_sum
-from hamcert.oracle import EvolutionOracle, OracleMode
-from hamcert.pauli import PauliSum, frobenius_norm
-from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound, trotter_evolve
+from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode
+from hamcert.pauli import PauliSum, frobenius_norm, parse_hamiltonian
+from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound
 
 
 def make_oracle(hidden, mode=OracleMode.EXACT_EFFECTIVE):
@@ -280,16 +282,25 @@ class TestTrotterRoundUnitarity:
         )
         assert rec.identity_fraction == 1.0
 
+    @staticmethod
+    def _inflate(monkeypatch, per_step):
+        """Scale every block's unitary by ``1 + per_step * steps``; returns
+        the list that collects ``(steps, u)`` per block."""
+        seen = []
+        kernel = trotter._strang_power
+
+        def inflated(forward, compiled, draws, steps):
+            u = kernel(forward, compiled, draws, steps) * (1 + per_step * steps)
+            seen.append((steps, u))
+            return u
+
+        monkeypatch.setattr(trotter, "_strang_power", inflated)
+        return seen
+
     @pytest.mark.parametrize("per_step, raises", [(0.4e-8, False), (1e-8, True)])
     def test_the_bound_scales_with_the_step_count(self, monkeypatch, per_step, raises):
         # Scaling U by 1 + a moves max|U^dag U - I| by about 2a.
-        seen = []
-
-        def inflated(oracle, h0, plan, shots):
-            seen.append(plan.steps)
-            return trotter_evolve(oracle, h0, plan, shots=shots) * (1 + per_step * plan.steps)
-
-        monkeypatch.setattr(certifier, "trotter_evolve", inflated)
+        seen = self._inflate(monkeypatch, per_step)
         h0 = PauliSum(1, {"X": -1.0})
         cfg = TestTrotterizedMode()._cfg(0)
         oracle = make_oracle(h0, OracleMode.TROTTERIZED)
@@ -299,7 +310,20 @@ class TestTrotterRoundUnitarity:
         else:
             run_round(h0, oracle, cfg, np.random.default_rng(0))
             # 0.8e-8 per step is above a flat 1e-8 from two steps on.
-            assert seen[0] >= 2
+            assert seen[0][0] >= 2
+
+    def test_the_bound_covers_the_product_of_the_blocks(self, monkeypatch):
+        # Each block's defect, about 0.6e-8 per step, passes on its own;
+        # the assembled unitary's, about 1.2e-8 per step, does not.
+        seen = self._inflate(monkeypatch, 0.3e-8)
+        h0 = PauliSum(2, {"XI": -1.0, "IZ": 0.5})
+        cfg = TestTrotterizedMode()._cfg(0)
+        oracle = make_oracle(h0, OracleMode.TROTTERIZED)
+        with pytest.raises(ValueError, match="not unitary"):
+            run_round(h0, oracle, cfg, np.random.default_rng(0))
+        assert len(seen) == 2
+        for steps, u in seen:
+            identity_prob_trace(u, atol=1e-8 * steps)
 
 
 def test_trotter_mode_at_the_paper_constants():
@@ -368,6 +392,68 @@ class TestExactModeAtTwentyQubits:
         # The ledger the Walsh route charged for this run.
         assert report.ledger_total_time == 35771877.60386038
         assert report.ledger_query_count == 808704 == cfg.rounds * cfg.shots_per_round
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden(name):
+    return parse_hamiltonian((GOLDEN / name).read_text())
+
+
+class TestLargeSystems:
+    """Each round factors over the blocks of its support graph, so the
+    system size itself has no cap."""
+
+    @pytest.mark.parametrize("pair", ["equal", "one XX term", "spread over every bond"])
+    def test_chain_pairs_at_64_qubits_with_the_default_constants(self, pair):
+        # ZZ bonds of 0.3 and X fields of 0.5; the separated pairs add XX
+        # terms of total norm epsilon, on one bond or spread over all 63.
+        h0 = _golden("chain-n64.h0")
+        n, eps = h0.n, 0.2
+        hidden = {
+            "equal": h0,
+            "one XX term": _golden("chain-n64-xx.h"),
+            "spread over every bond": h0 + PauliSum(n, {
+                "I" * j + "XX" + "I" * (n - 2 - j): eps / math.sqrt(n - 1)
+                for j in range(n - 1)}),
+        }[pair]
+        assert frobenius_norm(hidden - h0) == pytest.approx(eps if pair != "equal" else 0)
+        cfg = CertificationConfig(epsilon=eps, delta=0.2, k=2, seed=1)
+        report = certify(h0, make_oracle(hidden), cfg)
+        if pair == "equal":
+            assert report.verdict == "ACCEPT"
+            assert report.rounds_run == cfg.rounds == 78
+            assert all(r.identity_fraction == 1.0 for r in report.records)
+        else:
+            assert report.verdict == "REJECT"
+        assert report.ledger_query_count == report.rounds_run * cfg.shots_per_round
+
+    @pytest.mark.parametrize("hidden, verdict", [("fields-n24.h0", "ACCEPT"),
+                                                 ("fields-n24-far.h", "REJECT")])
+    def test_one_local_pair_at_24_qubits_in_trotter_mode(self, hidden, verdict):
+        h0 = _golden("fields-n24.h0")
+        cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1, c2=2.0, seed=1,
+                                  mode=OracleMode.TROTTERIZED, allow_weak_constants=True)
+        report = certify(h0, make_oracle(_golden(hidden), OracleMode.TROTTERIZED), cfg)
+        assert report.verdict == verdict
+        shots, sectors = cfg.shots_per_round, 2**cfg.twirl_steps
+        assert report.ledger_query_count == sum(
+            shots * steps_from_bound(cfg.twirl_steps, r.time, cfg.trotter_tolerance)
+            * 2 * sectors for r in report.records)
+
+    def test_a_chain_above_the_dense_cap_leaves_the_ledger_untouched(self):
+        # The hidden fields are 12 blocks of one site; the reference's ZZ
+        # bonds link all 12 sites into one block, beyond the cap of 10.
+        n = 12
+        h0 = PauliSum(n, {"I" * j + "ZZ" + "I" * (n - 2 - j): 0.3 for j in range(n - 1)})
+        hidden = PauliSum(n, {"I" * j + "X" + "I" * (n - 1 - j): 0.5 for j in range(n)})
+        oracle = make_oracle(hidden, OracleMode.TROTTERIZED)
+        cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=2, c2=2.0,
+                                  mode=OracleMode.TROTTERIZED, allow_weak_constants=True)
+        with pytest.raises(ValueError, match="link 12 sites"):
+            certify(h0, oracle, cfg)
+        assert oracle.ledger == EvolutionLedger()
 
 
 class TestSweep:

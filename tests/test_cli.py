@@ -264,6 +264,42 @@ class TestExactModeResidualRounds:
         assert sum(bool(tr.residual) for tr in seen[:-1]) >= 2
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestLargeSystems:
+    @pytest.mark.parametrize("h, code", [("chain-n64.h0", 0), ("chain-n64-xx.h", 1)])
+    def test_64_qubit_chain_files_in_exact_mode(self, capsys, h, code):
+        args = ["certify", "--h0", str(GOLDEN / "chain-n64.h0"), "--h", str(GOLDEN / h),
+                "--epsilon", "0.2", "--delta", "0.2", "--k", "2", "--seed", "1"]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"verdict: {('ACCEPT', 'REJECT')[code]}" in captured.out
+
+    @pytest.mark.parametrize("h, code", [("fields-n24.h0", 0), ("fields-n24-far.h", 1)])
+    def test_24_qubit_fields_in_trotter_mode(self, capsys, h, code):
+        args = ["certify", "--h0", str(GOLDEN / "fields-n24.h0"), "--h", str(GOLDEN / h),
+                "--epsilon", "0.2", "--delta", "0.2", "--k", "1", "--seed", "1",
+                "--mode", "trotter", "--c2", "2", "--allow-weak-constants"]
+        assert main(args) == code
+        assert f"verdict: {('ACCEPT', 'REJECT')[code]}" in capsys.readouterr().out
+
+    def test_a_linked_chain_above_the_dense_cap_exits_2_in_trotter_mode(
+        self, files, capsys
+    ):
+        n = 12
+        chain = "".join(f"0.3 {'I' * j}ZZ{'I' * (n - 2 - j)}\n" for j in range(n - 1))
+        (files / "chain12.txt").write_text(chain)
+        args = ["certify", "--h0", str(files / "chain12.txt"),
+                "--h", str(files / "chain12.txt"), "--epsilon", "0.2", "--delta", "0.2",
+                "--k", "2", "--mode", "trotter", "--c2", "2", "--allow-weak-constants"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "links 12 sites" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestLedgerCeiling:
     def _args(self, epsilon):
         h0 = str(Path(__file__).parent / "golden" / "k2n6.h0")

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hamcert import dense as dense_module
 from hamcert import oracle as oracle_module
 from hamcert.bell import identity_prob_spectral, identity_prob_trace
-from hamcert.dense import evolve
+from hamcert.dense import QUBIT_CAP, evolve
 from hamcert.instances import random_pauli_sum
-from hamcert.moments import WALSH_QUBIT_CAP, walsh_table, walsh_transform
+from hamcert.moments import walsh_table, walsh_transform
 from hamcert.oracle import (
     AccessModelError,
     EvolutionLedger,
@@ -243,6 +243,10 @@ def _exact(hidden):
     return EvolutionOracle(hidden, OracleMode.EXACT_EFFECTIVE)
 
 
+def _trotter(hidden):
+    return EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+
+
 def _twins(hidden):
     return _exact(hidden), _exact(hidden)
 
@@ -408,16 +412,80 @@ class TestBlockSpectrumProperties:
         assert oracle.effective_identity_prob(tr, t) == walsh
 
 
-class TestSizeLimits:
-    def test_exact_mode_accepts_up_to_the_walsh_cap(self):
-        n = WALSH_QUBIT_CAP
-        _exact(PauliSum(n, {"X" + "I" * (n - 1): 1.0}))
-        with pytest.raises(ValueError, match="cap"):
-            _exact(PauliSum(n + 1, {"X" + "I" * n: 1.0}))
+def _chain(n, field=None):
+    """Nearest-neighbour ZZ bonds of 0.3 on ``n`` sites, with an optional
+    single-site ``field`` of 0.5 on every site."""
+    terms = {"I" * j + "ZZ" + "I" * (n - 2 - j): 0.3 for j in range(n - 1)}
+    if field:
+        terms.update({"I" * j + field + "I" * (n - 1 - j): 0.5 for j in range(n)})
+    return PauliSum(n, terms)
 
-    def test_trotter_mode_keeps_the_dense_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            EvolutionOracle(PauliSum(11, {"X" + "I" * 10: 1.0}), OracleMode.TROTTERIZED)
+
+@st.composite
+def local_transcripts(draw, max_n=8):
+    """Terms of weight 1 or 2 on up to 8 sites, twirled by 0-2 draws, so the
+    twirled generator falls into blocks and leaves sites idle."""
+    n = draw(st.integers(1, max_n))
+    axes = draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    subspace = DiagonalSubspace(tuple(axes))
+    terms = {}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        label = ["I"] * n
+        for site in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            label[site] = draw(st.sampled_from("XYZ"))
+        terms["".join(label)] = draw(st.floats(-1.0, 1.0))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    paulis = tuple(_member(subspace, b) for b in draw(st.lists(bits, max_size=2)))
+    return apply_twirl(PauliSum(n, terms), subspace, paulis)
+
+
+class TestComponentRoute:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tr=local_transcripts(), t=st.floats(0.0, 30.0), shots=st.integers(1, 4))
+    def test_agrees_with_the_dense_effective_shot(self, tr, t, shots):
+        blocks, dense = _twins(PauliSum(tr.subspace.n, {"X" * tr.subspace.n: 1.0}))
+        got = blocks.effective_identity_prob(tr, t, shots=shots)
+        want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=shots))
+        assert abs(got - want) <= 1e-12
+        assert blocks.ledger == dense.ledger
+
+
+class TestSizeLimits:
+    def test_exact_mode_caps_no_system_size(self):
+        n = 128
+        oracle = _exact(_chain(n, field="X"))
+        assert oracle.n_qubits == n
+
+    def test_trotter_mode_caps_each_hidden_block(self):
+        # At n=24, a block of QUBIT_CAP linked sites is accepted; one more is not.
+        for linked in (QUBIT_CAP, QUBIT_CAP + 1):
+            chain = dict(_chain(linked).items())
+            hidden = PauliSum(24, {p + "I" * (24 - linked): c for p, c in chain.items()})
+            if linked <= QUBIT_CAP:
+                assert _trotter(hidden).n_qubits == 24
+            else:
+                with pytest.raises(ValueError, match=f"links {linked} sites.*cap"):
+                    _trotter(hidden)
+
+    def test_dense_forward_query_refuses_a_large_system_before_charging(self):
+        oracle = _trotter(PauliSum(12, {"X" + "I" * 11: 1.0}))
+        with pytest.raises(ValueError, match="n=12 exceeds the dense cap"):
+            oracle.query_forward(0.5, count=3)
+        assert oracle.ledger == EvolutionLedger()
+
+    def test_a_joint_block_above_the_cap_is_refused_before_any_charge(self):
+        # Each sum alone splits into blocks of two sites; together they
+        # link all twelve.
+        n = 12
+        hidden = PauliSum(n, {"I" * j + "XX" + "I" * (n - 2 - j): 0.2
+                              for j in range(0, n - 1, 2)})
+        h0 = PauliSum(n, {"I" * j + "ZZ" + "I" * (n - 2 - j): 0.1
+                          for j in range(1, n - 1, 2)})
+        oracle = _trotter(hidden)
+        oracle.query_forward_blocks(hidden, 0.5, count=2)
+        with pytest.raises(ValueError, match="link 12 sites"):
+            oracle.query_forward_blocks(h0, 0.5, count=3)
+        assert oracle.ledger == EvolutionLedger(2 * 0.5, 2)
 
     def test_spectral_route_beyond_the_dense_cap(self):
         n = 14
@@ -444,13 +512,34 @@ class TestSizeLimits:
         assert oracle.ledger == EvolutionLedger(total_time=87.0, query_count=8)
 
     def test_oversized_blocks_are_refused_before_any_charge(self):
-        # Rank 4 at n=20 asks for 2^24 entries; rank 3 (2^23) is the limit.
+        # Rank 4 on a block of 20 sites asks for 2^24 entries; rank 3
+        # (2^23) is the limit.  The Z string links all 20 sites.
         n = 20
         hidden = PauliSum(n, {"I" * j + "X" + "I" * (n - 1 - j): 0.1 for j in range(4)})
+        hidden = hidden + PauliSum(n, {"Z" * n: 0.2})
         oracle = _exact(hidden)
         tr = apply_twirl(hidden, DiagonalSubspace(("Z",) * n), ())
         with pytest.raises(ValueError, match="n=20 has flip rank r=4"):
             oracle.effective_identity_prob(tr, 1.0, shots=3)
+        assert oracle.ledger == EvolutionLedger()
+
+    def test_the_guard_applies_per_block(self):
+        # Four unlinked X terms are four blocks of rank 1, not one of rank 4.
+        n = 20
+        hidden = PauliSum(n, {"I" * j + "X" + "I" * (n - 1 - j): 0.1 for j in range(4)})
+        oracle = _exact(hidden)
+        tr = apply_twirl(hidden, DiagonalSubspace(("Z",) * n), ())
+        got = oracle.effective_identity_prob(tr, 1.0, shots=3)
+        assert got == pytest.approx(np.cos(0.1) ** 8, abs=1e-14)
+        assert oracle.ledger == EvolutionLedger(3.0, 3)
+
+    def test_a_large_block_without_residual_is_refused_before_any_charge(self):
+        n = 24
+        hidden = PauliSum(n, {"Z" * n: 0.3})
+        oracle = _exact(hidden)
+        tr = apply_twirl(hidden, DiagonalSubspace(("Z",) * n), ())
+        with pytest.raises(ValueError, match="n=24 has flip rank r=0"):
+            oracle.effective_identity_prob(tr, 1.0)
         assert oracle.ledger == EvolutionLedger()
 
 

@@ -18,8 +18,10 @@ from hamcert.pauli import (
     frobenius_norm,
     is_k_local,
     parse_hamiltonian,
+    restrict,
     scale,
     subtract,
+    support_blocks,
     weight,
 )
 
@@ -291,3 +293,55 @@ class TestTextFormat:
         h = PauliSum(n, data.draw(st.dictionaries(label, coeff, min_size=1, max_size=12)))
         assume(h)
         assert parse_hamiltonian(h.to_text()) == h
+
+
+class TestSupportBlocks:
+    def test_blocks_of_two_sums_and_idle_sites(self):
+        h = PauliSum(6, {"XIIIIZ": 1.0, "IIYIII": 0.5})
+        h0 = PauliSum(6, {"IIIIZZ": 0.2})
+        assert support_blocks(h) == [(0, 5), (2,)]
+        assert support_blocks(h, h0) == [(0, 4, 5), (2,)]
+        assert support_blocks(PauliSum(3)) == []
+
+    def test_restrict_cuts_each_block_and_keeps_the_order(self):
+        h = PauliSum(5, {"XIIIZ": 1.0, "IYIII": 0.5, "IIZIX": -0.25, "ZIIII": 2.0})
+        assert support_blocks(h) == [(0, 2, 4), (1,)]
+        assert restrict(h, (0, 2, 4)) == PauliSum(3, {"XIZ": 1.0, "IZX": -0.25, "ZII": 2.0})
+        assert list(restrict(h, (0, 2, 4)).labels()) == ["IZX", "XIZ", "ZII"]
+        assert restrict(h, (1,)) == PauliSum(1, {"Y": 0.5})
+        assert restrict(h, tuple(range(5))) is h
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_blocks_are_the_connected_components(self, data, n):
+        label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: set(s) != {"I"})
+        sums = [PauliSum(n, data.draw(st.dictionaries(label, st.just(1.0), max_size=4)))
+                for _ in range(2)]
+        blocks = support_blocks(*sums)
+        # Breadth-first search over the sites, linked by shared terms.
+        supports = [{i for i, ch in enumerate(p) if ch != "I"}
+                    for h in sums for p in h.labels()]
+        seen, components = set(), []
+        for start in sorted(set().union(*supports)):
+            if start in seen:
+                continue
+            component, frontier = {start}, [start]
+            while frontier:
+                site = frontier.pop()
+                for support in supports:
+                    if site in support and not support <= component:
+                        frontier += support - component
+                        component |= support
+            seen |= component
+            components.append(tuple(sorted(component)))
+        assert blocks == components
+        # Every term lands in exactly one block, cut back to its letters.
+        for h in sums:
+            parts = [restrict(h, sites) for sites in blocks]
+            assert sum(map(len, parts)) == len(h)
+            for sites, part in zip(blocks, parts):
+                for cut, coeff in part.items():
+                    full = ["I"] * n
+                    for site, ch in zip(sites, cut):
+                        full[site] = ch
+                    assert h.coefficient("".join(full)) == coeff

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert.bell import identity_prob_trace
+from hamcert.bell import identity_prob_factors, identity_prob_trace
 from hamcert.certifier import CertificationConfig
-from hamcert.dense import evolve, pauli_matrix
+from hamcert.dense import evolve, pauli_conjugate, pauli_matrix
 from hamcert.instances import random_pauli_sum
-from hamcert.oracle import EvolutionOracle, OracleMode, OracleModeError
+from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
 from hamcert.pauli import PauliSum, conjugate, scale, subtract
 from hamcert.trotter import (
     TROTTER_STEP_CAP,
     TrotterPlan,
     calibrate_steps,
     steps_from_bound,
+    trotter_blocks,
     trotter_error,
     trotter_evolve,
     twirl_conjugators,
@@ -309,6 +310,111 @@ class TestAgainstLiteralProduct:
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
         v = trotter_evolve(oracle, h0, TrotterPlan(paulis, steps, t))
         assert np.max(np.abs(v - reference)) <= 1e-10
+
+
+def _full_matrix_doubling(hidden, h0, plan):
+    """The product formula on the full ``2^n`` matrices, as it was computed
+    before it was factored over blocks."""
+    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    forward, compiled = evolve(hidden, half), evolve(h0, -half)
+    first_half, second_half = forward @ compiled, compiled @ forward
+    for p in plan.draws:
+        first_half = first_half @ pauli_conjugate(first_half, p)
+        second_half = pauli_conjugate(second_half, p) @ second_half
+    return np.linalg.matrix_power(first_half @ second_half, plan.steps)
+
+
+def _check_factored(hidden, h0, plan, shots=1):
+    """The factored round against the full-matrix doubling; returns the blocks."""
+    oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+    blocks = trotter_blocks(oracle, h0, plan, shots=shots)
+    reference = _full_matrix_doubling(hidden, h0, plan)
+    got = identity_prob_factors([u for _, u in blocks])
+    assert abs(got - identity_prob_trace(reference)) <= 1e-12
+    queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
+    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    assert oracle.ledger == EvolutionLedger(queries * half, queries)
+    dense = trotter_evolve(EvolutionOracle(hidden, OracleMode.TROTTERIZED), h0, plan)
+    assert np.max(np.abs(dense - reference)) <= 1e-12
+    return [sites for sites, _ in blocks]
+
+
+@st.composite
+def _local_sum(draw, n):
+    """Up to four terms of weight 1 or 2 on ``n`` sites."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        label = ["I"] * n
+        for site in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            label[site] = draw(st.sampled_from("XYZ"))
+        terms["".join(label)] = draw(st.floats(-1.0, 1.0))
+    return PauliSum(n, terms)
+
+
+class TestFactoredRound:
+    """A round over the blocks of hidden + h0 against the full matrices."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 6), draws=st.integers(0, 3),
+           steps=st.integers(1, 8), t=st.floats(0.0, 3.0))
+    def test_matches_the_full_matrix_doubling(self, data, n, draws, steps, t):
+        hidden, h0 = data.draw(_local_sum(n)), data.draw(_local_sum(n))
+        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+        s = DiagonalSubspace(tuple(axes))
+        bits = st.lists(st.booleans(), min_size=n, max_size=n)
+        paulis = tuple(_member(s, b) for b in data.draw(
+            st.lists(bits, min_size=draws, max_size=draws)))
+        _check_factored(hidden, h0, TrotterPlan(twirl_conjugators(s, paulis), steps, t))
+
+    @pytest.mark.parametrize(
+        "n, hidden, h0, blocks",
+        [
+            # Sites 2 to 4 are idle.
+            (5, {"XZIII": 0.3}, {"ZIIII": 0.2, "IXIII": 0.4}, [(0, 1)]),
+            # h0 alone splits into three blocks; the hidden XX links two.
+            (4, {"XXII": 0.3, "IIZI": 0.2}, {"XIII": 0.2, "IZII": 0.1, "IIIY": 0.5},
+             [(0, 1), (2,), (3,)]),
+            # One block over every site.
+            (3, {"XYI": 0.3, "IZZ": -0.4}, {"ZZI": 0.2, "IXY": 0.7}, [(0, 1, 2)]),
+            # No term at all.
+            (2, {}, {}, []),
+        ],
+    )
+    def test_blocks_idle_sites_and_links(self, n, hidden, h0, blocks):
+        s = DiagonalSubspace(("X", "Z", "Y", "Z", "X")[:n])
+        rows = [(1, 1, 0, 0, 1), (0, 1, 1, 0, 0), (1, 0, 0, 1, 1)]
+        paulis = tuple(_member(s, bits[:n]) for bits in rows)
+        plan = TrotterPlan(twirl_conjugators(s, paulis), 5, 1.7)
+        got = _check_factored(PauliSum(n, hidden), PauliSum(n, h0), plan, shots=3)
+        assert got == blocks
+
+    def test_a_batch_is_charged_once(self, monkeypatch):
+        hidden = PauliSum(3, {"XII": 0.3, "IYI": 0.2, "IIZ": 0.1})
+        oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+        charges = []
+        charge = oracle.ledger.charge
+        monkeypatch.setattr(oracle.ledger, "charge",
+                            lambda d, queries=1: (charges.append(queries), charge(d, queries)))
+        plan = TrotterPlan(("ZIZ", "IZI"), 6, 1.1)
+        blocks = trotter_blocks(oracle, hidden, plan, shots=7)
+        assert len(blocks) == 3
+        assert charges == [7 * 6 * 2 * 4]
+        assert oracle.ledger.query_count == 7 * 6 * 2 * 4
+
+    def test_a_refused_block_charges_nothing(self):
+        # Each sum alone has blocks of two sites; together they link eleven.
+        n = 11
+        hidden = PauliSum(n, {"I" * j + "XX" + "I" * (n - 2 - j): 0.2
+                              for j in range(0, n - 1, 2)})
+        h0 = PauliSum(n, {"I" * j + "ZZ" + "I" * (n - 2 - j): 0.1
+                          for j in range(1, n - 1, 2)})
+        oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+        plan = TrotterPlan(("I" * n,), 4, 0.5)
+        with pytest.raises(ValueError, match="link 11 sites"):
+            trotter_blocks(oracle, h0, plan, shots=2)
+        with pytest.raises(ValueError, match="n=11 exceeds the dense cap"):
+            trotter_evolve(oracle, hidden, plan)
+        assert oracle.ledger == EvolutionLedger()
 
 
 class TestTrotterError:

@@ -338,3 +338,24 @@ class TestRunTwirlChecks:
         with pytest.raises(ValueError, match="at least one step"):
             run_twirl(PauliSum(2, {"XZ": 0.5}), DiagonalSubspace(("Z", "Z")), 0, rng)
         assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_float_overlap_product_equals_the_int64_one(seed):
+    """At n=64 and T=34, the survivors of the BLAS product are those of the
+    exact integer product of the draw bits and the mismatch masks."""
+    rng = np.random.default_rng(seed)
+    n, steps = 64, 34
+    h1 = random_pauli_sum(n, 2, rng, num_terms=190)
+    subspace = sample_subspace(n, rng)
+    before = np.random.default_rng(seed + 100)
+    tr = run_twirl(h1, subspace, steps, np.random.default_rng(seed + 100))
+    bits = before.integers(0, 2, size=(steps, n))
+    labels = np.array([list(p) for p in h1.labels()])
+    axes = np.array(subspace.axes)
+    mismatch = (labels != "I") & (labels != axes)
+    odd = (bits @ mismatch.T.astype(np.int64)) & 1
+    kept = [p for p, keep in zip(h1.labels(), odd.sum(axis=0) == 0) if keep]
+    assert list(tr.twirled.labels()) == kept
+    # Deep twirls keep few foreign terms; in-subspace ones always survive.
+    assert len(kept) >= len(tr.effective) > 0
