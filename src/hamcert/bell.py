@@ -22,6 +22,7 @@ positions ``i`` and ``n+i``; the letter map is ``(0,0) -> I``,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -137,37 +138,46 @@ def identity_prob_trace(u: np.ndarray, atol: float = 1e-8) -> float:
     Raises:
         ValueError: If ``u`` deviates from unitarity by more than ``atol``.
     """
-    return identity_prob_factors([u], atol)
+    return identity_prob_factors([u[None]], atol)
 
 
-def identity_prob_factors(factors: list[np.ndarray], atol: float = 1e-8) -> float:
+def identity_prob_factors(
+    stacks: list[np.ndarray], atol: float = 1e-8, order: Sequence[int] | None = None
+) -> float:
     """``|Tr U|^2 / 4^n`` of the Kronecker product ``U`` of unitary factors.
 
-    The identity on further sites leaves the probability unchanged, and
+    The factors come in ``(B, d, d)`` stacks of one dimension each.  The
+    identity on further sites leaves the probability unchanged, and
     ``|Tr U|^2 / N^2`` is the product of the factors' ``|Tr U_J|^2 /
     N_J^2``, each capped at 1.  With ``e_J = max|U_J^dag U_J - I|``, the
     assembled ``U^dag U - I`` is at most ``prod(1 + e_J) - 1`` entrywise,
     and that bound is checked against ``atol``; for one factor it is
-    ``e_J`` itself.
+    ``e_J`` itself.  The defects and traces are taken per stack; the bound
+    and the product accumulate factor by factor in ``order``, which lists
+    positions in the concatenated stacks (all of them in turn by default).
 
     Raises:
-        ValueError: If a factor is not square, or if the bound exceeds
-            ``atol``.
+        ValueError: If a stack is not of square matrices, or if the bound
+            exceeds ``atol``.
     """
+    defects, probs = [], []
+    for u in stacks:
+        if u.ndim != 3 or u.shape[1] != u.shape[2]:
+            raise ValueError(f"Expected a stack of square matrices, got shape {u.shape}.")
+        dim = u.shape[1]
+        gram = np.swapaxes(u.conj(), 1, 2) @ u
+        defects += np.max(np.abs(gram - np.eye(dim)), axis=(1, 2)).tolist()
+        traces = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2 / dim**2
+        probs += np.minimum(traces, 1.0).tolist()
+    if order is None:
+        order = range(len(probs))
     bound = 0.0
-    for u in factors:
-        dim = u.shape[0]
-        if u.shape != (dim, dim):
-            raise ValueError(f"Expected a square matrix, got shape {u.shape}.")
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    for j in order:
         # (1 + bound)(1 + defect) - 1, without the rounding of the leading 1.
-        bound += defect + bound * defect
+        bound += defects[j] + bound * defects[j]
     if bound > atol:
         raise ValueError(f"Matrix is not unitary (defect {bound:.3e} > {atol:.1e}).")
-    return math.prod(
-        (min(float(abs(np.trace(u)) ** 2) / u.shape[0] ** 2, 1.0) for u in factors),
-        start=1.0,
-    )
+    return math.prod((probs[j] for j in order), start=1.0)
 
 
 def _apply_hadamard(state: np.ndarray, qubit: int) -> np.ndarray:

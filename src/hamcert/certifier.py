@@ -291,6 +291,20 @@ def _digest(axes: str, paulis: tuple[str, ...]) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def _trotter_identity_prob(
+    oracle: EvolutionOracle, h0: PauliSum, plan: TrotterPlan, shots: int
+) -> float:
+    """Bell identity probability of a trotter shot batch (see
+    :func:`trotter_blocks`), its blocks' factors multiplied in site order
+    whatever group holds them."""
+    groups = trotter_blocks(oracle, h0, plan, shots=shots)
+    sites = [block for block_sites, _ in groups for block in block_sites]
+    # The unitarity defect of S^steps grows about steps times that of the
+    # step operator S, so the 1e-8 bound holds per step.
+    return identity_prob_factors([u for _, u in groups], atol=1e-8 * plan.steps,
+                                 order=sorted(range(len(sites)), key=sites.__getitem__))
+
+
 def run_round(
     h0: PauliSum,
     oracle: EvolutionOracle,
@@ -320,10 +334,7 @@ def run_round(
         t = float(rng.uniform(0.0, cfg.time_cap))
         steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
         plan = TrotterPlan(twirl_conjugators(subspace, paulis), steps, t)
-        blocks = trotter_blocks(oracle, h0, plan, shots=shots)
-        # The unitarity defect of S^steps grows about steps times that of
-        # the step operator S, so the 1e-8 bound holds per step.
-        prob = identity_prob_factors([u for _, u in blocks], atol=1e-8 * steps)
+        prob = _trotter_identity_prob(oracle, h0, plan, shots)
     count = sample_identity_shots(prob, shots, rng)
     fraction = count / shots
     return RoundRecord(

@@ -4,7 +4,8 @@ Materializes Pauli sums as ``2^n x 2^n`` complex arrays, building each
 Pauli term as a signed permutation (one phase per column, no Kronecker
 product of matrices), provides the Hermitian eigendecomposition, unitary
 time evolution through the spectral form, and the mean-square eigenvalue
-displacement used to bound spectral perturbations.
+displacement used to bound spectral perturbations.  Propagators and Pauli
+conjugations also take ``(B, d, d)`` stacks of equal-size matrices.
 
 :func:`evolve` keeps the eigendecompositions of the two Pauli sums it
 evolved last.  A trotter run evolves two, the hidden Hamiltonian and the
@@ -20,6 +21,7 @@ Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "normalized_frobenius",
     "operator_norm",
     "pauli_conjugate",
+    "pauli_conjugator",
     "pauli_matrix",
     "propagator",
     "to_dense",
@@ -94,21 +97,66 @@ def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
     return flip, phase
 
 
+#: Per ASCII code of a letter: its flip bit, and its phases on bits 0 and 1.
+_CODE_FLIPS = np.zeros(256, dtype=np.intp)
+_CODE_PHASES = np.ones((256, 2), dtype=complex)
+for _ch, _ph in _LETTER_PHASES.items():
+    _CODE_FLIPS[ord(_ch)] = _ch in "XY"
+    _CODE_PHASES[ord(_ch)] = _ph
+
+
+def pauli_conjugator(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``m -> P_b @ m[b] @ P_b`` on ``(B, 2^k, 2^k)`` stacks.
+
+    ``letters`` is a ``(B, k)`` uint8 array: row ``b`` holds the ASCII
+    codes of the Pauli string ``P_b``, which must be valid letters.  Each
+    string's flip mask and phases are those of :func:`_signed_permutation`,
+    formed by the same products in the same order, and are taken once, so
+    one conjugator serves several stacks.  Row ``b`` of the result is
+    ``ph[i ^ x] * m[b, i ^ x, j ^ x] * ph[j]`` as in
+    :func:`pauli_conjugate`, bit for bit; the gather takes the flat index
+    ``(i * 2^k + j) ^ (x * (2^k + 1))`` of ``(i ^ x, j ^ x)`` in one
+    ``take``.
+    """
+    count, k = letters.shape
+    dim = 2**k
+    place = np.arange(k - 1, -1, -1)
+    bits = np.arange(dim) >> place[:, None] & 1
+    # Phase j is the product of the letters' phases on the bits of j, most
+    # significant first and starting from 1, as the Kronecker product forms
+    # it.  Its parts are 0 or +-1, so every product is exact.
+    phase = np.multiply.reduce(_CODE_PHASES[letters[:, :, None], bits], axis=1,
+                               initial=1.0 + 0j)
+    flip = (_CODE_FLIPS[letters] << place).sum(axis=1)
+    rows = np.arange(count * dim).reshape(count, dim)
+    rows ^= flip[:, None]
+    cells = np.arange(count * dim * dim).reshape(count, -1)
+    cells ^= (flip * (dim + 1))[:, None]
+    row_phase, col_phase = phase.take(rows)[:, :, None], phase[:, None, :]
+
+    def conjugate(m: np.ndarray) -> np.ndarray:
+        out = m.take(cells).reshape(count, dim, dim).astype(complex, copy=False)
+        np.multiply(row_phase, out, out=out)
+        return np.multiply(out, col_phase, out=out)
+
+    return conjugate
+
+
 def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
     """``P @ m @ P`` for the Pauli string ``P``, without forming ``P``.
 
     A Pauli string is a signed permutation, ``P|j> = ph[j] |j ^ x>`` with
     ``x`` the mask of its ``X``/``Y`` sites, so the product is
     ``ph[i ^ x] * m[i ^ x, j ^ x] * ph[j]``.  Every phase is ``+-1`` or
-    ``+-i``, so the result equals the two dense products exactly.
+    ``+-i``, so the result equals the two dense products exactly.  This is
+    :func:`pauli_conjugator` on a stack of one.
     """
     validate_label(label)
     n = len(label)
     if m.shape != (2**n, 2**n):
         raise ValueError(f"Matrix shape {m.shape} does not match {n} qubits.")
-    flip, phase = _signed_permutation(label)
-    index = np.arange(2**n) ^ flip
-    return phase[index][:, None] * m[np.ix_(index, index)] * phase
+    letters = np.frombuffer(label.encode("ascii"), dtype=np.uint8)
+    return pauli_conjugator(letters[None])(m[None])[0]
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
@@ -169,9 +217,14 @@ def eig_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i t H)`` from the eigendecomposition of ``H``."""
+    """Unitary ``exp(-i t H)`` from the eigendecomposition of ``H``.
+
+    Also takes stacks, ``w`` of shape ``(B, d)`` and ``v`` of ``(B, d,
+    d)``, and returns the ``B`` unitaries; each equals the call on its own
+    decomposition bit for bit.
+    """
     phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=2)

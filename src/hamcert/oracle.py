@@ -39,9 +39,12 @@ In ``TROTTERIZED`` mode the blocks are those of the hidden Hamiltonian
 and the reference together (:meth:`EvolutionOracle.query_forward_blocks`).
 A block factor of ``exp(-i t H)`` is ``exp(-i t H)`` restricted to the
 block's sites, and the dense matrix is their Kronecker product, so the
-factors reveal nothing that the dense forward query does not.  Each block
-is at most :data:`~hamcert.dense.QUBIT_CAP` sites; the construction of an
-oracle above that size refuses a hidden block beyond it.
+factors reveal nothing that the dense forward query does not.  Blocks of
+one size form a group, whose factors are computed and returned as one
+``(B, d, d)`` stack, so a round costs a few numpy calls per block size,
+not per block.  Each block is at most :data:`~hamcert.dense.QUBIT_CAP`
+sites; the construction of an oracle above that size refuses a hidden
+block beyond it.
 
 In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
 ``hidden - reference`` on the certifier's behalf (:meth:`EvolutionOracle.
@@ -221,11 +224,13 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
 
 
 class BlockPropagators(NamedTuple):
-    """One block's factors of a forward batch (see :meth:`EvolutionOracle.
-    query_forward_blocks`): ``forward`` is ``exp(-i t H)`` and ``compiled``
-    the free reference evolution ``exp(+i t H0)``, both on ``sites``."""
+    """One group of equal-size blocks of a forward batch (see
+    :meth:`EvolutionOracle.query_forward_blocks`): ``sites`` lists each
+    block's sites, and ``forward`` stacks ``exp(-i t H)`` and ``compiled``
+    the free reference evolution ``exp(+i t H0)`` on them, block ``b`` at
+    index ``b`` of a ``(B, d, d)`` array."""
 
-    sites: tuple[int, ...]
+    sites: tuple[tuple[int, ...], ...]
     forward: np.ndarray
     compiled: np.ndarray
 
@@ -267,9 +272,9 @@ class EvolutionOracle:
         # hidden - h0 of the most recent reference: a certify run twirls
         # the same difference every round.
         self._difference: tuple[PauliSum, PauliSum] | None = None
-        # The blocks of hidden + h0 for the most recent reference, each with
-        # the eigendecompositions of both sums cut to it.
-        self._blocks: tuple[PauliSum, list] | None = None
+        # The blocks of hidden + h0 for the most recent reference, grouped
+        # by size, with the eigendecompositions of both sums cut to them.
+        self._groups: tuple[PauliSum, list] | None = None
         self.mode = mode
         self.ledger = EvolutionLedger()
 
@@ -321,9 +326,13 @@ class EvolutionOracle:
         single charge as :meth:`query_forward`: ``count * t`` and
         ``count`` queries.
 
-        The blocks, and the eigendecompositions of both sums cut to each,
-        are kept for the most recent reference.  When one block spans every
-        site, the sums themselves are decomposed, so the spectra that
+        The blocks are grouped by size, groups in the order their size
+        first occurs and blocks in site order within a group, and each
+        group's propagators come from one stacked product (see
+        :func:`hamcert.dense.propagator`).  The groups, and the stacked
+        eigendecompositions of both sums cut to each block, are kept for
+        the most recent reference.  When one block spans every site, the
+        sums themselves are decomposed, so the spectra that
         :func:`hamcert.dense.evolve` keeps are reused.
 
         Raises:
@@ -337,20 +346,32 @@ class EvolutionOracle:
                 f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
             )
         t, count = _forward_request(t, count)
-        if not _same_reference(self._blocks, h0):
-            blocks = support_blocks(self._hidden, h0)
-            largest = _largest_block(blocks)
-            if largest > QUBIT_CAP:
-                raise ValueError(
-                    f"The hidden Hamiltonian and the reference link {largest} "
-                    f"sites, above the trotter-mode cap of {QUBIT_CAP} per block."
-                )
-            spectra = [(sites, _spectrum(restrict(self._hidden, sites)),
-                        _spectrum(restrict(h0, sites))) for sites in blocks]
-            self._blocks = (h0, spectra)
+        if not _same_reference(self._groups, h0):
+            self._groups = (h0, self._group_spectra(h0))
         self.ledger.charge(count * t, queries=count)
         return [BlockPropagators(sites, propagator(*hidden, t), propagator(*known, -t))
-                for sites, hidden, known in self._blocks[1]]
+                for sites, hidden, known in self._groups[1]]
+
+    def _group_spectra(self, h0: PauliSum) -> list[tuple[tuple, tuple, tuple]]:
+        """Per group of equal-size blocks of ``hidden + h0``: the blocks'
+        sites and the stacked ``(w, v)`` of both sums cut to each block."""
+        blocks = support_blocks(self._hidden, h0)
+        largest = _largest_block(blocks)
+        if largest > QUBIT_CAP:
+            raise ValueError(
+                f"The hidden Hamiltonian and the reference link {largest} "
+                f"sites, above the trotter-mode cap of {QUBIT_CAP} per block."
+            )
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for sites in blocks:
+            groups.setdefault(len(sites), []).append(sites)
+
+        def stacked(h: PauliSum, group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+            spectra = [_spectrum(restrict(h, sites)) for sites in group]
+            return tuple(np.stack(arrays) for arrays in zip(*spectra))
+
+        return [(tuple(group), stacked(self._hidden, group), stacked(h0, group))
+                for group in groups.values()]
 
     def _charge_shots(self, n: int, t: float, shots: int) -> float:
         # The checks shared by both effective-shot channels, then their one

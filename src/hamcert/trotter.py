@@ -20,8 +20,12 @@ The draws are tensor products of single-site Paulis, so the step operator
 factors over the blocks of the support graph of the hidden Hamiltonian
 and the reference (see :meth:`hamcert.oracle.EvolutionOracle.
 query_forward_blocks`): :func:`trotter_blocks` runs the product formula
-on each block's sites alone, with the draws cut to them.  A block holds at
-most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever the system size;
+on each block's sites alone, with the draws cut to them.  Blocks of one
+size are stacked, so the doubling, the squaring and the Pauli
+conjugations (:func:`hamcert.dense.pauli_conjugator`) run once per
+block size on ``(B, d, d)`` arrays, each block's result bit-identical to
+a run on that block alone.  A block holds at most
+:data:`~hamcert.dense.QUBIT_CAP` sites, whatever the system size;
 :func:`trotter_evolve` assembles the dense unitary and so keeps that cap
 on ``n``.
 """
@@ -34,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugate
+from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugator
 from .oracle import EvolutionOracle, OracleMode, OracleModeError
-from .pauli import PauliSum
+from .pauli import PauliSum, validate_label
 from .twirl import DiagonalSubspace
 
 __all__ = [
@@ -133,20 +137,24 @@ def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
 
 
 def _strang_power(
-    forward: np.ndarray, compiled: np.ndarray, draws: tuple[str, ...], steps: int
+    forward: np.ndarray, compiled: np.ndarray, draws: np.ndarray, steps: int
 ) -> np.ndarray:
-    """The symmetric step operator from its half-factors, to the power ``steps``.
+    """The symmetric step operators from their half-factors, to the power ``steps``.
 
+    ``forward`` and ``compiled`` are ``(B, d, d)`` stacks, one matrix per
+    block, and ``draws[j]`` holds the letters of draw ``j`` cut to each
+    block, as the ``(B, k)`` codes of :func:`hamcert.dense.pauli_conjugator`.
     Sector ``m + 2^j`` is sector ``m`` conjugated by draw ``j``, so each
-    half of the step operator doubles once per draw; repeated squaring
-    then raises it to the step count.
+    half of the step operator doubles once per draw; repeated squaring then
+    raises it to the step count.
     """
     # Sectors in mask order, then in reversed order.
     first_half = forward @ compiled
     second_half = compiled @ forward
-    for p in draws:
-        first_half = first_half @ pauli_conjugate(first_half, p)
-        second_half = pauli_conjugate(second_half, p) @ second_half
+    for letters in draws:
+        conjugate = pauli_conjugator(letters)
+        first_half = first_half @ conjugate(first_half)
+        second_half = conjugate(second_half) @ second_half
     return np.linalg.matrix_power(first_half @ second_half, steps)
 
 
@@ -155,37 +163,45 @@ def trotter_blocks(
     h0: PauliSum,
     plan: TrotterPlan,
     shots: int = 1,
-) -> list[tuple[tuple[int, ...], np.ndarray]]:
+) -> list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]:
     """Run the symmetric product formula through the forward oracle, per block.
 
-    Returns ``(sites, u)`` per block of the support graph of the hidden
-    Hamiltonian and ``h0``: the implemented unitary is the Kronecker
-    product of the ``u`` and the identity on the sites no term touches.
-    Every physical forward query of the batch has the same duration, so
-    the batch is charged in one call that counts each query: the ledger
-    gains exactly ``shots * steps * 2 * 2^T`` queries and that count times
-    the half-factor duration, which is ``shots * plan.total_time`` up to
-    rounding at any query count.  Repeated shots reuse the compiled
-    circuit but are charged as separate runs.
+    Returns ``(sites, u)`` per group of equal-size blocks of the support
+    graph of the hidden Hamiltonian and ``h0``, as
+    :meth:`~hamcert.oracle.EvolutionOracle.query_forward_blocks` groups
+    them: ``sites[b]`` are the sites of block ``b`` and ``u[b]`` its
+    unitary, in a ``(B, d, d)`` stack.  The implemented unitary is the
+    Kronecker product of every block's unitary and the identity on the
+    sites no term touches.  Every physical forward query of the batch has
+    the same duration, so the batch is charged in one call that counts
+    each query: the ledger gains exactly ``shots * steps * 2 * 2^T``
+    queries and that count times the half-factor duration, which is
+    ``shots * plan.total_time`` up to rounding at any query count.
+    Repeated shots reuse the compiled circuit but are charged as separate
+    runs.
 
     Raises:
         OracleModeError: Outside ``TROTTERIZED`` mode.
-        ValueError: On a shot count below 1, a reference of another size,
-            or a block above the dense cap; checked before any charge.
+        ValueError: On a shot count below 1, a draw that is not a Pauli
+            string on the oracle's qubits, a reference of another size, or
+            a block above the dense cap; checked before any charge.
     """
     if oracle.mode is not OracleMode.TROTTERIZED:
         raise OracleModeError("The product formula requires TROTTERIZED mode.")
     if shots < 1:
         raise ValueError(f"Shot count must be positive, got {shots}.")
+    for p in plan.draws:
+        if len(validate_label(p)) != oracle.n_qubits:
+            raise ValueError(f"Draw {p!r} does not act on {oracle.n_qubits} qubits.")
     half_dur = plan.total_time * plan.sector_weight / (2 * plan.steps)
     # One forward query per sector per half-step per shot.
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
-    blocks = oracle.query_forward_blocks(h0, half_dur, count=queries)
-    out = []
-    for sites, forward, compiled in blocks:
-        draws = tuple("".join([p[i] for i in sites]) for p in plan.draws)
-        out.append((sites, _strang_power(forward, compiled, draws, plan.steps)))
-    return out
+    groups = oracle.query_forward_blocks(h0, half_dur, count=queries)
+    # Draw j's ASCII codes in row j; a group's blocks take them at their sites.
+    codes = np.frombuffer("".join(plan.draws).encode("ascii"), dtype=np.uint8)
+    codes = codes.reshape(len(plan.draws), oracle.n_qubits)
+    return [(sites, _strang_power(forward, compiled, codes[:, sites], plan.steps))
+            for sites, forward, compiled in groups]
 
 
 def trotter_evolve(
@@ -206,9 +222,14 @@ def trotter_evolve(
     n = oracle.n_qubits
     if n > QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the dense cap of {QUBIT_CAP} qubits.")
+    groups = trotter_blocks(oracle, h0, plan, shots)
+    # Blocks in site order, whatever group holds them, so the products that
+    # form each entry do not depend on the grouping.
+    blocks = sorted(((sites[b], u[b]) for sites, u in groups for b in range(len(sites))),
+                    key=lambda block: block[0])
     u = np.ones((1, 1), dtype=complex)
     order: list[int] = []
-    for sites, block in trotter_blocks(oracle, h0, plan, shots):
+    for sites, block in blocks:
         u = np.kron(u, block)
         order += sites
     idle = sorted(set(range(n)) - set(order))

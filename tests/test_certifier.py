@@ -285,7 +285,8 @@ class TestTrotterRoundUnitarity:
     @staticmethod
     def _inflate(monkeypatch, per_step):
         """Scale every block's unitary by ``1 + per_step * steps``; returns
-        the list that collects ``(steps, u)`` per block."""
+        the list that collects ``(steps, u)`` per group of equal-size
+        blocks, ``u`` their ``(B, d, d)`` stack."""
         seen = []
         kernel = trotter._strang_power
 
@@ -312,18 +313,28 @@ class TestTrotterRoundUnitarity:
             # 0.8e-8 per step is above a flat 1e-8 from two steps on.
             assert seen[0][0] >= 2
 
-    def test_the_bound_covers_the_product_of_the_blocks(self, monkeypatch):
+    def _check_blocks_pass_alone(self, monkeypatch, h0):
         # Each block's defect, about 0.6e-8 per step, passes on its own;
         # the assembled unitary's, about 1.2e-8 per step, does not.
         seen = self._inflate(monkeypatch, 0.3e-8)
-        h0 = PauliSum(2, {"XI": -1.0, "IZ": 0.5})
         cfg = TestTrotterizedMode()._cfg(0)
         oracle = make_oracle(h0, OracleMode.TROTTERIZED)
         with pytest.raises(ValueError, match="not unitary"):
             run_round(h0, oracle, cfg, np.random.default_rng(0))
-        assert len(seen) == 2
-        for steps, u in seen:
-            identity_prob_trace(u, atol=1e-8 * steps)
+        for steps, stack in seen:
+            for u in stack:
+                identity_prob_trace(u, atol=1e-8 * steps)
+        return [stack.shape for _, stack in seen]
+
+    def test_the_bound_covers_the_product_of_the_blocks(self, monkeypatch):
+        # Two one-site blocks, stacked in one group.
+        h0 = PauliSum(2, {"XI": -1.0, "IZ": 0.5})
+        assert self._check_blocks_pass_alone(monkeypatch, h0) == [(2, 2, 2)]
+
+    def test_the_bound_covers_blocks_of_two_sizes(self, monkeypatch):
+        # A one-site and a two-site block, in two groups.
+        h0 = PauliSum(3, {"XII": -1.0, "IZZ": 0.5})
+        assert self._check_blocks_pass_alone(monkeypatch, h0) == [(1, 2, 2), (1, 4, 4)]
 
 
 def test_trotter_mode_at_the_paper_constants():

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from hamcert.dense import (
     PAULI_MATRICES,
+    _signed_permutation,
     eig_decompose,
     eigenvalues,
     evolve,
     hoffman_wielandt_gap,
     normalized_frobenius,
     pauli_conjugate,
+    pauli_conjugator,
     pauli_matrix,
     to_dense,
 )
@@ -125,6 +127,23 @@ class TestPauliConjugate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             pauli_conjugate(np.eye(4, dtype=complex), "XYZ")
+
+    @pytest.mark.parametrize("count, n", [(1, 3), (5, 1), (4, 2), (3, 4), (1, 8)])
+    def test_a_stack_equals_the_per_matrix_calls(self, count, n):
+        rng = np.random.default_rng(40 + 10 * count + n)
+        dim = 2**n
+        m = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
+        letters = np.array([list(label.encode("ascii")) for label in labels],
+                           dtype=np.uint8).reshape(count, n)
+        got = pauli_conjugator(letters)(m)
+        for b, label in enumerate(labels):
+            # The gather through np.ix_ that one matrix took before stacks.
+            flip, phase = _signed_permutation(label)
+            index = np.arange(dim) ^ flip
+            ix = phase[index][:, None] * m[b][np.ix_(index, index)] * phase
+            for want in (pauli_conjugate(m[b], label), ix):
+                assert np.array_equal(got[b].view(np.uint64), want.view(np.uint64)), label
 
 
 class TestEigenvalues:

@@ -38,6 +38,12 @@ CASES = {
     "endtoend-far-seed10000": ("n1.h0", "n1-far.h", dict(_N1, seed=10_000)),
     "trotter-n4-equal-seed3": ("n4.h0", "n4.h0", dict(_TROTTER, seed=3)),
     "trotter-n4-separated-seed5": ("n4.h0", "n4-far.h", dict(_TROTTER, seed=5)),
+    # 24 one-site blocks, all of one size.
+    "trotter-n24-equal-seed1": ("fields-n24.h0", "fields-n24.h0", dict(_TROTTER, seed=1)),
+    "trotter-n24-far-seed1": ("fields-n24.h0", "fields-n24-far.h", dict(_TROTTER, seed=1)),
+    # Blocks of 1, 2, 3, 1 and 2 sites: three sizes, interleaved in site order.
+    "trotter-mixed-n9-equal-seed1": ("mixed-n9.h0", "mixed-n9.h0", dict(_TROTTER, k=2, seed=1)),
+    "trotter-mixed-n9-far-seed1": ("mixed-n9.h0", "mixed-n9-far.h", dict(_TROTTER, k=2, seed=1)),
 }
 
 SWEEP_ARGS = [

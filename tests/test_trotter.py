@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcert.bell import identity_prob_factors, identity_prob_trace
-from hamcert.certifier import CertificationConfig
-from hamcert.dense import evolve, pauli_conjugate, pauli_matrix
+from hamcert.certifier import CertificationConfig, _trotter_identity_prob
+from hamcert.dense import _signed_permutation, _spectrum, evolve, pauli_conjugate, pauli_matrix
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
-from hamcert.pauli import PauliSum, conjugate, scale, subtract
+from hamcert.pauli import PauliSum, conjugate, restrict, scale, subtract, support_blocks
 from hamcert.trotter import (
     TROTTER_STEP_CAP,
     TrotterPlan,
@@ -325,18 +325,19 @@ def _full_matrix_doubling(hidden, h0, plan):
 
 
 def _check_factored(hidden, h0, plan, shots=1):
-    """The factored round against the full-matrix doubling; returns the blocks."""
+    """The factored round against the full-matrix doubling; returns the
+    sites of each group's blocks."""
     oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-    blocks = trotter_blocks(oracle, h0, plan, shots=shots)
+    groups = trotter_blocks(oracle, h0, plan, shots=shots)
     reference = _full_matrix_doubling(hidden, h0, plan)
-    got = identity_prob_factors([u for _, u in blocks])
+    got = identity_prob_factors([u for _, u in groups])
     assert abs(got - identity_prob_trace(reference)) <= 1e-12
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
     half = plan.total_time * plan.sector_weight / (2 * plan.steps)
     assert oracle.ledger == EvolutionLedger(queries * half, queries)
     dense = trotter_evolve(EvolutionOracle(hidden, OracleMode.TROTTERIZED), h0, plan)
     assert np.max(np.abs(dense - reference)) <= 1e-12
-    return [sites for sites, _ in blocks]
+    return [sites for sites, _ in groups]
 
 
 @st.composite
@@ -370,12 +371,13 @@ class TestFactoredRound:
         "n, hidden, h0, blocks",
         [
             # Sites 2 to 4 are idle.
-            (5, {"XZIII": 0.3}, {"ZIIII": 0.2, "IXIII": 0.4}, [(0, 1)]),
-            # h0 alone splits into three blocks; the hidden XX links two.
+            (5, {"XZIII": 0.3}, {"ZIIII": 0.2, "IXIII": 0.4}, [((0, 1),)]),
+            # h0 alone splits into three blocks; the hidden XX links two,
+            # so the two one-site blocks form a second group.
             (4, {"XXII": 0.3, "IIZI": 0.2}, {"XIII": 0.2, "IZII": 0.1, "IIIY": 0.5},
-             [(0, 1), (2,), (3,)]),
+             [((0, 1),), ((2,), (3,))]),
             # One block over every site.
-            (3, {"XYI": 0.3, "IZZ": -0.4}, {"ZZI": 0.2, "IXY": 0.7}, [(0, 1, 2)]),
+            (3, {"XYI": 0.3, "IZZ": -0.4}, {"ZZI": 0.2, "IXY": 0.7}, [((0, 1, 2),)]),
             # No term at all.
             (2, {}, {}, []),
         ],
@@ -396,8 +398,8 @@ class TestFactoredRound:
         monkeypatch.setattr(oracle.ledger, "charge",
                             lambda d, queries=1: (charges.append(queries), charge(d, queries)))
         plan = TrotterPlan(("ZIZ", "IZI"), 6, 1.1)
-        blocks = trotter_blocks(oracle, hidden, plan, shots=7)
-        assert len(blocks) == 3
+        groups = trotter_blocks(oracle, hidden, plan, shots=7)
+        assert [sites for sites, _ in groups] == [((0,), (1,), (2,))]
         assert charges == [7 * 6 * 2 * 4]
         assert oracle.ledger.query_count == 7 * 6 * 2 * 4
 
@@ -415,6 +417,132 @@ class TestFactoredRound:
         with pytest.raises(ValueError, match="n=11 exceeds the dense cap"):
             trotter_evolve(oracle, hidden, plan)
         assert oracle.ledger == EvolutionLedger()
+
+
+def _ix_conjugate(m, label):
+    """``P @ m @ P`` through ``np.ix_``, as one matrix was conjugated before
+    the conjugation took stacks."""
+    flip, phase = _signed_permutation(label)
+    index = np.arange(2 ** len(label)) ^ flip
+    return phase[index][:, None] * m[np.ix_(index, index)] * phase
+
+
+def _per_block_round(hidden, h0, plan):
+    """A trotter round as it ran one block at a time, before equal-size
+    blocks were stacked: per block, its own two propagators, the Strang
+    doubling with the draws cut to its sites and ``matrix_power``; then the
+    list form of the unitarity bound and the product, in site order.
+
+    Returns ``([(sites, u)], probability, bound)``.
+    """
+    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    blocks = []
+    for sites in support_blocks(hidden, h0):
+        w, v = _spectrum(restrict(hidden, sites))
+        forward = (v * np.exp(-1j * w * half)) @ v.conj().T
+        w, v = _spectrum(restrict(h0, sites))
+        compiled = (v * np.exp(-1j * w * -half)) @ v.conj().T
+        first_half, second_half = forward @ compiled, compiled @ forward
+        for p in plan.draws:
+            cut = "".join([p[i] for i in sites])
+            first_half = first_half @ _ix_conjugate(first_half, cut)
+            second_half = _ix_conjugate(second_half, cut) @ second_half
+        blocks.append((sites, np.linalg.matrix_power(first_half @ second_half, plan.steps)))
+    bound = 0.0
+    for _, u in blocks:
+        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+        bound += defect + bound * defect
+    prob = math.prod(
+        (min(float(abs(np.trace(u)) ** 2) / u.shape[0] ** 2, 1.0) for _, u in blocks),
+        start=1.0,
+    )
+    return blocks, prob, bound
+
+
+@st.composite
+def _blocky_sum(draw, n):
+    """Up to five terms of weight 1 to 3 on ``n`` sites: blocks of mixed
+    sizes, idle sites, a single block or no term at all."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        label = ["I"] * n
+        for site in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            label[site] = draw(st.sampled_from("XYZ"))
+        terms["".join(label)] = draw(st.floats(-1.0, 1.0))
+    return PauliSum(n, terms)
+
+
+def _check_stacked(hidden, h0, plan, shots=1):
+    """The stacked round bit for bit against the per-block loop; returns
+    the sites of each group's blocks."""
+    oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+    groups = trotter_blocks(oracle, h0, plan, shots=shots)
+    blocks, prob, bound = _per_block_round(hidden, h0, plan)
+    got = sorted(((sites[b], u[b]) for sites, u in groups for b in range(len(sites))),
+                 key=lambda block: block[0])
+    assert [sites for sites, _ in got] == [sites for sites, _ in blocks]
+    for (sites, u), (_, want) in zip(got, blocks):
+        assert np.array_equal(u, want), sites
+    queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
+    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    assert oracle.ledger == EvolutionLedger(queries * half, queries)
+    oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+    if bound <= 1e-8 * plan.steps:
+        assert _trotter_identity_prob(oracle, h0, plan, shots) == prob
+    # The bound accumulates in site order too: it passes at itself and
+    # fails just below.
+    stacks = [u for _, u in groups]
+    sites = [block for block_sites, _ in groups for block in block_sites]
+    order = sorted(range(len(sites)), key=sites.__getitem__)
+    assert identity_prob_factors(stacks, atol=bound, order=order) == prob
+    with pytest.raises(ValueError, match="not unitary"):
+        identity_prob_factors(stacks, atol=np.nextafter(bound, -1.0), order=order)
+    return [sites for sites, _ in groups]
+
+
+class TestStackedRound:
+    """A round on stacks of equal-size blocks against the per-block loop."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 8), draws=st.integers(0, 3),
+           steps=st.integers(1, 40), t=st.floats(0.0, 3.0))
+    def test_equals_the_per_block_loop(self, data, n, draws, steps, t):
+        hidden, h0 = data.draw(_blocky_sum(n)), data.draw(_blocky_sum(n))
+        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+        s = DiagonalSubspace(tuple(axes))
+        bits = st.lists(st.booleans(), min_size=n, max_size=n)
+        paulis = tuple(_member(s, b) for b in data.draw(
+            st.lists(bits, min_size=draws, max_size=draws)))
+        _check_stacked(hidden, h0, TrotterPlan(twirl_conjugators(s, paulis), steps, t))
+
+    @pytest.mark.parametrize(
+        "n, hidden, h0, groups",
+        [
+            # Sizes 1, 2, 3, 1, 2 in site order; sites 9 and 10 are idle.
+            (11, {"XIIIIIIIIII": 0.3, "IXXIIIIIIII": 0.4, "IIIZYXIIIII": -0.2},
+             {"IIIIIIZIIII": 0.5, "IIIIIIIYZII": 0.1, "IIIZIIIIIII": 0.6},
+             [((0,), (6,)), ((1, 2), (7, 8)), ((3, 4, 5),)]),
+            # One block over every site.
+            (4, {"XYII": 0.3, "IZZI": -0.4}, {"IIXY": 0.7}, [((0, 1, 2, 3),)]),
+            # No term at all.
+            (3, {}, {}, []),
+        ],
+    )
+    def test_groups_idle_sites_and_a_single_block(self, n, hidden, h0, groups):
+        s = DiagonalSubspace(("X", "Z", "Y", "Z", "X", "Y", "Y", "Z", "X", "Z", "Y")[:n])
+        rows = [(1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1), (0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1)]
+        paulis = tuple(_member(s, bits[:n]) for bits in rows)
+        plan = TrotterPlan(twirl_conjugators(s, paulis), 9, 2.3)
+        assert _check_stacked(PauliSum(n, hidden), PauliSum(n, h0), plan, shots=2) == groups
+
+
+@pytest.mark.parametrize("draw", ["QX", "xZ", "XZZ", "X", "XÉ"])
+def test_a_draw_off_the_qubits_is_refused_before_any_charge(draw):
+    h = PauliSum(2, {"XI": 0.3, "IZ": 0.2})
+    oracle = EvolutionOracle(h, OracleMode.TROTTERIZED)
+    with pytest.raises(ValueError):
+        trotter_blocks(oracle, h, TrotterPlan((draw,), 2, 1.0))
+    assert oracle.ledger == EvolutionLedger()
 
 
 class TestTrotterError:
