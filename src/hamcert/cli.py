@@ -30,10 +30,13 @@ _MODES = {"exact": OracleMode.EXACT_EFFECTIVE, "trotter": OracleMode.TROTTERIZED
 
 
 def _load_hamiltonian(path: str) -> PauliSum:
+    # UTF-8 whatever the locale, so a file means the same under every locale.
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise HamiltonianFormatError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise HamiltonianFormatError(f"{path}: not valid UTF-8: {exc}") from None
     try:
         return parse_hamiltonian(text)
     except HamiltonianFormatError as exc:

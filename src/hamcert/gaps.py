@@ -110,6 +110,9 @@ def find_drop_time(
 #: Searches of :func:`find_drop_times` that share one block of draws.
 _SEARCH_BATCH = 1024
 
+#: Draws per search that :func:`find_drop_times` evaluates before the rest.
+_FIRST_DRAWS = 2
+
 
 def find_drop_times(
     spectrum: np.ndarray, cfg: GapStatConfig, rng: np.random.Generator, searches: int
@@ -117,14 +120,18 @@ def find_drop_times(
     """``searches`` successive :func:`find_drop_time` calls, vectorised.
 
     A block of searches draws the most times it can use, ``m_times`` per
-    search, with one ``rng.random`` call and evaluates them all at once.
-    The searches then take their draws in order, each up to and including
-    its first hit: with the index of the next hit at or after every draw
-    known, a search is one lookup.  Finally ``rng`` is rewound and
-    advanced by exactly the draws taken.  The results and the final
-    ``rng`` state are those of ``searches`` calls of :func:`find_drop_time`
-    that draw one ``rng.uniform(0.0, 2/epsilon)`` at a time:
-    ``random() * horizon`` is that draw bit for bit.
+    search, with one ``rng.random`` call.  The searches then take their
+    draws in order, each up to and including its first hit: with the
+    index of the next hit at or after every draw known, a search is one
+    lookup.  Most searches stop at their first or second draw, so the
+    probabilities of the first ``_FIRST_DRAWS`` draws per search are
+    evaluated first, and those of the rest of the block only when a
+    search reaches past them; each probability is computed on its own row,
+    so this changes no value.  Finally ``rng`` is rewound and advanced by
+    exactly the draws taken.  The results and the final ``rng`` state are
+    those of ``searches`` calls of :func:`find_drop_time` that draw one
+    ``rng.uniform(0.0, 2/epsilon)`` at a time: ``random() * horizon`` is
+    that draw bit for bit.
     """
     if searches < 0:
         raise ValueError(f"Search count must be nonnegative, got {searches}.")
@@ -136,16 +143,20 @@ def find_drop_times(
         block = min(searches - len(found), _SEARCH_BATCH)
         state = rng.bit_generator.state
         times = rng.random(block * draws) * horizon
-        probs = identity_probs_spectral(spectrum, times)
-        # next_hit[i]: the first hit at or after draw i, or the draw count.
-        next_hit = np.where(probs <= target, np.arange(times.size), times.size)
-        next_hit = np.minimum.accumulate(next_hit[::-1])[::-1].tolist()
-        times, probs = times.tolist(), probs.tolist()
+        probs = identity_probs_spectral(spectrum, times[: _FIRST_DRAWS * block])
+        next_hit = _next_hits(probs, target)
+        stamps = times.tolist()
         used = 0
         for _ in range(block):
             i = next_hit[used]
+            if i == probs.size < used + draws:
+                # No hit among the evaluated draws, and this search has more.
+                rest = identity_probs_spectral(spectrum, times[probs.size :])
+                probs = np.concatenate((probs, rest))
+                next_hit = _next_hits(probs, target)
+                i = next_hit[used]
             if i < used + draws:
-                found.append(DropTime(times[i], probs[i]))
+                found.append(DropTime(stamps[i], float(probs[i])))
                 used = i + 1
             else:
                 found.append(None)
@@ -153,6 +164,14 @@ def find_drop_times(
         rng.bit_generator.state = state
         rng.random(used)
     return found
+
+
+def _next_hits(probs: np.ndarray, target: float) -> list[int]:
+    """Entry ``i``: the first index at or after ``i`` whose probability is
+    at most ``target``, else ``probs.size``; one entry per draw and one
+    more, for ``i = probs.size``."""
+    hits = np.where(probs <= target, np.arange(probs.size), probs.size)
+    return np.minimum.accumulate(hits[::-1])[::-1].tolist() + [probs.size]
 
 
 def stability_bound(p: float, q: float) -> float:

@@ -22,10 +22,17 @@ def all_k_local_labels(n: int, k: int, letters: str = "XYZ") -> tuple[str, ...]:
     """Every label on ``n`` qubits with weight between 1 and ``k``.
 
     Kept per ``(n, k, letters)``: the suites draw thousands of instances
-    from a few pools.
+    from a few pools.  ``letters`` is checked here, once per pool, so every
+    label in a pool is valid and :func:`random_pauli_sum` trusts them.
+
+    Raises:
+        ValueError: If ``k`` is outside ``1..n``, ``letters`` is empty, or
+            a letter is not one of ``X``, ``Y``, ``Z``.
     """
     if k < 1 or k > n:
         raise ValueError(f"Need 1 <= k <= n, got k={k}, n={n}.")
+    if not letters or not set(letters) <= set("XYZ"):
+        raise ValueError(f"Letters must be drawn from 'XYZ', got {letters!r}.")
     labels = []
     for w in range(1, k + 1):
         for sites in itertools.combinations(range(n), w):
@@ -44,17 +51,25 @@ def random_pauli_sum(
     num_terms: int | None = None,
     letters: str = "XYZ",
 ) -> PauliSum:
-    """A k-local sum with standard-normal coefficients on distinct labels."""
+    """A k-local sum with standard-normal coefficients on distinct labels.
+
+    The labels come from :func:`all_k_local_labels`, which checked them, so
+    the sum is built without checking them again.
+    """
     pool = all_k_local_labels(n, k, letters)
     if num_terms is None:
         num_terms = int(rng.integers(1, min(len(pool), 3 * n) + 1))
+    if num_terms < 1:
+        # No coefficient could ever pass the retry below.
+        raise ValueError(f"Need at least one term, got num_terms={num_terms}.")
     num_terms = min(num_terms, len(pool))
     picks = rng.choice(len(pool), size=num_terms, replace=False)
     coeffs = rng.normal(size=num_terms)
     # Retry degenerate draws: the zero sum has no norm to certify against.
     while not np.any(np.abs(coeffs) >= 1e-12):
         coeffs = rng.normal(size=num_terms)
-    return PauliSum(n, [(pool[int(i)], float(c)) for i, c in zip(picks, coeffs)])
+    terms = [(pool[int(i)], float(c)) for i, c in zip(picks, coeffs)]
+    return PauliSum._from_pairs(n, terms)
 
 
 def random_diagonal_sum(

@@ -75,9 +75,12 @@ def validate_label(label: str) -> str:
     """
     if not isinstance(label, str) or len(label) == 0:
         raise ValueError(f"Pauli label must be a nonempty string, got {label!r}.")
-    for ch in label:
-        if ch not in PAULI_LETTERS:
-            raise ValueError(f"Invalid Pauli letter {ch!r} in label {label!r}.")
+    # Stripping every valid letter leaves nothing exactly when all are valid;
+    # only a bad label pays for the loop that names its first bad letter.
+    if label.strip(PAULI_LETTERS):
+        for ch in label:
+            if ch not in PAULI_LETTERS:
+                raise ValueError(f"Invalid Pauli letter {ch!r} in label {label!r}.")
     return label
 
 
@@ -136,6 +139,46 @@ def _commutes(label_a: str, label_b: str) -> bool:
     return clashes % 2 == 0
 
 
+def _checked(n: int, items: Iterable[tuple[str, float]]) -> Iterator[tuple[str, float]]:
+    """The pairs of ``items``, each label checked as it is reached.
+
+    A label must be valid, of length ``n`` and not all-identity.  Checking
+    lazily keeps the order of the errors of a single pass: a bad label
+    after an overflowing sum is never reached.
+    """
+    for label, coeff in items:
+        validate_label(label)
+        if len(label) != n:
+            raise ValueError(f"Label {label!r} has length {len(label)}, expected {n}.")
+        if not label.strip("I"):
+            raise ValueError(
+                "The all-identity term is not allowed (operators are traceless)."
+            )
+        yield label, coeff
+
+
+def _summed(pairs: Iterable[tuple[str, float]]) -> dict[str, float]:
+    """The coefficient work of a :class:`PauliSum`, on labels known valid.
+
+    Sums duplicate labels in input order, rejects a non-finite sum, drops
+    magnitudes below :data:`COEFF_DROP_TOL` and sorts by label.
+    """
+    accum: dict[str, float] = {}
+    for label, coeff in pairs:
+        value = accum.get(label, 0.0) + float(coeff)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"Coefficient for {label!r} is not finite: adding {coeff!r} "
+                f"gives {value!r}."
+            )
+        accum[label] = value
+    return {
+        label: accum[label]
+        for label in sorted(accum)
+        if abs(accum[label]) >= COEFF_DROP_TOL
+    }
+
+
 class PauliSum:
     """A traceless Hermitian operator as a sparse real Pauli expansion.
 
@@ -166,30 +209,18 @@ class PauliSum:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"System size must be a positive integer, got {n!r}.")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        accum: dict[str, float] = {}
-        for label, coeff in items:
-            validate_label(label)
-            if len(label) != n:
-                raise ValueError(
-                    f"Label {label!r} has length {len(label)}, expected {n}."
-                )
-            if set(label) == {"I"}:
-                raise ValueError(
-                    "The all-identity term is not allowed (operators are traceless)."
-                )
-            value = accum.get(label, 0.0) + float(coeff)
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"Coefficient for {label!r} is not finite: adding {coeff!r} "
-                    f"gives {value!r}."
-                )
-            accum[label] = value
         self._n = n
-        self._terms: dict[str, float] = {
-            label: accum[label]
-            for label in sorted(accum)
-            if abs(accum[label]) >= COEFF_DROP_TOL
-        }
+        self._terms = _summed(_checked(n, items))
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs: Iterable[tuple[str, float]]) -> "PauliSum":
+        """A sum over ``(label, coefficient)`` pairs whose labels are valid.
+
+        Does only the coefficient work of ``__init__``: the caller passes
+        labels of length ``n`` that already passed :func:`validate_label`
+        and are not all-identity.
+        """
+        return cls._from_valid(n, _summed(pairs))
 
     @classmethod
     def _from_valid(cls, n: int, terms: dict[str, float]) -> "PauliSum":
@@ -258,7 +289,8 @@ class PauliSum:
 
     def max_weight(self) -> int:
         """Largest term weight present (0 for the empty sum)."""
-        return max((weight(p) for p in self._terms), default=0)
+        # Stored labels are valid: count their letters without checking again.
+        return max((len(p) - p.count("I") for p in self._terms), default=0)
 
     def to_text(self) -> str:
         """Render in the text format, one term per line, sorted by label."""
@@ -287,10 +319,8 @@ def conjugate(h: PauliSum, label: str) -> PauliSum:
     validate_label(label)
     if len(label) != h.n:
         raise ValueError(f"Conjugator length {len(label)} does not match n={h.n}.")
-    flipped = {
-        p: (c if commutes(label, p) else -c) for p, c in h._terms.items()
-    }
-    return PauliSum(h.n, flipped)
+    flipped = [(p, c if _commutes(label, p) else -c) for p, c in h._terms.items()]
+    return PauliSum._from_pairs(h.n, flipped)
 
 
 def add(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -300,7 +330,7 @@ def add(a: PauliSum, b: PauliSum) -> PauliSum:
     merged = dict(a._terms)
     for p, c in b._terms.items():
         merged[p] = merged.get(p, 0.0) + c
-    return PauliSum(a.n, merged)
+    return PauliSum._from_pairs(a.n, merged.items())
 
 
 def subtract(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -313,7 +343,7 @@ def scale(h: PauliSum, factor: float) -> PauliSum:
     value = float(factor)
     if not math.isfinite(value):
         raise ValueError(f"Scale factor is not finite: {factor!r}.")
-    return PauliSum(h.n, {p: c * value for p, c in h._terms.items()})
+    return PauliSum._from_pairs(h.n, [(p, c * value) for p, c in h._terms.items()])
 
 
 def support_blocks(*sums: PauliSum) -> list[tuple[int, ...]]:
@@ -400,10 +430,9 @@ def parse_hamiltonian(text: str) -> PauliSum:
     n: int | None = None
     pairs: list[tuple[str, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.partition("#")[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise HamiltonianFormatError(
                 f"line {lineno}: expected '<coefficient> <label>', got {raw!r}."
@@ -423,7 +452,7 @@ def parse_hamiltonian(text: str) -> PauliSum:
             validate_label(label)
         except ValueError as exc:
             raise HamiltonianFormatError(f"line {lineno}: {exc}") from None
-        if set(label) == {"I"}:
+        if not label.strip("I"):
             raise HamiltonianFormatError(
                 f"line {lineno}: the all-identity term is not allowed "
                 "(operators are traceless)."
@@ -441,7 +470,7 @@ def parse_hamiltonian(text: str) -> PauliSum:
             "no terms found: the system size cannot be determined."
         )
     try:
-        return PauliSum(n, pairs)
+        return PauliSum._from_pairs(n, pairs)
     except ValueError as exc:
         # Every line is valid on its own, so only a sum can fail here.
         raise HamiltonianFormatError(str(exc)) from None

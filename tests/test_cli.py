@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -451,3 +452,36 @@ def test_module_entrypoint_smoke(files):
     )
     assert proc.returncode == 0
     assert "verdict: ACCEPT" in proc.stdout
+
+
+class TestFileEncoding:
+    """Hamiltonian files are read as UTF-8 under any locale."""
+
+    @staticmethod
+    def run_ascii_locale(args, cwd):
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "hamcert"] + args,
+                              capture_output=True, cwd=cwd, env=env)
+
+    def test_a_utf8_comment_is_accepted_under_an_ascii_locale(self):
+        # The golden report was pinned under a UTF-8 locale from fields-n24.h0,
+        # which holds the same terms without the comments.
+        args = ["certify", "--h0", "fields-n24-utf8.h0", "--h", "fields-n24.h0",
+                "--epsilon", "0.2", "--delta", "0.2", "--k", "1", "--seed", "1",
+                "--mode", "trotter", "--c2", "2", "--allow-weak-constants"]
+        proc = self.run_ascii_locale(args, GOLDEN)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / "trotter-n24-equal-seed1.report").read_bytes()
+
+    def test_an_invalid_byte_exits_2_naming_the_file(self, files):
+        path = files / "h0_latin1.txt"
+        path.write_bytes("# café\n-0.2 X\n".encode("latin-1"))
+        args = certify_args(files, "h_same.txt")
+        args[args.index("--h0") + 1] = str(path)
+        proc = self.run_ascii_locale(args, files)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        err = proc.stderr.decode("ascii")
+        assert err.startswith(f"error: {path}: not valid UTF-8: ")
+        assert "Traceback" not in err

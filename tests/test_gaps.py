@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hamcert.bell import identity_prob_spectral
+from hamcert import gaps
+from hamcert.bell import identity_prob_spectral, identity_probs_spectral
 from hamcert.gaps import (
     DropTime,
     GapStatConfig,
@@ -18,6 +19,21 @@ from hamcert.gaps import (
 )
 from hamcert.instances import random_diagonal_sum, random_pauli_sum
 from hamcert.pauli import PauliSum, frobenius_norm, scale
+
+
+def _uniform_loop(spectrum, cfg, rng):
+    """One search that draws one ``rng.uniform`` time at a time."""
+    target = 1.0 - cfg.d / 4.0
+    for _ in range(cfg.m_times):
+        t = float(rng.uniform(0.0, 2.0 / cfg.epsilon))
+        prob = identity_prob_spectral(spectrum, t)
+        if prob <= target:
+            return DropTime(t, prob)
+    return None
+
+
+def _bits(found):
+    return [None if f is None else np.array(f).view(np.uint64).tolist() for f in found]
 
 
 def brute_lambda(spectrum, epsilon):
@@ -142,31 +158,54 @@ class TestFindDropTime:
         assert measure >= 1.0 / 3.0
 
     def test_equals_the_uniform_draw_loop(self):
-        def uniform_loop(spectrum, cfg, rng):
-            target = 1.0 - cfg.d / 4.0
-            for _ in range(cfg.m_times):
-                t = float(rng.uniform(0.0, 2.0 / cfg.epsilon))
-                prob = identity_prob_spectral(spectrum, t)
-                if prob <= target:
-                    return DropTime(t, prob)
-            return None
-
-        def bits(found):
-            return [None if f is None else np.array(f).view(np.uint64).tolist()
-                    for f in found]
-
         cfg = GapStatConfig(epsilon=0.7, d=0.5, delta=0.05)
         for seed, spec in enumerate(
             [np.array([-0.5, 0.5]), np.array([-2.0, -1.0, 1.0, 2.0]), np.zeros(8)]
         ):
             rngs = [np.random.default_rng(seed) for _ in range(3)]
-            want = [uniform_loop(spec, cfg, rngs[0]) for _ in range(2500)]
+            want = [_uniform_loop(spec, cfg, rngs[0]) for _ in range(2500)]
             one_at_a_time = [find_drop_time(spec, cfg, rngs[1]) for _ in range(2500)]
             # 2500 searches span three blocks of draws.
             at_once = find_drop_times(spec, cfg, rngs[2], 2500)
-            assert bits(one_at_a_time) == bits(at_once) == bits(want)
+            assert _bits(one_at_a_time) == _bits(at_once) == _bits(want)
             states = [r.bit_generator.state for r in rngs]
             assert states[0] == states[1] == states[2]
+
+    def test_searches_that_run_past_the_first_draws(self, monkeypatch):
+        # cos(0.14 t)**2 <= 7/8 only for t >= 2.58 of [0, 2/0.7]: about one
+        # draw in ten hits, so a search mostly takes several of its 8 draws
+        # and each block evaluates the rest of its draws too.
+        spec = np.array([-0.14, 0.14])
+        cfg = GapStatConfig(epsilon=0.7, d=0.5, delta=0.05)
+        sizes = []
+
+        def counted(spectrum, times):
+            sizes.append(len(times))
+            return identity_probs_spectral(spectrum, times)
+
+        monkeypatch.setattr(gaps, "identity_probs_spectral", counted)
+        rngs = [np.random.default_rng(5) for _ in range(2)]
+        want = [_uniform_loop(spec, cfg, rngs[0]) for _ in range(1500)]
+        got = find_drop_times(spec, cfg, rngs[1], 1500)
+        assert _bits(got) == _bits(want)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        # Blocks of 1024 and 476 searches: two draws per search, then six.
+        assert cfg.m_times == 8
+        assert sizes == [2 * 1024, 6 * 1024, 2 * 476, 6 * 476]
+        assert 0 < sum(f is None for f in got) < 1500
+
+    @pytest.mark.parametrize("delta", [0.7, 0.5, 0.3, 0.2])
+    def test_few_draws_per_search(self, delta):
+        # m_times 1 to 4 against the two draws per search evaluated first:
+        # the last search of a block may need exactly one draw more.
+        cfg = GapStatConfig(epsilon=0.7, d=0.5, delta=delta)
+        for spec in (np.array([-0.14, 0.14]), np.zeros(2)):
+            for searches in (1, 2, 3, 7):
+                rngs = [np.random.default_rng(searches) for _ in range(2)]
+                want = [_uniform_loop(spec, cfg, rngs[0]) for _ in range(searches)]
+                got = find_drop_times(spec, cfg, rngs[1], searches)
+                assert _bits(got) == _bits(want)
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_negative_search_count_rejected(self):
         cfg = GapStatConfig(epsilon=1.0, d=0.5, delta=0.1)
