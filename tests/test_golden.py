@@ -81,3 +81,17 @@ def test_verify_all_output_bytes(monkeypatch, capsys):
     monkeypatch.delenv("HAMCERT_SEED", raising=False)
     assert main(["verify"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify-all.txt").read_text()
+
+
+#: Seeds of ``verify-seeds.txt``, each pinned under a ``# <command>`` line.
+VERIFY_SEEDS = (1, 2)
+
+
+def test_verify_seeded_output_bytes(capsys):
+    text = ""
+    for seed in VERIFY_SEEDS:
+        args = ["verify", "--suite", "all", "--seed", str(seed)]
+        text += "# hamcert " + " ".join(args) + "\n"
+        assert main(args) == 0
+        text += capsys.readouterr().out
+    assert text == (GOLDEN / "verify-seeds.txt").read_text()
