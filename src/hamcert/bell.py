@@ -12,6 +12,13 @@ when ``U = exp(-i t H)`` with eigenvalues ``l_1 <= ... <= l_N``, so the
 identity-outcome probability depends only on eigenvalue differences and is
 identically 1 for the zero Hamiltonian.
 
+The spectral route evaluates it at given times, each time on its own row,
+so a time gets the same bits in any batch; the certifier uses it.
+:func:`identity_probs_grid` evaluates a whole uniform grid from one
+complex matrix product and agrees with the spectral route only to
+rounding; the verification suites use it for their dip-measure quadrature.
+:func:`identity_prob_factors` takes ``(B, d, d)`` stacks of unitaries.
+
 Register layout for the measurement simulator: qubits ``0..n-1`` hold the
 evolved halves, qubits ``n..2n-1`` the partner halves, most significant
 bit first.  Measuring pair ``i`` yields bits ``(u_i, v_i)`` at string
@@ -32,6 +39,7 @@ __all__ = [
     "bell_measure_choi",
     "identity_prob_factors",
     "identity_prob_spectral",
+    "identity_probs_grid",
     "identity_probs_spectral",
     "identity_prob_trace",
     "outcome_bits",
@@ -130,6 +138,62 @@ def _row_sums(block: np.ndarray, inverse: np.ndarray | None) -> np.ndarray:
     if inverse is not None:
         block = np.take(block, inverse, axis=1)
     return block.sum(axis=1)
+
+
+def identity_probs_grid(spectrum: np.ndarray, stop: float, points: int) -> np.ndarray:
+    """:func:`identity_probs_spectral` on the grid ``np.linspace(0, stop, points)``,
+    from one complex matrix product.
+
+    With ``step = stop / (points - 1)`` and ``q`` the square root of
+    ``points`` rounded up, grid time ``r * step`` is ``a + b`` with a
+    coarse time ``a = (r // q) * q * step`` and a fine time ``b = (r % q) *
+    step``, and ``exp(-i l (a + b)) = exp(-i l a) exp(-i l b)``.  So the
+    coherent sums of all times are the product of a coarse phase table,
+    one row per coarse time weighted by each distinct eigenvalue's
+    multiplicity, and a fine one, one column per fine time: ``O(q * L)``
+    sines and cosines for ``L`` distinct eigenvalues, not ``points * L``.
+    Coarse rows are multiplied in blocks of at most ``_PHASE_ENTRIES / 2``
+    complex entries (2 MiB).
+
+    The values agree with :func:`identity_probs_spectral` only to rounding
+    (about ``1e-15`` at moderate phases), not bit for bit: the times and
+    the sums are formed differently.  So counts against a threshold agree
+    unless a grid value lies within rounding of it.
+
+    Raises:
+        ValueError: On a negative or non-finite ``stop``, ``points < 1``,
+            an empty or non-1-D spectrum, a non-finite eigenvalue, or a
+            phase ``stop * l`` that overflows, with the messages of
+            :func:`identity_probs_spectral` for the spectrum and phase.
+    """
+    if not (math.isfinite(stop) and stop >= 0):
+        raise ValueError(f"Time must be finite and nonnegative, got {stop}.")
+    if points < 1:
+        raise ValueError(f"Need at least one grid point, got {points}.")
+    values = np.asarray(spectrum, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    if not np.isfinite(values).all():
+        raise ValueError("Spectrum must hold finite values only.")
+    scale = float(np.abs(values).max())
+    if points > 1 and not math.isfinite(stop * scale):
+        raise ValueError(f"Phase overflows: time {float(stop)} by eigenvalue {scale}.")
+    distinct, counts = np.unique(values, return_counts=True)
+    step = stop / (points - 1) if points > 1 else 0.0
+    fine = math.isqrt(points - 1) + 1
+    coarse = -(-points // fine)
+    # Each coarse time is at most stop, so no phase exceeds stop * scale.
+    fine_phases = np.exp(-1j * np.multiply.outer(distinct, np.arange(fine) * step))
+    coarse_times = np.arange(coarse) * (fine * step)
+    coarse_phases = counts * np.exp(-1j * np.multiply.outer(coarse_times, distinct))
+    probs = np.empty(coarse * fine)
+    rows = max(1, _PHASE_ENTRIES // 2 // fine)
+    for start in range(0, coarse, rows):
+        sums = coarse_phases[start : start + rows] @ fine_phases
+        block = probs[start * fine : (start + rows) * fine]
+        np.add(sums.real**2, sums.imag**2, out=block.reshape(sums.shape))
+    probs = probs[:points] / values.size**2
+    return np.minimum(probs, 1.0, out=probs)
 
 
 def identity_prob_trace(u: np.ndarray, atol: float = 1e-8) -> float:

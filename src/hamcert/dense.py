@@ -4,8 +4,11 @@ Materializes Pauli sums as ``2^n x 2^n`` complex arrays, building each
 Pauli term as a signed permutation (one phase per column, no Kronecker
 product of matrices), provides the Hermitian eigendecomposition, unitary
 time evolution through the spectral form, and the mean-square eigenvalue
-displacement used to bound spectral perturbations.  Propagators and Pauli
-conjugations also take ``(B, d, d)`` stacks of equal-size matrices.
+displacement used to bound spectral perturbations.  Propagators, Pauli
+conjugations, spectra and displacements also take ``(B, d, d)`` stacks of
+equal-size matrices, and :func:`to_dense_stack` builds such a stack from
+equal-size sums; each per-matrix function is the one-element case of its
+stacked form, so a matrix gets the same bits alone or in a stack.
 
 :func:`evolve` keeps the eigendecompositions of the two Pauli sums it
 evolved last.  A trotter run evolves two, the hidden Hamiltonian and the
@@ -21,7 +24,7 @@ Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "eigenvalues",
     "evolve",
     "hoffman_wielandt_gap",
+    "hoffman_wielandt_gap_stack",
     "is_hermitian",
     "normalized_frobenius",
     "operator_norm",
@@ -42,6 +46,7 @@ __all__ = [
     "pauli_matrix",
     "propagator",
     "to_dense",
+    "to_dense_stack",
 ]
 
 #: Largest system size the dense backend will materialize (1024 x 1024).
@@ -105,29 +110,38 @@ for _ch, _ph in _LETTER_PHASES.items():
     _CODE_PHASES[ord(_ch)] = _ph
 
 
+def _letter_phases(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip masks ``(B,)`` and phases ``(B, 2^k)`` of the strings in ``letters``.
+
+    ``letters`` is a ``(B, k)`` uint8 array of ASCII codes of valid letters.
+    Row ``b`` is :func:`_signed_permutation` of string ``b``, formed by the
+    same Kronecker products in the same order, so it has the same bits.
+    """
+    count, k = letters.shape
+    phase = np.ones((count, 1), dtype=complex)
+    flip = np.zeros(count, dtype=np.intp)
+    for site in range(k):
+        code = letters[:, site]
+        phase = (phase[:, :, None] * _CODE_PHASES[code][:, None, :]).reshape(count, -1)
+        flip = flip << 1 | _CODE_FLIPS[code]
+    return flip, phase
+
+
 def pauli_conjugator(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``m -> P_b @ m[b] @ P_b`` on ``(B, 2^k, 2^k)`` stacks.
 
     ``letters`` is a ``(B, k)`` uint8 array: row ``b`` holds the ASCII
     codes of the Pauli string ``P_b``, which must be valid letters.  Each
-    string's flip mask and phases are those of :func:`_signed_permutation`,
-    formed by the same products in the same order, and are taken once, so
-    one conjugator serves several stacks.  Row ``b`` of the result is
-    ``ph[i ^ x] * m[b, i ^ x, j ^ x] * ph[j]`` as in
+    string's flip mask and phases come from :func:`_letter_phases` and are
+    taken once, so one conjugator serves several stacks.  Row ``b`` of the
+    result is ``ph[i ^ x] * m[b, i ^ x, j ^ x] * ph[j]`` as in
     :func:`pauli_conjugate`, bit for bit; the gather takes the flat index
     ``(i * 2^k + j) ^ (x * (2^k + 1))`` of ``(i ^ x, j ^ x)`` in one
     ``take``.
     """
     count, k = letters.shape
     dim = 2**k
-    place = np.arange(k - 1, -1, -1)
-    bits = np.arange(dim) >> place[:, None] & 1
-    # Phase j is the product of the letters' phases on the bits of j, most
-    # significant first and starting from 1, as the Kronecker product forms
-    # it.  Its parts are 0 or +-1, so every product is exact.
-    phase = np.multiply.reduce(_CODE_PHASES[letters[:, :, None], bits], axis=1,
-                               initial=1.0 + 0j)
-    flip = (_CODE_FLIPS[letters] << place).sum(axis=1)
+    flip, phase = _letter_phases(letters)
     rows = np.arange(count * dim).reshape(count, dim)
     rows ^= flip[:, None]
     cells = np.arange(count * dim * dim).reshape(count, -1)
@@ -162,29 +176,53 @@ def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
 def to_dense(h: PauliSum) -> np.ndarray:
     """Materialize a Pauli sum as a dense Hermitian matrix.
 
-    Each term is a signed permutation (see :func:`pauli_conjugate`), so
-    it adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only,
-    in term order.  The entries the dense sum ``coeff * pauli_matrix``
-    would add as well are signed zeros, which never change an entry of
-    ``out``: those start at ``+0`` and a sum of floats is ``-0`` only when
-    both of its terms are.  The result is the dense sum bit for bit.
+    This is :func:`to_dense_stack` on a stack of one.
 
     Raises:
         ValueError: If the system size exceeds :data:`QUBIT_CAP`.
     """
-    _check_cap(h.n)
-    dim = 2**h.n
-    out = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for label, coeff in h.items():
-        flip, phase = _signed_permutation(label)
-        out[rows ^ flip, rows] += coeff * phase
+    return to_dense_stack([h])[0]
+
+
+def to_dense_stack(sums: Sequence[PauliSum]) -> np.ndarray:
+    """Materialize equal-size Pauli sums as a ``(B, 2^n, 2^n)`` stack.
+
+    Each term is a signed permutation (see :func:`pauli_conjugate`), so
+    it adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only.
+    The phases and flips of all terms come from :func:`_letter_phases` at
+    once, and one ``np.add.at`` adds them in term order, so matrix ``b``
+    is the sum of ``sums[b]``'s terms in order.  The entries the dense sum
+    ``coeff * pauli_matrix`` would add as well are signed zeros, which
+    never change an entry of the output: those start at ``+0`` and a sum
+    of floats is ``-0`` only when both of its terms are.  Each matrix is
+    the dense sum bit for bit, whatever else is in the stack.
+
+    Raises:
+        ValueError: If the sums differ in size, or the size exceeds
+            :data:`QUBIT_CAP`.
+    """
+    n = sums[0].n if sums else 1
+    if any(h.n != n for h in sums):
+        raise ValueError(f"Sums of {sorted({h.n for h in sums})} qubits in one stack.")
+    _check_cap(n)
+    dim = 2**n
+    out = np.zeros((len(sums), dim, dim), dtype=complex)
+    labels = [label for h in sums for label in h.labels()]
+    if labels:
+        letters = np.frombuffer("".join(labels).encode("ascii"), dtype=np.uint8)
+        flip, phase = _letter_phases(letters.reshape(-1, n))
+        coeffs = np.array([coeff for h in sums for _, coeff in h.items()])
+        base = np.array([b * dim * dim for b, h in enumerate(sums) for _ in range(len(h))])
+        cols = np.arange(dim)
+        cells = (flip[:, None] ^ cols) * dim + (base[:, None] + cols)
+        np.add.at(out.reshape(-1), cells.ravel(), (coeffs[:, None] * phase).ravel())
     return out
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    """Whether ``m`` equals its adjoint entrywise within ``1e-10``."""
-    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-10) if m.size else True
+    """Whether ``m``, or every matrix of a ``(..., d, d)`` stack, equals its
+    adjoint entrywise within ``1e-10``."""
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= 1e-10) if m.size else True
 
 
 def normalized_frobenius(m: np.ndarray) -> float:
@@ -200,8 +238,11 @@ def operator_norm(m: np.ndarray) -> float:
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, sorted ascending.
 
+    Also takes a ``(..., d, d)`` stack and returns one spectrum per matrix;
+    each equals the call on its own matrix bit for bit.
+
     Raises:
-        ValueError: If the input is not Hermitian (see :func:`is_hermitian`).
+        ValueError: If a matrix is not Hermitian (see :func:`is_hermitian`).
     """
     if not is_hermitian(m):
         raise ValueError("Matrix is not Hermitian within tolerance.")
@@ -254,13 +295,27 @@ def hoffman_wielandt_gap(a: np.ndarray, b: np.ndarray) -> float:
     Returns ``(1/d) * sum_i (lambda_i(A) - lambda_i(B))^2`` with both
     spectra sorted ascending.  For Hermitian ``A`` and ``B`` this pairing
     minimizes the displacement over all pairings, and the result never
-    exceeds the squared normalized Frobenius norm of ``A - B``.
+    exceeds the squared normalized Frobenius norm of ``A - B``.  This is
+    :func:`hoffman_wielandt_gap_stack` on stacks of one.
 
     Raises:
         ValueError: On dimension mismatch or non-Hermitian input.
     """
     if a.shape != b.shape:
         raise ValueError(f"Dimension mismatch: {a.shape} vs {b.shape}.")
-    wa = eigenvalues(a)
-    wb = eigenvalues(b)
-    return float(np.mean((wa - wb) ** 2))
+    return float(hoffman_wielandt_gap_stack(a[None], b[None])[0])
+
+
+def hoffman_wielandt_gap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`hoffman_wielandt_gap` of each pair of two ``(B, d, d)`` stacks.
+
+    The spectra come from two stacked :func:`eigenvalues` calls and each
+    row's mean from its own pairwise sum, so entry ``i`` equals the call on
+    ``a[i]`` and ``b[i]`` bit for bit.
+
+    Raises:
+        ValueError: On shape mismatch or a non-Hermitian matrix.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"Dimension mismatch: {a.shape} vs {b.shape}.")
+    return np.mean((eigenvalues(a) - eigenvalues(b)) ** 2, axis=-1)

@@ -10,13 +10,14 @@ finds such a dip with high probability.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .bell import identity_probs_spectral
-from .dense import eigenvalues, to_dense
+from .dense import eigenvalues, to_dense_stack
 from .pauli import PauliSum, add, frobenius_norm
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "lambda_stat",
     "stability_bound",
     "verify_stability",
+    "verify_stability_stack",
 ]
 
 
@@ -121,10 +123,9 @@ def find_drop_times(
 
     A block of searches draws the most times it can use, ``m_times`` per
     search, with one ``rng.random`` call.  The searches then take their
-    draws in order, each up to and including its first hit: with the
-    index of the next hit at or after every draw known, a search is one
-    lookup.  Most searches stop at their first or second draw, so the
-    probabilities of the first ``_FIRST_DRAWS`` draws per search are
+    draws in order, each up to and including its first hit (see
+    :func:`_walk`).  Most searches stop at their first or second draw, so
+    the probabilities of the first ``_FIRST_DRAWS`` draws per search are
     evaluated first, and those of the rest of the block only when a
     search reaches past them; each probability is computed on its own row,
     so this changes no value.  Finally ``rng`` is rewound and advanced by
@@ -144,34 +145,50 @@ def find_drop_times(
         state = rng.bit_generator.state
         times = rng.random(block * draws) * horizon
         probs = identity_probs_spectral(spectrum, times[: _FIRST_DRAWS * block])
-        next_hit = _next_hits(probs, target)
-        stamps = times.tolist()
-        used = 0
-        for _ in range(block):
-            i = next_hit[used]
-            if i == probs.size < used + draws:
-                # No hit among the evaluated draws, and this search has more.
-                rest = identity_probs_spectral(spectrum, times[probs.size :])
-                probs = np.concatenate((probs, rest))
-                next_hit = _next_hits(probs, target)
-                i = next_hit[used]
-            if i < used + draws:
-                found.append(DropTime(stamps[i], float(probs[i])))
-                used = i + 1
-            else:
-                found.append(None)
-                used += draws
+        starts, stops, used = _walk(probs <= target, draws, block)
+        if np.any((stops == probs.size) & (starts + draws > probs.size)):
+            # A search found no hit among the evaluated draws and has more.
+            rest = identity_probs_spectral(spectrum, times[probs.size :])
+            probs = np.concatenate((probs, rest))
+            starts, stops, used = _walk(probs <= target, draws, block)
+        results: list[Optional[DropTime]] = [None] * block
+        hit = np.flatnonzero(stops < starts + draws)
+        stops = stops[hit]
+        for j, t, p in zip(hit.tolist(), times[stops].tolist(), probs[stops].tolist()):
+            results[j] = DropTime(t, p)
+        found += results
         rng.bit_generator.state = state
         rng.random(used)
     return found
 
 
-def _next_hits(probs: np.ndarray, target: float) -> list[int]:
-    """Entry ``i``: the first index at or after ``i`` whose probability is
-    at most ``target``, else ``probs.size``; one entry per draw and one
-    more, for ``i = probs.size``."""
-    hits = np.where(probs <= target, np.arange(probs.size), probs.size)
-    return np.minimum.accumulate(hits[::-1])[::-1].tolist() + [probs.size]
+def _walk(hits: np.ndarray, draws: int, searches: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where ``searches`` searches of up to ``draws`` draws each start and
+    stop, and how many draws they take together.
+
+    ``hits[i]`` tells whether draw ``i`` hits; a search stops at its first
+    hit, and the next one starts right after it.  With ``next_hit[i]`` the
+    first hit at or after draw ``i`` (``hits.size`` if none), the search
+    that starts at ``i`` is followed by the one at ``min(next_hit[i], i +
+    draws - 1) + 1``; that next start is computed for every draw at once,
+    and each search's start is one list lookup.  Returns the starts, each
+    search's ``next_hit`` (a hit when it is below start plus ``draws``),
+    and the first draw after the last search.  Draws past ``hits.size``
+    count as misses, so a search that reaches past them without a hit is
+    not resolved here.
+    """
+    size = hits.size
+    index = np.arange(size + 1)
+    hit_at = np.where(hits, index[:size], size)
+    next_hit = np.append(np.minimum.accumulate(hit_at[::-1])[::-1], size)
+    next_start = np.minimum(np.minimum(next_hit, index + draws - 1) + 1, size).tolist()
+    starts = [0] * searches
+    u = 0
+    for j in range(searches):
+        starts[j] = u
+        u = next_start[u]
+    first = np.array(starts)
+    return first, next_hit[first], u
 
 
 def stability_bound(p: float, q: float) -> float:
@@ -197,11 +214,30 @@ def verify_stability(a: PauliSum, b: PauliSum, epsilon: float) -> bool:
     with ``q = |b|_F / epsilon``.  The inequality is a theorem, so this
     must return ``True``; a tiny float guard (1e-9, far below the
     ``1/N^2`` resolution of the statistic) absorbs eigensolver rounding.
+    This is :func:`verify_stability_stack` on a stack of one.
     """
-    if epsilon <= 0:
-        raise ValueError(f"Separation threshold must be positive, got {epsilon}.")
-    spec_a = eigenvalues(to_dense(a))
-    spec_ab = eigenvalues(to_dense(add(a, b)))
-    p = lambda_stat(spec_a, epsilon)
-    q = frobenius_norm(b) / epsilon
-    return lambda_stat(spec_ab, epsilon / 2) + 1e-9 >= stability_bound(p, q)
+    return verify_stability_stack([(a, b, epsilon)])[0]
+
+
+def verify_stability_stack(cases: Sequence[tuple[PauliSum, PauliSum, float]]) -> list[bool]:
+    """:func:`verify_stability` of each ``(a, b, epsilon)`` of equal size, in order.
+
+    The spectra of all ``a`` and of all ``a + b`` come from two stacked
+    :func:`~hamcert.dense.eigenvalues` calls, and each pair fraction is
+    taken on its own row, so every verdict is that of the pair alone.
+
+    Raises:
+        ValueError: If an ``epsilon`` is not positive, or the sums differ
+            in size or exceed the dense cap.
+    """
+    for _, _, epsilon in cases:
+        if epsilon <= 0:
+            raise ValueError(f"Separation threshold must be positive, got {epsilon}.")
+    spec_a = eigenvalues(to_dense_stack([a for a, _, _ in cases]))
+    spec_ab = eigenvalues(to_dense_stack([add(a, b) for a, b, _ in cases]))
+    verdicts = []
+    for (_, b, epsilon), row_a, row_ab in zip(cases, spec_a, spec_ab):
+        p = lambda_stat(row_a, epsilon)
+        q = frobenius_norm(b) / epsilon
+        verdicts.append(lambda_stat(row_ab, epsilon / 2) + 1e-9 >= stability_bound(p, q))
+    return verdicts

@@ -7,9 +7,16 @@ over the Z-support bitmasks.  That makes the spectrum and the moments of
 a multilinear function exactly computable by enumeration, and lets the
 eigenvalue-gap guarantee and the fourth-moment (hypercontractive) bound be
 verified numerically instead of assumed.
+
+:func:`walsh_transform` takes a ``(..., 2^v)`` stack of tables, and
+:func:`function_moments_stack` and :func:`verify_gap_bound_stack` evaluate
+a stack of equal-size instances at once; each row gets the bits it would
+get alone, and the one-instance functions are the stacks of one.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,7 +26,9 @@ from .pauli import PauliSum, frobenius_norm
 __all__ = [
     "WALSH_QUBIT_CAP",
     "function_moments",
+    "function_moments_stack",
     "verify_gap_bound",
+    "verify_gap_bound_stack",
     "walsh_eigenvalues",
     "walsh_table",
     "walsh_transform",
@@ -32,10 +41,12 @@ def walsh_transform(table: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform, unnormalized.
 
     ``out[s] = sum_p (-1)^{popcount(s & p)} table[p]`` for a table of
-    length ``2^v``.  O(v 2^v) butterflies.
+    length ``2^v``.  O(v 2^v) butterflies.  Also takes a ``(..., 2^v)``
+    stack and transforms each row: a butterfly pairs entries of one row
+    only, so each row equals its own transform bit for bit.
     """
-    out = np.array(table, dtype=float)
-    size = out.size
+    out = np.array(table, dtype=float, ndmin=1)
+    size = out.shape[-1]
     if size == 0 or size & (size - 1):
         raise ValueError(f"Table length must be a power of two, got {size}.")
     h = 1
@@ -46,7 +57,7 @@ def walsh_transform(table: np.ndarray) -> np.ndarray:
         np.subtract(low, high, out=high)
         low[...] = plus
         h *= 2
-    return out.reshape(size)
+    return out
 
 
 #: Support bit of each letter: every non-identity letter sets its site's bit.
@@ -76,6 +87,11 @@ def walsh_eigenvalues(h: PauliSum) -> np.ndarray:
     Raises:
         ValueError: On non-diagonal terms or above :data:`WALSH_QUBIT_CAP`.
     """
+    _check_diagonal(h)
+    return np.sort(walsh_transform(walsh_table(h)))
+
+
+def _check_diagonal(h: PauliSum) -> None:
     if h.n > WALSH_QUBIT_CAP:
         raise ValueError(f"System size n={h.n} exceeds the Walsh cap of {WALSH_QUBIT_CAP}.")
     for label in h.labels():
@@ -83,7 +99,6 @@ def walsh_eigenvalues(h: PauliSum) -> np.ndarray:
             raise ValueError(
                 f"Term {label!r} is not diagonal (only I/Z letters allowed)."
             )
-    return np.sort(walsh_transform(walsh_table(h)))
 
 
 def function_moments(table: np.ndarray) -> tuple[float, float]:
@@ -91,11 +106,22 @@ def function_moments(table: np.ndarray) -> tuple[float, float]:
 
     ``table[p]`` holds the coefficient of the character with support mask
     ``p``; the function values are its Walsh transform and the moments are
-    uniform averages over all inputs.
+    uniform averages over all inputs.  This is
+    :func:`function_moments_stack` on a stack of one.
     """
-    values = walsh_transform(table)
-    sq = values * values
-    return float(sq.mean()), float((sq * sq).mean())
+    m2, m4 = function_moments_stack(np.asarray(table)[None])
+    return float(m2[0]), float(m4[0])
+
+
+def function_moments_stack(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`function_moments` of each row of a ``(B, 2^v)`` stack.
+
+    Each row's means are its own pairwise sums, so entry ``b`` equals the
+    moments of ``tables[b]`` alone bit for bit.
+    """
+    sq = walsh_transform(tables)
+    sq *= sq
+    return sq.mean(axis=-1), (sq * sq).mean(axis=-1)
 
 
 def verify_gap_bound(h: PauliSum, k: int) -> bool:
@@ -105,14 +131,36 @@ def verify_gap_bound(h: PauliSum, k: int) -> bool:
     of ordered eigenvalue pairs separated by the normalized Frobenius norm
     is at least ``9^-k / 4``.  This is a theorem for exact arithmetic, so
     the check must pass; the spectrum comes from the Walsh transform,
-    which is exact up to float rounding.
+    which is exact up to float rounding.  This is
+    :func:`verify_gap_bound_stack` on a stack of one.
+    """
+    return verify_gap_bound_stack([h], k)[0]
+
+
+def verify_gap_bound_stack(sums: Sequence[PauliSum], k: int) -> list[bool]:
+    """:func:`verify_gap_bound` of each of equal-size sums, in order.
+
+    The spectra come from one stacked Walsh transform; each row's pair
+    fraction is taken on its own, so every verdict is that of the sum alone.
+
+    Raises:
+        ValueError: If ``k < 1``, or a sum is zero, not ``k``-local, not
+            diagonal, of another size than the first, or above
+            :data:`WALSH_QUBIT_CAP`.
     """
     if k < 1:
         raise ValueError(f"Locality must be at least 1, got {k}.")
-    if not h:
-        raise ValueError("The zero Hamiltonian has no separation threshold.")
-    if h.max_weight() > k:
-        raise ValueError(f"Instance is not {k}-local (max weight {h.max_weight()}).")
-    norm = frobenius_norm(h)
-    fraction = lambda_stat(walsh_eigenvalues(h), norm)
-    return fraction >= 0.25 * 9.0 ** (-k) - 1e-12
+    for h in sums:
+        if not h:
+            raise ValueError("The zero Hamiltonian has no separation threshold.")
+        if h.max_weight() > k:
+            raise ValueError(f"Instance is not {k}-local (max weight {h.max_weight()}).")
+        _check_diagonal(h)
+    if not sums:
+        return []
+    if any(h.n != sums[0].n for h in sums):
+        raise ValueError(f"Sums of {sorted({h.n for h in sums})} qubits in one stack.")
+    spectra = walsh_transform(np.stack([walsh_table(h) for h in sums]))
+    floor = 0.25 * 9.0 ** (-k) - 1e-12
+    return [lambda_stat(spectrum, frobenius_norm(h)) >= floor
+            for h, spectrum in zip(sums, spectra)]

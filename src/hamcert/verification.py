@@ -5,14 +5,24 @@ stated tolerance, and returns a :class:`SuiteResult`.  Monte Carlo checks
 use three-sigma envelopes around exact closed forms; exact inequalities
 (theorems) must hold in every trial.  The command-line ``verify``
 subcommand and the acceptance test module both run these functions.
+
+``stability``, ``gapbound`` and ``bonami`` draw their instances in the
+order a one-at-a-time loop would, since no draw depends on a computed
+value, and evaluate them in stacks of equal size (:func:`_in_stacks`,
+with the stacked forms in :mod:`hamcert.dense`, :mod:`hamcert.gaps` and
+:mod:`hamcert.moments`).  Each instance gets the bits it would get alone,
+and failures are recorded in draw order, so every summary is that of the
+loop.  ``droptime`` takes its dip measure from
+:func:`~hamcert.bell.identity_probs_grid`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TypeVar
 
 import numpy as np
 
@@ -21,20 +31,20 @@ from .bell import (
     bell_measure_choi,
     identity_prob_spectral,
     identity_prob_trace,
-    identity_probs_spectral,
+    identity_probs_grid,
     outcome_pauli_label,
 )
 from .dense import (
     eigenvalues,
     evolve,
-    hoffman_wielandt_gap,
+    hoffman_wielandt_gap_stack,
     normalized_frobenius,
     pauli_matrix,
     to_dense,
 )
-from .gaps import GapStatConfig, find_drop_times, lambda_stat, verify_stability
+from .gaps import GapStatConfig, find_drop_times, lambda_stat, verify_stability_stack
 from .instances import random_diagonal_sum, random_hermitian, random_pauli_sum
-from .moments import function_moments, verify_gap_bound, walsh_eigenvalues
+from .moments import function_moments_stack, verify_gap_bound_stack, walsh_eigenvalues
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, frobenius_norm, scale, subtract
 from .trotter import TrotterPlan, trotter_error, trotter_evolve, twirl_conjugators
@@ -44,6 +54,12 @@ __all__ = ["SUITES", "SuiteResult", "check_trials", "run_suite", "suite_names"]
 
 _AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 _MAX_RECORDED_FAILURES = 10
+
+#: Bytes of stacked arrays that :func:`_in_stacks` lets one window take (2 MiB).
+_STACK_BYTES = 2**21
+
+_Item = TypeVar("_Item")
+_Value = TypeVar("_Value")
 
 
 @dataclass
@@ -67,6 +83,47 @@ class SuiteResult:
         if self.failures:
             line += " | " + "; ".join(self.failures)
         return line
+
+
+def _in_stacks(
+    instances: Iterable[_Item],
+    key: Callable[[_Item], Hashable],
+    nbytes: Callable[[_Item], int],
+    evaluate: Callable[[list[_Item]], Iterable[_Value]],
+) -> Iterator[tuple[_Item, _Value]]:
+    """Each instance with its value, in the order of ``instances``.
+
+    ``instances`` may draw each instance as it is taken.  They are taken
+    in windows whose stacked arrays take about :data:`_STACK_BYTES`
+    (``nbytes`` of each, at least one instance), and ``evaluate`` gets the
+    instances of a window that share a ``key``, in order, and returns one
+    value each.  ``evaluate`` must draw nothing, so the draws are those of
+    a loop that evaluates one instance at a time.
+    """
+    window: list[_Item] = []
+    size = 0
+    for item in instances:
+        window.append(item)
+        size += nbytes(item)
+        if size >= _STACK_BYTES:
+            yield from _evaluate_window(window, key, evaluate)
+            window, size = [], 0
+    yield from _evaluate_window(window, key, evaluate)
+
+
+def _evaluate_window(
+    window: list[_Item],
+    key: Callable[[_Item], Hashable],
+    evaluate: Callable[[list[_Item]], Iterable[_Value]],
+) -> Iterator[tuple[_Item, _Value]]:
+    groups: dict[Hashable, list[int]] = {}
+    for i, item in enumerate(window):
+        groups.setdefault(key(item), []).append(i)
+    values: list = [None] * len(window)
+    for indices in groups.values():
+        for i, value in zip(indices, evaluate([window[i] for i in indices])):
+            values[i] = value
+    return zip(window, values)
 
 
 def chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
@@ -156,17 +213,30 @@ def suite_bell(instances: int = 100, seed: int = 0) -> SuiteResult:
 
 
 def suite_gapbound(trials_per_k: int = 500, seed: int = 0) -> SuiteResult:
-    """Diagonal gap guarantee: pair fraction at the norm is >= 9^-k / 4."""
+    """Diagonal gap guarantee: pair fraction at the norm is >= 9^-k / 4.
+
+    The instances are drawn in order and checked in stacks of one ``k``
+    and size (see :func:`_in_stacks`).
+    """
     rng = np.random.default_rng(seed)
     result = SuiteResult("gapbound")
+
+    def draws() -> Iterator[tuple[int, PauliSum]]:
+        for k in (1, 2, 3):
+            for _ in range(trials_per_k):
+                n = int(rng.integers(max(2, k), 9))
+                yield k, random_diagonal_sum(n, k, rng)
+
     checked = 0
-    for k in (1, 2, 3):
-        for _ in range(trials_per_k):
-            n = int(rng.integers(max(2, k), 9))
-            h = random_diagonal_sum(n, k, rng)
-            checked += 1
-            if not verify_gap_bound(h, k):
-                result.fail(f"gap bound violated at n={n}, k={k}: {h!r}")
+    for (k, h), holds in _in_stacks(
+        draws(),
+        key=lambda item: (item[0], item[1].n),
+        nbytes=lambda item: 8 * 2 ** item[1].n,
+        evaluate=lambda group: verify_gap_bound_stack([h for _, h in group], group[0][0]),
+    ):
+        checked += 1
+        if not holds:
+            result.fail(f"gap bound violated at n={h.n}, k={k}: {h!r}")
     result.details["instances"] = checked
     return result
 
@@ -301,37 +371,57 @@ def suite_stability(pairs: int = 1000, seed: int = 0) -> SuiteResult:
     normalized Frobenius distance, and the half-threshold pair fraction
     of 500 general and 100 diagonal perturbed operators never falls below
     the quadratic degradation bound.  Both are exact inequalities: zero
-    violations allowed.
+    violations allowed.  The instances are drawn in order and evaluated in
+    stacks of one size (see :func:`_in_stacks`).
     """
     stability_trials, diag_trials = 500, 100
     rng = np.random.default_rng(seed)
     result = SuiteResult("stability")
-    for _ in range(pairs):
-        n = int(rng.integers(1, 5))
-        a = random_hermitian(2**n, rng)
-        b = random_hermitian(2**n, rng)
-        gap = hoffman_wielandt_gap(a, b)
-        bound = normalized_frobenius(a - b) ** 2
+
+    def hermitian_pairs() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        for _ in range(pairs):
+            n = int(rng.integers(1, 5))
+            yield n, random_hermitian(2**n, rng), random_hermitian(2**n, rng)
+
+    def displacements(group: list[tuple[int, np.ndarray, np.ndarray]]) -> Iterable:
+        a = np.stack([a for _, a, _ in group])
+        b = np.stack([b for _, _, b in group])
+        bounds = [normalized_frobenius(m) ** 2 for m in a - b]
+        return zip(hoffman_wielandt_gap_stack(a, b).tolist(), bounds)
+
+    for (n, _, _), (gap, bound) in _in_stacks(
+        hermitian_pairs(),
+        key=lambda pair: pair[0],
+        nbytes=lambda pair: 2 * 16 * 4 ** pair[0],
+        evaluate=displacements,
+    ):
         if gap > bound + 1e-9:
             result.fail(f"displacement {gap:.6e} exceeds {bound:.6e} at n={n}")
-    for _ in range(stability_trials):
-        n = int(rng.integers(1, 5))
-        a = random_pauli_sum(n, min(n, 2), rng)
-        b_raw = random_pauli_sum(n, min(n, 2), rng)
-        eps = frobenius_norm(a)
-        target = float(rng.uniform(0.0, eps / 8.0))
-        b = scale(b_raw, target / frobenius_norm(b_raw))
-        if not verify_stability(a, b, eps):
-            result.fail(f"stability bound violated at n={n}")
-    for _ in range(diag_trials):
-        n = int(rng.integers(2, 5))
-        a = random_diagonal_sum(n, 2, rng)
-        b_raw = random_pauli_sum(n, min(n, 2), rng, letters="XY")
-        eps = frobenius_norm(a)
-        target = float(rng.uniform(0.0, eps / 8.0))
-        b = scale(b_raw, target / frobenius_norm(b_raw))
-        if not verify_stability(a, b, eps):
-            result.fail(f"stability bound violated on diagonal instance, n={n}")
+
+    def perturbed() -> Iterator[tuple[str, PauliSum, PauliSum, float]]:
+        for _ in range(stability_trials):
+            n = int(rng.integers(1, 5))
+            a = random_pauli_sum(n, min(n, 2), rng)
+            b_raw = random_pauli_sum(n, min(n, 2), rng)
+            eps = frobenius_norm(a)
+            target = float(rng.uniform(0.0, eps / 8.0))
+            yield "at", a, scale(b_raw, target / frobenius_norm(b_raw)), eps
+        for _ in range(diag_trials):
+            n = int(rng.integers(2, 5))
+            a = random_diagonal_sum(n, 2, rng)
+            b_raw = random_pauli_sum(n, min(n, 2), rng, letters="XY")
+            eps = frobenius_norm(a)
+            target = float(rng.uniform(0.0, eps / 8.0))
+            yield "on diagonal instance,", a, scale(b_raw, target / frobenius_norm(b_raw)), eps
+
+    for (where, a, _, _), holds in _in_stacks(
+        perturbed(),
+        key=lambda case: case[1].n,
+        nbytes=lambda case: 2 * 16 * 4 ** case[1].n,
+        evaluate=lambda group: verify_stability_stack([case[1:] for case in group]),
+    ):
+        if not holds:
+            result.fail(f"stability bound violated {where} n={a.n}")
     result.details["hermitian_pairs"] = pairs
     result.details["perturbation_trials"] = stability_trials + diag_trials
     return result
@@ -366,7 +456,7 @@ def suite_droptime(reps: int = 10_000, seed: int = 0) -> SuiteResult:
             result.fail(f"degenerate case: pair fraction 0 at eps={eps}")
             continue
         target = 1.0 - d / 4.0
-        ivals = identity_probs_spectral(spec, np.linspace(0.0, 2.0 / eps, grid_points))
+        ivals = identity_probs_grid(spec, 2.0 / eps, grid_points)
         measure = int((ivals <= target).sum()) / grid_points
         min_measure = min(min_measure, measure)
         if measure < 1.0 / 3.0 - 1e-3:
@@ -495,23 +585,40 @@ def suite_heisenberg(repeats: int = 8, seed: int = 0) -> SuiteResult:
 
 
 def suite_bonami(trials: int = 1000, seed: int = 0) -> SuiteResult:
-    """Fourth-moment bound for random low-degree multilinear functions."""
+    """Fourth-moment bound for random low-degree multilinear functions.
+
+    Each function is drawn as its nonzero coefficients, in order, and the
+    moments are taken in stacks of one table size (see :func:`_in_stacks`).
+    """
     rng = np.random.default_rng(seed)
     result = SuiteResult("bonami")
+
+    def functions() -> Iterator[tuple[int, int, list[int], list[float]]]:
+        for i in range(trials):
+            k = 1 + i % 3
+            v = int(rng.integers(max(2, k), 13))
+            masks: set[int] = set()
+            for _ in range(int(rng.integers(1, 13))):
+                w = int(rng.integers(1, k + 1))
+                sites = rng.choice(v, size=w, replace=False)
+                masks.add(int(sum(1 << int(s) for s in sites)))
+            yield k, v, list(masks), [rng.normal() for _ in masks]
+
+    def moments(group: list[tuple[int, int, list[int], list[float]]]) -> Iterable:
+        tables = np.zeros((len(group), 2 ** group[0][1]))
+        for table, (_, _, masks, coeffs) in zip(tables, group):
+            table[masks] = coeffs
+        m2, m4 = function_moments_stack(tables)
+        return zip(m2.tolist(), m4.tolist())
+
     checked = 0
     worst_ratio = 0.0
-    for i in range(trials):
-        k = 1 + i % 3
-        v = int(rng.integers(max(2, k), 13))
-        masks: set[int] = set()
-        for _ in range(int(rng.integers(1, 13))):
-            w = int(rng.integers(1, k + 1))
-            sites = rng.choice(v, size=w, replace=False)
-            masks.add(int(sum(1 << int(s) for s in sites)))
-        table = np.zeros(2**v)
-        for mask in masks:
-            table[mask] = rng.normal()
-        m2, m4 = function_moments(table)
+    for (k, _, _, _), (m2, m4) in _in_stacks(
+        functions(),
+        key=lambda function: function[1],
+        nbytes=lambda function: 8 * 2 ** function[1],
+        evaluate=moments,
+    ):
         if m2 <= 0.0:
             continue
         checked += 1

@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from hamcert.bell import (
     bell_distribution,
     bell_measure_choi,
     identity_prob_spectral,
     identity_prob_trace,
+    identity_probs_grid,
     identity_probs_spectral,
     outcome_bits,
     outcome_pauli_label,
@@ -173,6 +177,69 @@ class TestIdentityProbSpectral:
             identity_prob_spectral(np.array([0.0, 1.0]), -0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             identity_probs_spectral(np.array([0.0, 1.0]), np.array([1.0, -0.1]))
+
+
+def _error(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+class TestIdentityProbsGrid:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        spectrum=st.lists(st.floats(-10, 10), min_size=1, max_size=40),
+        stop=st.floats(0, 10),
+        points=st.integers(1, 3000),
+        threshold=st.floats(0, 1),
+    )
+    def test_within_rounding_of_the_spectral_route(self, spectrum, stop, points, threshold):
+        spec = np.array(spectrum)
+        want = identity_probs_spectral(spec, np.linspace(0.0, stop, points))
+        got = identity_probs_grid(spec, stop, points)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.all((got >= 0) & (got <= 1))
+        assume(np.min(np.abs(want - threshold)) > 1e-12)
+        assert int((got <= threshold).sum()) == int((want <= threshold).sum())
+
+    def test_the_suite_grid_on_walsh_spectra(self):
+        rng = np.random.default_rng(12)
+        for n in (4, 5, 6):
+            spec = walsh_eigenvalues(random_diagonal_sum(n, 2, rng))
+            stop = 2.0 / float(np.sqrt(np.mean(spec**2)))
+            want = identity_probs_spectral(spec, np.linspace(0.0, stop, 200_001))
+            got = identity_probs_grid(spec, stop, 200_001)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_single_point_and_zero_stop(self):
+        spec = np.array([-1.0, 0.5, 2.0])
+        assert identity_probs_grid(spec, 3.0, 1).tolist() == [1.0]
+        assert identity_probs_grid(spec, 0.0, 4).tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spectrum_gives_the_spectral_error(self, bad):
+        spec = np.array([0.0, bad, 1.0])
+        want = _error(lambda: identity_probs_spectral(spec, np.linspace(0.0, 2.0, 5)))
+        assert "finite" in want
+        assert _error(lambda: identity_probs_grid(spec, 2.0, 5)) == want
+
+    @pytest.mark.parametrize("spec, stop", [([0.0, 1e10], 1e300), ([-1e200, 3.0], 1e200)])
+    def test_overflowing_phase_gives_the_spectral_error(self, spec, stop):
+        spec = np.array(spec)
+        want = _error(lambda: identity_probs_spectral(spec, np.linspace(0.0, stop, 7)))
+        assert "overflows" in want
+        assert _error(lambda: identity_probs_grid(spec, stop, 7)) == want
+
+    @pytest.mark.parametrize("spec", [np.array([]), np.zeros((2, 2))])
+    def test_malformed_spectrum_gives_the_spectral_error(self, spec):
+        want = _error(lambda: identity_probs_spectral(spec, np.linspace(0.0, 1.0, 3)))
+        assert _error(lambda: identity_probs_grid(spec, 1.0, 3)) == want
+
+    @pytest.mark.parametrize("stop, points", [(-1.0, 3), (math.nan, 3), (math.inf, 3), (1.0, 0)])
+    def test_bad_grid_rejected(self, stop, points):
+        with pytest.raises(ValueError):
+            identity_probs_grid(np.array([0.0, 1.0]), stop, points)
 
 
 class TestIdentityProbTrace:

@@ -14,11 +14,13 @@ from hamcert.dense import (
     eigenvalues,
     evolve,
     hoffman_wielandt_gap,
+    hoffman_wielandt_gap_stack,
     normalized_frobenius,
     pauli_conjugate,
     pauli_conjugator,
     pauli_matrix,
     to_dense,
+    to_dense_stack,
 )
 from hamcert.instances import random_hermitian, random_pauli_sum
 from hamcert.moments import walsh_eigenvalues
@@ -111,6 +113,98 @@ class TestToDenseBitIdentity:
         got, want = to_dense(h), _kron_sum(h)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert not np.signbit(got.real[got.real == 0]).any()
+
+
+def _term_loop(h):
+    """One signed-permutation scatter per term, as ``to_dense`` was before stacks."""
+    dim = 2**h.n
+    out = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    for label, coeff in h.items():
+        flip, phase = _signed_permutation(label)
+        out[rows ^ flip, rows] += coeff * phase
+    return out
+
+
+def _same_bits(got, want):
+    """Equal doubles with equal sign bits, so ``-0.0`` differs from ``0.0``."""
+    got, want = got.view(np.float64), want.view(np.float64)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_LABEL_SETS = {n: st.text("IXYZ", min_size=n, max_size=n).filter(lambda p: p.strip("I"))
+               for n in range(1, 6)}
+
+
+class TestToDenseStack:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 5), count=st.integers(1, 6))
+    def test_each_matrix_equals_its_sum_alone(self, data, n, count):
+        # Terms that share flip masks within a sum, signed zeros from the
+        # phases, and empty sums next to full ones.
+        terms = st.dictionaries(_LABEL_SETS[n], st.floats(-1e6, 1e6), max_size=10)
+        sums = [PauliSum(n, data.draw(terms)) for _ in range(count)]
+        stack = to_dense_stack(sums)
+        assert stack.shape == (count, 2**n, 2**n)
+        for h, m in zip(sums, stack):
+            assert _same_bits(m, _term_loop(h)), h
+            assert _same_bits(m, to_dense(h)), h
+
+    def test_signed_zeros_survive_the_stack(self):
+        sums = [PauliSum(1, {"Y": -1.0}), PauliSum(1, {"Z": -2.0}), PauliSum(1, {"X": 3.0})]
+        stack = to_dense_stack(sums)
+        assert np.signbit(stack.view(np.float64)).any()
+        for h, m in zip(sums, stack):
+            assert _same_bits(m, _term_loop(h))
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ValueError, match="one stack"):
+            to_dense_stack([PauliSum(1, {"X": 1.0}), PauliSum(2, {"XX": 1.0})])
+
+    def test_empty_stack(self):
+        assert to_dense_stack([]).shape == (0, 2, 2)
+
+    def test_cap_enforced(self):
+        with pytest.raises(ValueError, match="cap"):
+            to_dense_stack([PauliSum(11, {"X" + "I" * 10: 1.0})])
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("count, n", [(1, 1), (7, 1), (5, 2), (4, 3), (3, 4)])
+    def test_a_stack_equals_the_per_matrix_calls(self, count, n):
+        rng = np.random.default_rng(90 + 10 * count + n)
+        a = np.stack([random_hermitian(2**n, rng) for _ in range(count)])
+        b = np.stack([random_hermitian(2**n, rng) for _ in range(count)])
+        spectra = eigenvalues(a)
+        gaps = hoffman_wielandt_gap_stack(a, b)
+        for i in range(count):
+            assert _same_bits(spectra[i], np.linalg.eigvalsh(a[i]))
+            alone = np.mean((np.linalg.eigvalsh(a[i]) - np.linalg.eigvalsh(b[i])) ** 2)
+            assert _same_bits(gaps[i:i + 1], np.array([alone]))
+            assert _same_bits(gaps[i:i + 1], np.array([hoffman_wielandt_gap(a[i], b[i])]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(count=st.integers(1, 6), n=st.integers(1, 3), data=st.data())
+    def test_one_non_hermitian_matrix_refuses_the_stack(self, count, n, data):
+        rng = np.random.default_rng(count * 10 + n)
+        dim = 2**n
+        a = np.stack([random_hermitian(dim, rng) for _ in range(count)])
+        bad = data.draw(st.integers(0, count - 1))
+        i, j = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
+        tilted = a.copy()
+        tilted[bad, i, j] += 1e-9j if i == j else 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigenvalues(tilted)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hoffman_wielandt_gap_stack(a, tilted)
+        # Within the 1e-10 tolerance the stack is accepted.
+        a[bad, i, j] += 1e-11j if i == j else 1e-11
+        assert eigenvalues(a).shape == (count, dim)
+
+    def test_shape_mismatch_rejected(self):
+        a = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(ValueError, match="mismatch"):
+            hoffman_wielandt_gap_stack(a, a[:1])
 
 
 class TestPauliConjugate:

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert.dense import eigenvalues, to_dense
 from hamcert.gaps import lambda_stat
 from hamcert.instances import random_diagonal_sum
 from hamcert.moments import (
     function_moments,
+    function_moments_stack,
     verify_gap_bound,
+    verify_gap_bound_stack,
     walsh_eigenvalues,
     walsh_transform,
 )
@@ -35,6 +39,25 @@ class TestWalshTransform:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             walsh_transform(np.zeros(6))
+        with pytest.raises(ValueError):
+            walsh_transform(np.zeros((3, 6)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), v=st.integers(0, 7), count=st.integers(1, 5))
+    def test_a_stack_equals_each_row_alone(self, data, v, count):
+        rows = st.lists(st.floats(-1e6, 1e6), min_size=2**v, max_size=2**v)
+        tables = np.array([data.draw(rows) for _ in range(count)]).reshape(count, 2**v)
+        stacked = walsh_transform(tables)
+        assert stacked.shape == tables.shape
+        for table, row in zip(tables, stacked):
+            assert np.array_equal(row.view(np.uint64), walsh_transform(table).view(np.uint64))
+        m2, m4 = function_moments_stack(tables)
+        for b, table in enumerate(tables):
+            # The moments as one table gave them before stacks.
+            values = walsh_transform(table)
+            sq = values * values
+            assert (m2[b], m4[b]) == (float(sq.mean()), float((sq * sq).mean()))
+            assert function_moments(table) == (m2[b], m4[b])
 
 
 class TestWalshEigenvalues:
@@ -88,6 +111,24 @@ class TestVerifyGapBound:
     def test_locality_mismatch_rejected(self):
         with pytest.raises(ValueError, match="local"):
             verify_gap_bound(PauliSum(3, {"ZZZ": 1.0}), 2)
+
+
+class TestVerifyGapBoundStack:
+    def test_each_verdict_is_that_of_the_sum_alone(self):
+        rng = np.random.default_rng(75)
+        for k in (1, 2, 3):
+            sums = [random_diagonal_sum(5, k, rng) for _ in range(12)]
+            assert verify_gap_bound_stack(sums, k) == [verify_gap_bound(h, k) for h in sums]
+
+    def test_checks_every_sum_in_order(self):
+        good = PauliSum(3, {"ZII": 1.0})
+        with pytest.raises(ValueError, match="zero Hamiltonian"):
+            verify_gap_bound_stack([good, PauliSum(3, {}), PauliSum(3, {"XII": 1.0})], 1)
+        with pytest.raises(ValueError, match="not diagonal"):
+            verify_gap_bound_stack([good, PauliSum(3, {"XII": 1.0})], 1)
+        with pytest.raises(ValueError, match="one stack"):
+            verify_gap_bound_stack([good, PauliSum(2, {"ZI": 1.0})], 1)
+        assert verify_gap_bound_stack([], 1) == []
 
 
 class TestConsistencyWithPairFraction:
