@@ -250,7 +250,10 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def eig_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition ``(w, V)`` with ``M = V diag(w) V^dag``."""
+    """Hermitian eigendecomposition ``(w, V)`` with ``M = V diag(w) V^dag``.
+
+    Also takes a ``(..., d, d)`` stack, as :func:`eigenvalues` does.
+    """
     if not is_hermitian(m):
         raise ValueError("Matrix is not Hermitian within tolerance.")
     w, v = np.linalg.eigh(m)

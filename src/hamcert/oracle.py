@@ -72,7 +72,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .bell import identity_prob_spectral
-from .dense import QUBIT_CAP, _signed_permutation, _spectrum, evolve, propagator
+from .dense import (
+    QUBIT_CAP,
+    _signed_permutation,
+    _spectrum,
+    eig_decompose,
+    evolve,
+    propagator,
+    to_dense_stack,
+)
 from .moments import walsh_table, walsh_transform
 from .pauli import PauliSum, restrict, subtract, support_blocks
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -329,11 +337,12 @@ class EvolutionOracle:
         The blocks are grouped by size, groups in the order their size
         first occurs and blocks in site order within a group, and each
         group's propagators come from one stacked product (see
-        :func:`hamcert.dense.propagator`).  The groups, and the stacked
+        :func:`hamcert.dense.propagator`).  The groups, and the
         eigendecompositions of both sums cut to each block, are kept for
-        the most recent reference.  When one block spans every site, the
-        sums themselves are decomposed, so the spectra that
-        :func:`hamcert.dense.evolve` keeps are reused.
+        the most recent reference; each group's come from one stacked
+        :func:`hamcert.dense.to_dense_stack` and eigendecomposition.  When
+        one block spans every site, the sums themselves are decomposed, so
+        the spectra that :func:`hamcert.dense.evolve` keeps are reused.
 
         Raises:
             AccessModelError, TypeError: As :meth:`query_forward`.
@@ -367,8 +376,9 @@ class EvolutionOracle:
             groups.setdefault(len(sites), []).append(sites)
 
         def stacked(h: PauliSum, group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-            spectra = [_spectrum(restrict(h, sites)) for sites in group]
-            return tuple(np.stack(arrays) for arrays in zip(*spectra))
+            if len(group[0]) == h.n:
+                return tuple(array[None] for array in _spectrum(h))
+            return eig_decompose(to_dense_stack([restrict(h, sites) for sites in group]))
 
         return [(tuple(group), stacked(self._hidden, group), stacked(h0, group))
                 for group in groups.values()]

@@ -176,9 +176,12 @@ class TestStackedSpectra:
         a = np.stack([random_hermitian(2**n, rng) for _ in range(count)])
         b = np.stack([random_hermitian(2**n, rng) for _ in range(count)])
         spectra = eigenvalues(a)
+        w, v = eig_decompose(a)
         gaps = hoffman_wielandt_gap_stack(a, b)
         for i in range(count):
             assert _same_bits(spectra[i], np.linalg.eigvalsh(a[i]))
+            w_alone, v_alone = np.linalg.eigh(a[i])
+            assert _same_bits(w[i], w_alone) and _same_bits(v[i], v_alone)
             alone = np.mean((np.linalg.eigvalsh(a[i]) - np.linalg.eigvalsh(b[i])) ** 2)
             assert _same_bits(gaps[i:i + 1], np.array([alone]))
             assert _same_bits(gaps[i:i + 1], np.array([hoffman_wielandt_gap(a[i], b[i])]))
