@@ -153,8 +153,8 @@ def find_drop_times(
             starts, stops, used = _walk(probs <= target, draws, block)
         results: list[Optional[DropTime]] = [None] * block
         hit = np.flatnonzero(stops < starts + draws)
-        stops = stops[hit]
-        for j, t, p in zip(hit.tolist(), times[stops].tolist(), probs[stops].tolist()):
+        at = stops[hit]
+        for j, t, p in zip(hit.tolist(), times[at].tolist(), probs[at].tolist()):
             results[j] = DropTime(t, p)
         found += results
         rng.bit_generator.state = state
