@@ -14,6 +14,7 @@ from hamcert.verification import (
     SUITES,
     SuiteResult,
     chi_square_pvalue,
+    chi_square_tail,
     run_suite,
     suite_names,
 )
@@ -104,15 +105,95 @@ def test_chi_square_pvalue_matches_scipy_stats():
     )
 
 
-def test_cli_import_leaves_scipy_stats_out():
+class TestChiSquareTail:
+    DOFS = range(1, 16)
+
+    def test_matches_scipy_chdtrc(self):
+        from scipy.special import chdtrc
+
+        for dof in self.DOFS:
+            for stat in np.linspace(0.0, 200.0, 2001):
+                want = float(chdtrc(dof, stat))
+                if want > 1e-300:
+                    assert chi_square_tail(dof, float(stat)) == pytest.approx(
+                        want, rel=1e-13, abs=0.0
+                    ), (dof, stat)
+
+    def test_matches_scipy_chdtrc_where_the_scale_is_subnormal(self):
+        """``e^{-stat/2}`` underflows above a statistic of about 1417."""
+        from scipy.special import chdtrc
+
+        for dof, stat in [(1400, 1420.0), (1501, 1500.0), (2000, 2000.0), (2000, 2150.0)]:
+            want = float(chdtrc(dof, stat))
+            assert chi_square_tail(dof, stat) == pytest.approx(want, rel=1e-12)
+        assert chi_square_tail(3, 1e300) == 0.0
+        assert chi_square_tail(4, 1e300) == 0.0
+
+    def test_is_one_at_a_zero_statistic(self):
+        for dof in self.DOFS:
+            assert chi_square_tail(dof, 0.0) == 1.0
+        counts = np.array([3.0, 5.0, 7.0])
+        assert chi_square_pvalue(counts, counts) == 1.0
+
+    def test_does_not_increase_with_the_statistic(self):
+        stats = np.linspace(0.0, 200.0, 4001)
+        for dof in self.DOFS:
+            values = np.array([chi_square_tail(dof, float(s)) for s in stats])
+            assert np.all(np.diff(values) <= 0.0), dof
+            assert np.all((values >= 0.0) & (values <= 1.0)), dof
+
+    @pytest.mark.parametrize(
+        "observed, expected, match",
+        [
+            ([1.0, 2.0, 3.0], [2.0, 2.0], "differ in length"),
+            ([4.0], [4.0], "two bins or more"),
+            ([], [], "two bins or more"),
+            ([1.0, 2.0], [3.0, 0.0], "must be positive"),
+            ([1.0, 2.0], [3.0, -1.0], "must be positive"),
+            ([1.0, 2.0], [3.0, float("nan")], "must be positive"),
+            ([1.0, float("nan")], [3.0, 3.0], "not finite"),
+            ([1.0, float("inf")], [3.0, 3.0], "not finite"),
+            ([1.0, 2.0], [3.0, float("inf")], "not finite"),
+            ([1e200, 2.0], [3.0, 3.0], "not finite"),
+        ],
+    )
+    def test_refuses_bad_counts(self, observed, expected, match):
+        with pytest.raises(ValueError, match=match):
+            chi_square_pvalue(np.array(observed), np.array(expected))
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(hamcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    # The verify subcommand's default seed comes from $HAMCERT_SEED.
+    env.pop("HAMCERT_SEED", None)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True,
+        env=env,
+    )
+
+
+def test_cli_import_leaves_scipy_stats_out():
     code = (
         "import sys, hamcert.cli; "
-        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules); "
+        "from hamcert.verification import run_suite; run_suite('bell'); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines() == ["False False", "[]"]
+
+
+def test_verify_all_runs_with_scipy_blocked():
+    """``hamcert verify --suite all`` needs numpy alone at run time."""
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from hamcert.cli import main; "
+        "raise SystemExit(main(['verify', '--suite', 'all']))"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    golden = Path(__file__).resolve().parent / "golden" / "verify-all.txt"
+    assert proc.stdout == golden.read_bytes()
