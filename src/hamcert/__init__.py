@@ -35,7 +35,6 @@ from .oracle import (
     EvolutionLedger,
     EvolutionOracle,
     OracleMode,
-    evolve_known,
 )
 from .pauli import (
     HamiltonianFormatError,
@@ -80,7 +79,6 @@ __all__ = [
     "conjugate",
     "eigenvalues",
     "evolve",
-    "evolve_known",
     "find_drop_time",
     "frobenius_norm",
     "hoffman_wielandt_gap",

@@ -40,7 +40,7 @@ from .bell import identity_prob_factors, sample_identity_shots
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, add, frobenius_norm, is_k_local, scale
 from .trotter import (
-    UNROLL_DRAW_CAP,
+    TROTTER_STEP_CAP,
     TrotterPlan,
     steps_from_bound,
     trotter_blocks,
@@ -80,12 +80,12 @@ class CertificationConfig:
     """Inputs and constants of one certification run.
 
     ``eps_trott`` of ``None`` resolves to the largest admissible
-    implementation-error budget ``1 / (128 * 9^k)``.  Constants may be
-    overridden for experiments, but overrides that break the consistency
-    arithmetic require ``allow_weak_constants=True``.  The trotterized mode
-    needs this at any realistic twirl depth: the default depth exceeds
-    :data:`~hamcert.trotter.UNROLL_DRAW_CAP`, which keeps the rounding of
-    the product over ``2^T`` sectors far below the error budget.
+    implementation-error budget ``1 / (128 * 9^k)``.  Both oracle modes
+    run at the default constants.  Constants may be overridden for
+    experiments, but overrides that break the consistency arithmetic
+    require ``allow_weak_constants=True``.  In trotter mode a round counts
+    ``shots * steps * 2 * 2^T`` queries, so the twirl depth is bounded
+    from above as well: the run's largest count must be a finite float.
     """
 
     epsilon: float
@@ -165,12 +165,21 @@ class CertificationConfig:
             raise ConfigError("Ledger ceiling rounds * shots * time_cap overflows.")
         if tol <= 0:
             raise ConfigError(f"eps_trott must be positive, got {tol}.")
-        if self.mode is OracleMode.TROTTERIZED and self.twirl_steps > UNROLL_DRAW_CAP:
-            raise ConfigError(
-                f"Trotterized mode cannot unroll twirl depth {self.twirl_steps} "
-                f"(cap {UNROLL_DRAW_CAP}); override c2 downward and pass "
-                "allow_weak_constants=True for a reduced-depth run."
-            )
+        if self.mode is OracleMode.TROTTERIZED:
+            # A run counts up to rounds * shots * 2 * TROTTER_STEP_CAP * 2^T
+            # queries of weight 2^-T.  A finite count keeps 2^-T a normal
+            # float, and a round's charge, its count times at most
+            # time_cap * 2^-T / 2, below the ledger ceiling.
+            try:
+                queries = (counts["rounds"] * counts["shots_per_round"] * 2
+                           * TROTTER_STEP_CAP * 2.0**self.twirl_steps)
+            except OverflowError:
+                queries = math.inf
+            if not math.isfinite(queries):
+                raise ConfigError(
+                    f"Trotter mode at twirl depth ceil(c2 * k) with c2={self.c2!r} "
+                    f"and k={self.k} counts more queries than a float holds; lower c2."
+                )
         if self.allow_weak_constants:
             return
         steps = self.twirl_steps

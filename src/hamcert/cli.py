@@ -60,7 +60,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="implementation-error budget per shot")
     parser.add_argument("--allow-weak-constants", action="store_true",
                         help="skip the constants-consistency checks "
-                             "(needed for reduced-depth trotter runs)")
+                             "(needed only below the default constants)")
 
 
 def _resolve_seed(flag_value: int | None) -> int:

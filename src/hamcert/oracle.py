@@ -9,24 +9,23 @@ batch of ``N`` identical requests is charged ``N`` times its duration
 and counted as ``N`` queries in a single charge.
 
 Evolution under the *known* reference Hamiltonian is compiled classically,
-costs nothing, and both time signs are allowed (:func:`evolve_known`).
-Both evolve through eigendecompositions: :func:`hamcert.dense.evolve`
-keeps those of the two sums it evolved last, and a trotter oracle keeps
-those of its blocks for the most recent reference.
+costs nothing, and both time signs are allowed.  Both evolve through
+eigendecompositions: :func:`hamcert.dense.evolve` keeps those of the two
+sums it evolved last, and a trotter oracle keeps those of its blocks for
+the most recent reference.
 
 Two oracle modes exist:
 
 * ``TROTTERIZED`` realizes shots of the twirled difference generator
   physically, through interleaved forward queries and compiled reference
-  evolutions (see :mod:`hamcert.trotter`).  Feasible only for small twirl
-  depth: the sector count doubles per twirl step, and the rounding of the
-  product formula grows with it.  Only this mode diagonalizes the hidden
-  Hamiltonian, on a forward query.
+  evolutions (see :mod:`hamcert.trotter`), at any twirl depth: the
+  block factors come as their differences from the identity, which keep
+  the short half-steps of a deep twirl to relative rounding.  Only this
+  mode diagonalizes the hidden Hamiltonian, on a forward query.
 * ``EXACT_EFFECTIVE`` substitutes the ideal evolution of the twirled
   difference and charges the same time per shot, which is what the
-  resource accounting measures.  Used for statistical validation of the
-  full protocol at its default constants, whose twirl depth is beyond
-  the product formula's reach.
+  resource accounting measures.  It forms no product formula, and no
+  block of it is held to the dense cap.
 
 Both modes factor a round over the *blocks* of its support graph (see
 :func:`hamcert.pauli.support_blocks`): when no term links two sets of
@@ -78,7 +77,6 @@ from .dense import (
     _spectrum,
     eig_decompose,
     evolve,
-    propagator,
     to_dense_stack,
 )
 from .moments import walsh_table, walsh_transform
@@ -92,7 +90,6 @@ __all__ = [
     "EvolutionOracle",
     "OracleMode",
     "OracleModeError",
-    "evolve_known",
 ]
 
 
@@ -128,16 +125,6 @@ class EvolutionLedger:
             raise ValueError(f"Query count increment must be nonnegative: {queries}.")
         self.total_time += duration
         self.query_count += queries
-
-
-def evolve_known(h0: PauliSum, t: float) -> np.ndarray:
-    """Compiled evolution ``exp(-i t H0)`` of the known reference.
-
-    Never charges any ledger; both signs of ``t`` are permitted because
-    the reference is fully specified classically.  Repeated calls with the
-    same ``h0`` diagonalize it once (see :func:`hamcert.dense.evolve`).
-    """
-    return evolve(h0, t)
 
 
 def _forward_request(t: float, count: int) -> tuple[float, int]:
@@ -231,12 +218,25 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     return np.linalg.eigvalsh(blocks).ravel()
 
 
+def _deviation(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i t H) - I`` from the eigendecomposition of ``H``, stacked
+    as :func:`hamcert.dense.propagator`.
+
+    Each phase is ``np.expm1(-i theta) = -2 sin^2(theta/2) - i sin theta``,
+    so a factor with ``|theta|`` far below 1 keeps ``theta`` to relative
+    rounding, where ``exp(-i t H)`` itself would keep it only to about
+    ``ulp / |theta|``.
+    """
+    phases = np.expm1(-1j * (w * t))
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 class BlockPropagators(NamedTuple):
     """One group of equal-size blocks of a forward batch (see
     :meth:`EvolutionOracle.query_forward_blocks`): ``sites`` lists each
-    block's sites, and ``forward`` stacks ``exp(-i t H)`` and ``compiled``
-    the free reference evolution ``exp(+i t H0)`` on them, block ``b`` at
-    index ``b`` of a ``(B, d, d)`` array."""
+    block's sites, and ``forward`` stacks ``exp(-i t H) - I`` and
+    ``compiled`` the free reference evolution ``exp(+i t H0) - I`` on
+    them, block ``b`` at index ``b`` of a ``(B, d, d)`` array."""
 
     sites: tuple[tuple[int, ...], ...]
     forward: np.ndarray
@@ -327,17 +327,19 @@ class EvolutionOracle:
 
         The blocks are those of the support graph of the hidden Hamiltonian
         and the reference together, so ``exp(-i t H)`` is the Kronecker
-        product of the returned ``forward`` factors and the identity on the
-        sites no term touches; the factors reveal nothing that the dense
-        matrix does not.  Each block also carries the reference's compiled
-        evolution ``exp(+i t H0)`` on it, which is free.  Makes the same
-        single charge as :meth:`query_forward`: ``count * t`` and
-        ``count`` queries.
+        product of the returned ``forward`` factors, each plus the
+        identity, and the identity on the sites no term touches; the
+        factors reveal nothing that the dense matrix does not.  Each block
+        also carries the reference's compiled evolution ``exp(+i t H0)`` on
+        it, which is free.  Both come as their differences from the
+        identity (see :class:`BlockPropagators`).  Makes the same single
+        charge as :meth:`query_forward`: ``count * t`` and ``count``
+        queries.
 
         The blocks are grouped by size, groups in the order their size
         first occurs and blocks in site order within a group, and each
-        group's propagators come from one stacked product (see
-        :func:`hamcert.dense.propagator`).  The groups, and the
+        group's factors come from one stacked product, taken as
+        :func:`hamcert.dense.propagator` takes it.  The groups, and the
         eigendecompositions of both sums cut to each block, are kept for
         the most recent reference; each group's come from one stacked
         :func:`hamcert.dense.to_dense_stack` and eigendecomposition.  When
@@ -358,7 +360,7 @@ class EvolutionOracle:
         if not _same_reference(self._groups, h0):
             self._groups = (h0, self._group_spectra(h0))
         self.ledger.charge(count * t, queries=count)
-        return [BlockPropagators(sites, propagator(*hidden, t), propagator(*known, -t))
+        return [BlockPropagators(sites, _deviation(*hidden, t), _deviation(*known, -t))
                 for sites, hidden, known in self._groups[1]]
 
     def _group_spectra(self, h0: PauliSum) -> list[tuple[tuple, tuple, tuple]]:

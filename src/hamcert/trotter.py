@@ -16,6 +16,17 @@ factors in exactly reversed order.  Each forward half-factor lasts
 ``t`` of forward evolution time regardless of the step count, and the
 operator-norm error decays as ``O(t^3 / steps^2)``.
 
+A half-factor differs from the identity by about ``|H| tau 2^-T / 2``:
+at the default twirl depths and the step cap, up to ``3e-9 |H|`` for
+k=1 (T=17) and ``4e-14 |H|`` for k=2 (T=34) at epsilon=0.2.  A stored
+unitary keeps that difference only to a relative accuracy of about
+``ulp`` divided by it.
+So every product that forms the step operator is carried as its
+difference from the identity, ``(I + A)(I + B) - I = A + B + AB``, and
+the identity is added once, to the step operator, before the repeated
+squaring.  The rounding then stays relative to the factors at any twirl
+depth.
+
 The draws are tensor products of single-site Paulis, so the step operator
 factors over the blocks of the support graph of the hidden Hamiltonian
 and the reference (see :meth:`hamcert.oracle.EvolutionOracle.
@@ -45,10 +56,8 @@ from .twirl import DiagonalSubspace
 
 __all__ = [
     "TROTTER_STEP_CAP",
-    "UNROLL_DRAW_CAP",
     "TrotterError",
     "TrotterPlan",
-    "calibrate_steps",
     "steps_from_bound",
     "trotter_blocks",
     "trotter_error",
@@ -56,12 +65,8 @@ __all__ = [
     "twirl_conjugators",
 ]
 
-#: Hard ceiling on product-formula steps when calibrating adaptively.
+#: Hard ceiling on product-formula steps per shot.
 TROTTER_STEP_CAP = 2**16
-
-#: Deepest twirl a product formula may unroll.  The rounding of the step
-#: operator grows about as ``2^T``; at this depth it stays far below budget.
-UNROLL_DRAW_CAP = 8
 
 
 def twirl_conjugators(
@@ -75,15 +80,8 @@ def twirl_conjugators(
     :func:`trotter_blocks` relies on.
 
     Raises:
-        ValueError: If there are more than :data:`UNROLL_DRAW_CAP` draws
-            or a draw lies outside the subspace.
+        ValueError: If a draw lies outside the subspace.
     """
-    draws = len(paulis)
-    if draws > UNROLL_DRAW_CAP:
-        raise ValueError(
-            f"Cannot unroll {draws} twirl draws (cap {UNROLL_DRAW_CAP}): "
-            f"the rounding of a product over 2^{draws} sectors grows with it."
-        )
     for p in paulis:
         if not subspace.contains(p):
             raise ValueError(f"Draw {p!r} is not in the subspace.")
@@ -115,13 +113,13 @@ class TrotterPlan:
 
 
 def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
-    """Step-count guess ``ceil(2^T sqrt(t^3 / eps))``, clamped to the cap.
+    """Step count ``ceil(2^T sqrt(t^3 / eps))``, clamped to the cap.
 
-    The error constant of the bound is not pinned down, so this is only
-    the starting point; :func:`calibrate_steps` refines it empirically.
-    A guess too large for a float, as from a tiny ``eps_trott`` or a huge
-    ``t``, saturates at :data:`TROTTER_STEP_CAP` like any other guess
-    above it.
+    The error constant of the bound is not pinned down; the tests check
+    the count against the budget ``1/(128 * 9^k)`` at the default
+    constants for k=1 and k=2.  A guess too large for a float, as from a
+    tiny ``eps_trott`` or a huge ``t``, saturates at
+    :data:`TROTTER_STEP_CAP` like any other guess above it.
     """
     if eps_trott <= 0:
         raise ValueError(f"Error target must be positive, got {eps_trott}.")
@@ -136,26 +134,39 @@ def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
     return max(math.ceil(guess), 1)
 
 
+def _compose(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """``(I + a)(I + b) - I = a + b + ab``, added in place into ``ab = a @ b``."""
+    ab += a
+    ab += b
+    return ab
+
+
 def _strang_power(
     forward: np.ndarray, compiled: np.ndarray, draws: np.ndarray, steps: int
 ) -> np.ndarray:
     """The symmetric step operators from their half-factors, to the power ``steps``.
 
-    ``forward`` and ``compiled`` are ``(B, d, d)`` stacks, one matrix per
-    block, and ``draws[j]`` holds the letters of draw ``j`` cut to each
-    block, as the ``(B, k)`` codes of :func:`hamcert.dense.pauli_conjugator`.
-    Sector ``m + 2^j`` is sector ``m`` conjugated by draw ``j``, so each
-    half of the step operator doubles once per draw; repeated squaring then
-    raises it to the step count.
+    ``forward`` and ``compiled`` are ``(B, d, d)`` stacks of half-factors
+    less the identity, one matrix per block, and ``draws[j]`` holds the
+    letters of draw ``j`` cut to each block, as the ``(B, k)`` codes of
+    :func:`hamcert.dense.pauli_conjugator`.  Sector ``m + 2^j`` is sector
+    ``m`` conjugated by draw ``j``, so each half of the step operator
+    doubles once per draw; repeated squaring then raises it to the step
+    count.  Every product before the squaring is carried as its
+    difference from the identity (see the module docstring).
     """
     # Sectors in mask order, then in reversed order.
-    first_half = forward @ compiled
-    second_half = compiled @ forward
+    first_half = _compose(forward, compiled, forward @ compiled)
+    second_half = _compose(compiled, forward, compiled @ forward)
     for letters in draws:
         conjugate = pauli_conjugator(letters)
-        first_half = first_half @ conjugate(first_half)
-        second_half = conjugate(second_half) @ second_half
-    return np.linalg.matrix_power(first_half @ second_half, steps)
+        later = conjugate(first_half)
+        first_half = _compose(first_half, later, first_half @ later)
+        earlier = conjugate(second_half)
+        second_half = _compose(earlier, second_half, earlier @ second_half)
+    step = _compose(first_half, second_half, first_half @ second_half)
+    step += np.eye(step.shape[-1])
+    return np.linalg.matrix_power(step, steps)
 
 
 def trotter_blocks(
@@ -257,38 +268,3 @@ def trotter_error(v: np.ndarray, h_t: PauliSum, t: float) -> TrotterError:
     op = operator_norm(diff)
     bell = float(abs(np.trace(diff))) / v.shape[0]
     return TrotterError(op_norm=op, bell_deviation=bell)
-
-
-def calibrate_steps(
-    hidden: PauliSum,
-    h0: PauliSum,
-    plan: TrotterPlan,
-    h_t: PauliSum,
-    eps_target: float,
-) -> tuple[int, float]:
-    """Double the step count until the measured error meets the target.
-
-    A calibration utility for verification runs, where the hidden
-    Hamiltonian is known to the harness: fresh throwaway oracles are built
-    per trial, so no production ledger is touched.  Starts from
-    ``plan.steps`` and returns ``(steps, measured_op_norm_error)``.
-
-    Raises:
-        RuntimeError: If :data:`TROTTER_STEP_CAP` steps miss the target.
-    """
-    if eps_target <= 0:
-        raise ValueError(f"Error target must be positive, got {eps_target}.")
-    steps = plan.steps
-    while True:
-        trial_oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-        trial_plan = TrotterPlan(plan.draws, steps, plan.total_time)
-        v = trotter_evolve(trial_oracle, h0, trial_plan)
-        err = trotter_error(v, h_t, plan.total_time).op_norm
-        if err <= eps_target:
-            return steps, err
-        if steps >= TROTTER_STEP_CAP:
-            raise RuntimeError(
-                f"Step cap {TROTTER_STEP_CAP} reached with error {err:.3e} > "
-                f"target {eps_target:.3e}."
-            )
-        steps = min(steps * 2, TROTTER_STEP_CAP)

@@ -67,11 +67,33 @@ class TestConfigDerivation:
         with pytest.raises(ConfigError, match="budget"):
             CertificationConfig(epsilon=0.2, delta=0.2, k=1, eps_trott=1e-2)
 
-    def test_trotter_mode_depth_cap(self):
-        with pytest.raises(ConfigError, match="unroll"):
-            CertificationConfig(
-                epsilon=0.2, delta=0.2, k=1, mode=OracleMode.TROTTERIZED
-            )
+    def test_trotter_mode_takes_the_default_depth(self):
+        for k in (1, 2):
+            cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=k, mode=OracleMode.TROTTERIZED)
+            assert cfg.twirl_steps == 17 * k
+
+    @pytest.mark.parametrize(
+        "c2, k, fits",
+        [
+            # 26 rounds of 1152 shots at TROTTER_STEP_CAP steps count
+            # 3.9e9 * 2^T queries: a float holds them up to T=992.
+            (992.0, 1, True),
+            (993.0, 1, False),
+            # 2^T overflows a float and 2^-T is 0.0.
+            (1100.0, 1, False),
+            # c2 * k overflows.
+            (1e308, 2, False),
+        ],
+    )
+    def test_trotter_depth_is_bounded_by_the_query_count(self, c2, k, fits):
+        kwargs = dict(epsilon=0.2, delta=0.2, k=k, c2=c2, mode=OracleMode.TROTTERIZED)
+        if fits:
+            cfg = CertificationConfig(**kwargs)
+            queries = cfg.rounds * cfg.shots_per_round * 2 * TROTTER_STEP_CAP * 2**cfg.twirl_steps
+            assert math.isfinite(float(queries))
+        else:
+            with pytest.raises(ConfigError, match="more queries than a float holds"):
+                CertificationConfig(**kwargs)
 
     def test_basic_ranges(self):
         with pytest.raises(ConfigError):

@@ -202,10 +202,20 @@ class TestTrotterModeCommand:
         assert "Traceback" not in captured.err
         assert f"verdict: {('ACCEPT', 'REJECT')[code]}" in captured.out
 
-    def test_default_depth_is_refused_in_trotter_mode(self, files, capsys):
-        code = main(certify_args(files, "h_same.txt", mode="trotter"))
+    @pytest.mark.parametrize("h,code", [("h_same.txt", 0), ("h_far.txt", 1)])
+    def test_default_constants_run_in_trotter_mode(self, files, capsys, h, code):
+        assert main(certify_args(files, h, mode="trotter")) == code
+        out = capsys.readouterr().out
+        assert "twirl_steps: 17" in out
+        assert "allow_weak_constants: False" in out
+
+    def test_a_query_count_beyond_a_float_is_a_config_error(self, files, capsys):
+        code = main(certify_args(files, "h_same.txt", mode="trotter", c2=1000))
+        err = capsys.readouterr().err
         assert code == 2
-        assert "unroll" in capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unexpected" not in err
+        assert "more queries than a float holds" in err
 
 
 def _single_site_terms(n, letters, coeffs):

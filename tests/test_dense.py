@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import dense as dense_module
 from hamcert.dense import (
     PAULI_MATRICES,
     _signed_permutation,
@@ -319,6 +320,30 @@ class TestEvolve:
     def test_negative_time_allowed_for_raw_primitive(self):
         h = PauliSum(1, {"Z": 0.4})
         assert np.allclose(evolve(h, 1.3) @ evolve(h, -1.3), np.eye(2), atol=1e-12)
+
+    def test_the_last_two_sums_are_diagonalized_once(self, monkeypatch):
+        calls = []
+        original = dense_module.eig_decompose
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(dense_module, "eig_decompose", counting)
+        dense_module._spectrum.cache_clear()
+        h0 = PauliSum(2, {"ZX": 0.35, "IY": 0.15})
+        forward = evolve(h0, 0.6)
+        backward = evolve(h0, -0.6)
+        assert calls == [(4, 4)]
+        assert np.max(np.abs(forward @ backward - np.eye(4))) <= 1e-12
+        evolve(PauliSum(2, {"ZZ": 0.5}), 0.6)
+        evolve(h0, 0.6)
+        assert len(calls) == 2
+        # Two other sums since h0 was last evolved push it out.
+        evolve(PauliSum(2, {"XX": 0.5}), 0.6)
+        evolve(PauliSum(2, {"ZZ": 0.5}), 0.6)
+        evolve(h0, 0.6)
+        assert len(calls) == 5
 
 
 class TestHoffmanWielandt:

@@ -24,6 +24,8 @@ _N1 = dict(epsilon=0.2, delta=0.2, k=1, mode=EXACT)
 _TROTTER = dict(
     epsilon=0.2, delta=0.2, k=1, c2=2.0, mode=TROTTER, allow_weak_constants=True
 )
+# The paper's constants: twirl depth 17 at k=1 and 34 at k=2.
+_TROTTER_DEFAULT = dict(epsilon=0.2, delta=0.2, k=1, mode=TROTTER)
 
 #: case -> (reference file, hidden file, configuration)
 CASES = {
@@ -44,6 +46,14 @@ CASES = {
     # Blocks of 1, 2, 3, 1 and 2 sites: three sizes, interleaved in site order.
     "trotter-mixed-n9-equal-seed1": ("mixed-n9.h0", "mixed-n9.h0", dict(_TROTTER, k=2, seed=1)),
     "trotter-mixed-n9-far-seed1": ("mixed-n9.h0", "mixed-n9-far.h", dict(_TROTTER, k=2, seed=1)),
+    "trotter-default-n24-equal-seed1": (
+        "fields-n24.h0", "fields-n24.h0", dict(_TROTTER_DEFAULT, seed=1)),
+    "trotter-default-n24-far-seed1": (
+        "fields-n24.h0", "fields-n24-far.h", dict(_TROTTER_DEFAULT, seed=1)),
+    "trotter-default-mixed-n9-equal-seed1": (
+        "mixed-n9.h0", "mixed-n9.h0", dict(_TROTTER_DEFAULT, k=2, seed=1)),
+    "trotter-default-mixed-n9-far-seed1": (
+        "mixed-n9.h0", "mixed-n9-far.h", dict(_TROTTER_DEFAULT, k=2, seed=1)),
 }
 
 SWEEP_ARGS = [

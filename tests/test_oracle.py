@@ -19,7 +19,6 @@ from hamcert.oracle import (
     EvolutionOracle,
     OracleMode,
     OracleModeError,
-    evolve_known,
 )
 from hamcert.pauli import PauliSum, subtract
 from hamcert.twirl import (
@@ -124,7 +123,7 @@ class TestQueryForward:
         oracle.query_forward(0.4)
         assert calls == [(4, 4)]
         # A trotter round interleaves the reference: both spectra are kept.
-        evolve_known(PauliSum(2, {"ZI": 0.2}), -0.7)
+        evolve(PauliSum(2, {"ZI": 0.2}), -0.7)
         oracle.query_forward(0.9)
         assert calls == [(4, 4), (4, 4)]
 
@@ -143,46 +142,6 @@ class TestQueryForward:
         oracle = EvolutionOracle(PauliSum(1, {"X": 0.4}), OracleMode.EXACT_EFFECTIVE)
         public = [name for name in dir(oracle) if not name.startswith("_")]
         assert "hidden" not in public
-
-
-class TestEvolveKnown:
-    def test_zero_time(self):
-        assert np.allclose(evolve_known(PauliSum(1, {"Z": 2.0}), 0.0), np.eye(2))
-
-    def test_inverse_allowed_for_reference(self):
-        h0 = PauliSum(1, {"X": 0.2})
-        prod = evolve_known(h0, 1.1) @ evolve_known(h0, -1.1)
-        assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
-
-    def test_reference_diagonalized_once(self, monkeypatch):
-        calls = []
-        original = dense_module.eig_decompose
-
-        def counting(m):
-            calls.append(m.shape)
-            return original(m)
-
-        monkeypatch.setattr(dense_module, "eig_decompose", counting)
-        dense_module._spectrum.cache_clear()
-        h0 = PauliSum(2, {"ZX": 0.35, "IY": 0.15})
-        forward = evolve_known(h0, 0.6)
-        backward = evolve_known(h0, -0.6)
-        assert calls == [(4, 4)]
-        assert np.max(np.abs(forward @ backward - np.eye(4))) <= 1e-12
-        evolve_known(PauliSum(2, {"ZZ": 0.5}), 0.6)
-        evolve_known(h0, 0.6)
-        assert len(calls) == 2
-        # Two other sums since h0 was last evolved push it out.
-        evolve_known(PauliSum(2, {"XX": 0.5}), 0.6)
-        evolve_known(PauliSum(2, {"ZZ": 0.5}), 0.6)
-        evolve_known(h0, 0.6)
-        assert len(calls) == 5
-
-    def test_never_touches_the_ledger(self):
-        oracle = EvolutionOracle(PauliSum(1, {"X": 0.4}), OracleMode.EXACT_EFFECTIVE)
-        before = oracle.ledger.total_time
-        evolve_known(PauliSum(1, {"X": 0.4}), 5.0)
-        assert oracle.ledger.total_time == before
 
 
 class TestEffectiveShot:

@@ -16,7 +16,6 @@ from hamcert.pauli import PauliSum, conjugate, restrict, scale, subtract, suppor
 from hamcert.trotter import (
     TROTTER_STEP_CAP,
     TrotterPlan,
-    calibrate_steps,
     steps_from_bound,
     trotter_blocks,
     trotter_error,
@@ -123,11 +122,6 @@ class TestUnroll:
                     expected = expected @ mats[i]
             assert np.array_equal(pauli_matrix(q), expected)
 
-    def test_draw_cap(self):
-        s = DiagonalSubspace(("Z",))
-        with pytest.raises(ValueError, match="unroll"):
-            twirl_conjugators(s, ("Z",) * 9)
-
 
 @pytest.mark.parametrize("total_time", [-1.0, float("nan")])
 def test_plan_rejects_a_duration_that_is_not_nonnegative(total_time):
@@ -214,22 +208,43 @@ class TestTrotterEvolve:
         assert -2.4 <= slope <= -1.6
 
 
+def _deviation(h, t):
+    """``exp(-i t H) - I`` on the spectrum of ``H``, each phase as
+    ``-2 sin^2(theta/2) - i sin theta``."""
+    w, v = _spectrum(h)
+    theta = w * t
+    return (v * (-2.0 * np.sin(theta / 2) ** 2 - 1j * np.sin(theta))) @ v.conj().T
+
+
+def _expm1_deviation(h, t):
+    """``exp(-i t H) - I`` with each phase from ``np.expm1``, as the oracle
+    takes it."""
+    w, v = _spectrum(h)
+    return (v * np.expm1(-1j * (w * t))) @ v.conj().T
+
+
+def _compose(a, b):
+    """``(I + a)(I + b) - I``, summed as ``a @ b + a + b``."""
+    return a @ b + a + b
+
+
 def _loop_reference(hidden, h0, plan):
     """The step operator built from dense sandwiches, multiplied out one
-    step at a time."""
+    step at a time; every product is carried as its difference from the
+    identity, which is added once at the end."""
     half = plan.total_time * plan.sector_weight / (2 * plan.steps)
-    forward = evolve(hidden, half)
-    compiled = evolve(h0, -half)
+    forward = _deviation(hidden, half)
+    compiled = _deviation(h0, -half)
     mats = _sector_matrices(plan.draws, forward.shape[0])
-    step = np.eye(forward.shape[0], dtype=complex)
+    step = np.zeros_like(forward)
     for qm in mats:
-        step = step @ (qm @ (forward @ compiled) @ qm)
+        step = _compose(step, qm @ _compose(forward, compiled) @ qm)
     for qm in reversed(mats):
-        step = step @ (qm @ (compiled @ forward) @ qm)
-    out = np.eye(forward.shape[0], dtype=complex)
+        step = _compose(step, qm @ _compose(compiled, forward) @ qm)
+    out = np.zeros_like(step)
     for _ in range(plan.steps):
-        out = out @ step
-    return out
+        out = _compose(out, step)
+    return out + np.eye(out.shape[0])
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 64, 1000])
@@ -429,25 +444,25 @@ def _ix_conjugate(m, label):
 
 def _per_block_round(hidden, h0, plan):
     """A trotter round as it ran one block at a time, before equal-size
-    blocks were stacked: per block, its own two propagators, the Strang
-    doubling with the draws cut to its sites and ``matrix_power``; then the
-    list form of the unitarity bound and the product, in site order.
+    blocks were stacked: per block, its own two propagators less the
+    identity, the Strang doubling in that form with the draws cut to its
+    sites, the identity added back and ``matrix_power``; then the list
+    form of the unitarity bound and the product, in site order.
 
     Returns ``([(sites, u)], probability, bound)``.
     """
     half = plan.total_time * plan.sector_weight / (2 * plan.steps)
     blocks = []
     for sites in support_blocks(hidden, h0):
-        w, v = _spectrum(restrict(hidden, sites))
-        forward = (v * np.exp(-1j * w * half)) @ v.conj().T
-        w, v = _spectrum(restrict(h0, sites))
-        compiled = (v * np.exp(-1j * w * -half)) @ v.conj().T
-        first_half, second_half = forward @ compiled, compiled @ forward
+        forward = _expm1_deviation(restrict(hidden, sites), half)
+        compiled = _expm1_deviation(restrict(h0, sites), -half)
+        first_half, second_half = _compose(forward, compiled), _compose(compiled, forward)
         for p in plan.draws:
             cut = "".join([p[i] for i in sites])
-            first_half = first_half @ _ix_conjugate(first_half, cut)
-            second_half = _ix_conjugate(second_half, cut) @ second_half
-        blocks.append((sites, np.linalg.matrix_power(first_half @ second_half, plan.steps)))
+            first_half = _compose(first_half, _ix_conjugate(first_half, cut))
+            second_half = _compose(_ix_conjugate(second_half, cut), second_half)
+        step = _compose(first_half, second_half) + np.eye(first_half.shape[0])
+        blocks.append((sites, np.linalg.matrix_power(step, plan.steps)))
     bound = 0.0
     for _, u in blocks:
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
@@ -576,34 +591,20 @@ class TestTrotterError:
             assert shift <= 2.0 * err.bell_deviation + 1e-12
 
 
-def test_calibrate_steps_reaches_lemma_budget():
-    """Doubling lands under 1/(128 * 9^k) and barely moves the Bell statistic."""
-    rng = np.random.default_rng(9)
-    h0 = random_pauli_sum(2, 1, rng, num_terms=2)
-    hidden = random_pauli_sum(2, 1, rng, num_terms=2)
-    s = sample_subspace(2, rng)
-    paulis = twirl_conjugators(s, sample_twirl_paulis(s, 2, rng))
-    h_t = apply_twirl(subtract(hidden, h0), s, paulis).twirled
-    target = 1.0 / (128.0 * 9.0)
-    plan = TrotterPlan(paulis, 4, 0.8)
-    steps, err = calibrate_steps(hidden, h0, plan, h_t, target)
-    assert err <= target
-    oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-    v = trotter_evolve(oracle, h0, TrotterPlan(paulis, steps, 0.8))
-    shift = abs(identity_prob_trace(v) - identity_prob_trace(evolve(h_t, 0.8)))
-    assert shift <= target
-
-
-@pytest.mark.parametrize("draws", [2, 8])
+@pytest.mark.parametrize("draws", [2, 8, 17, 34])
 def test_step_count_from_the_bound_meets_the_lemma_budget(draws):
-    """The step count a trotter round uses, at k=1 and n=3 near the
-    epsilon=0.2 time cap, stays within 1/(128 * 9)."""
-    cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1)
+    """The step count a trotter round uses, at n=3 near the epsilon=0.2
+    time cap, stays within 1/(128 * 9^k).  ``k`` is the least locality
+    whose default twirl depth ``17 k`` reaches ``draws``, so 17 and 34 are
+    the default depths of k=1 and k=2, where the step count is capped."""
+    k = math.ceil(draws / 17)
+    cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=k)
     budget = cfg.trotter_tolerance
+    assert budget == 1.0 / (128.0 * 9**k)
     rng = np.random.default_rng(70 + draws)
     for _ in range(4):
-        h0 = random_pauli_sum(3, 1, rng)
-        hidden = random_pauli_sum(3, 1, rng)
+        h0 = random_pauli_sum(3, k, rng)
+        hidden = random_pauli_sum(3, k, rng)
         s = sample_subspace(3, rng)
         paulis = twirl_conjugators(s, sample_twirl_paulis(s, draws, rng))
         t = float(rng.uniform(0.9, 1.0)) * cfg.time_cap
