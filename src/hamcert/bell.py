@@ -29,7 +29,6 @@ positions ``i`` and ``n+i``; the letter map is ``(0,0) -> I``,
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -205,9 +204,7 @@ def identity_prob_trace(u: np.ndarray, atol: float = 1e-8) -> float:
     return identity_prob_factors([u[None]], atol)
 
 
-def identity_prob_factors(
-    stacks: list[np.ndarray], atol: float = 1e-8, order: Sequence[int] | None = None
-) -> float:
+def identity_prob_factors(stacks: list[np.ndarray], atol: float = 1e-8) -> float:
     """``|Tr U|^2 / 4^n`` of the Kronecker product ``U`` of unitary factors.
 
     The factors come in ``(B, d, d)`` stacks of one dimension each.  The
@@ -217,8 +214,9 @@ def identity_prob_factors(
     assembled ``U^dag U - I`` is at most ``prod(1 + e_J) - 1`` entrywise,
     and that bound is checked against ``atol``; for one factor it is
     ``e_J`` itself.  The defects and traces are taken per stack; the bound
-    and the product accumulate factor by factor in ``order``, which lists
-    positions in the concatenated stacks (all of them in turn by default).
+    and the product accumulate factor by factor in stack order, as
+    :meth:`hamcert.oracle.EvolutionOracle.query_forward_blocks` groups the
+    blocks of a trotter round.
 
     Raises:
         ValueError: If a stack is not of square matrices, or if the bound
@@ -233,15 +231,13 @@ def identity_prob_factors(
         defects += np.max(np.abs(gram - np.eye(dim)), axis=(1, 2)).tolist()
         traces = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2 / dim**2
         probs += np.minimum(traces, 1.0).tolist()
-    if order is None:
-        order = range(len(probs))
     bound = 0.0
-    for j in order:
+    for defect in defects:
         # (1 + bound)(1 + defect) - 1, without the rounding of the leading 1.
-        bound += defects[j] + bound * defects[j]
+        bound += defect + bound * defect
     if bound > atol:
         raise ValueError(f"Matrix is not unitary (defect {bound:.3e} > {atol:.1e}).")
-    return math.prod((probs[j] for j in order), start=1.0)
+    return math.prod(probs, start=1.0)
 
 
 def _apply_hadamard(state: np.ndarray, qubit: int) -> np.ndarray:

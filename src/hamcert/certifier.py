@@ -44,7 +44,6 @@ from .trotter import (
     TrotterPlan,
     steps_from_bound,
     trotter_blocks,
-    twirl_conjugators,
 )
 from .twirl import sample_subspace, sample_twirl_paulis
 
@@ -142,7 +141,7 @@ class CertificationConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}.")
         if not 0 < self.delta < 1:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}.")
-        if not isinstance(self.k, int) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}.")
         for name in ("c1", "c2", "c3", "c4"):
             if getattr(self, name) <= 0:
@@ -150,6 +149,10 @@ class CertificationConfig:
         if not 0 < self.c0 < 1:
             raise ConfigError(f"c0 must lie in (0, 1), got {self.c0}.")
         try:
+            # The shot count's 9^k stops converting to a float where this
+            # float power overflows; checked first, it refuses a huge k
+            # before any exact power of it is built.
+            9.0**self.k
             counts = {"rounds": self.rounds, "shots_per_round": self.shots_per_round}
             time_cap = self.time_cap
             tol = self.trotter_tolerance
@@ -180,10 +183,17 @@ class CertificationConfig:
                     f"Trotter mode at twirl depth ceil(c2 * k) with c2={self.c2!r} "
                     f"and k={self.k} counts more queries than a float holds; lower c2."
                 )
+        try:
+            steps = self.twirl_steps
+        except OverflowError:
+            raise ConfigError(
+                f"Twirl depth ceil(c2 * k) overflows with c2={self.c2!r} and k={self.k}."
+            ) from None
         if self.allow_weak_constants:
             return
-        steps = self.twirl_steps
-        if 2**steps < 2**11 * 27**self.k:
+        # 2^steps >= m exactly when steps reaches the bit length of m - 1,
+        # so no power of 2 is built for a huge depth.
+        if steps < (2**11 * 27**self.k - 1).bit_length():
             raise ConfigError(
                 f"Twirl depth {steps} is too shallow: need 2^steps >= "
                 f"2^11 * 27^k = {2**11 * 27**self.k}."
@@ -304,14 +314,11 @@ def _trotter_identity_prob(
     oracle: EvolutionOracle, h0: PauliSum, plan: TrotterPlan, shots: int
 ) -> float:
     """Bell identity probability of a trotter shot batch (see
-    :func:`trotter_blocks`), its blocks' factors multiplied in site order
-    whatever group holds them."""
+    :func:`trotter_blocks`), its blocks' factors multiplied in group order."""
     groups = trotter_blocks(oracle, h0, plan, shots=shots)
-    sites = [block for block_sites, _ in groups for block in block_sites]
     # The unitarity defect of S^steps grows about steps times that of the
     # step operator S, so the 1e-8 bound holds per step.
-    return identity_prob_factors([u for _, u in groups], atol=1e-8 * plan.steps,
-                                 order=sorted(range(len(sites)), key=sites.__getitem__))
+    return identity_prob_factors([u for _, u in groups], atol=1e-8 * plan.steps)
 
 
 def run_round(
@@ -342,7 +349,7 @@ def run_round(
         paulis = sample_twirl_paulis(subspace, cfg.twirl_steps, rng)
         t = float(rng.uniform(0.0, cfg.time_cap))
         steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
-        plan = TrotterPlan(twirl_conjugators(subspace, paulis), steps, t)
+        plan = TrotterPlan(paulis, steps, t)
         prob = _trotter_identity_prob(oracle, h0, plan, shots)
     count = sample_identity_shots(prob, shots, rng)
     fraction = count / shots

@@ -43,6 +43,13 @@ def _load_hamiltonian(path: str) -> PauliSum:
         raise HamiltonianFormatError(f"{path}: {exc}") from None
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, required=True,
                         help="allowed failure probability, in (0, 1)")
@@ -97,7 +104,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     report = certify(h0, oracle, cfg)
     text = report.render()
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     sys.stdout.write(text)
     return EXIT_ACCEPT if report.verdict == "ACCEPT" else EXIT_REJECT
 
@@ -141,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines.append(f"# loglog_slope = {result.loglog_slope!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     sys.stdout.write(text)
     return EXIT_ACCEPT
 

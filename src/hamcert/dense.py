@@ -10,10 +10,6 @@ equal-size matrices, and :func:`to_dense_stack` builds such a stack from
 equal-size sums; each per-matrix function is the one-element case of its
 stacked form, so a matrix gets the same bits alone or in a stack.
 
-:func:`evolve` keeps the eigendecompositions of the two Pauli sums it
-evolved last.  A trotter run evolves two, the hidden Hamiltonian and the
-reference, so it diagonalizes each of them once.
-
 Index convention: qubit 0 is the most significant bit of the computational
 basis index, matching the Kronecker order ``letters[0] (x) ... (x)
 letters[n-1]``.
@@ -23,7 +19,6 @@ Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -41,7 +36,6 @@ __all__ = [
     "is_hermitian",
     "normalized_frobenius",
     "operator_norm",
-    "pauli_conjugate",
     "pauli_conjugator",
     "pauli_matrix",
     "propagator",
@@ -134,10 +128,12 @@ def pauli_conjugator(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     codes of the Pauli string ``P_b``, which must be valid letters.  Each
     string's flip mask and phases come from :func:`_letter_phases` and are
     taken once, so one conjugator serves several stacks.  Row ``b`` of the
-    result is ``ph[i ^ x] * m[b, i ^ x, j ^ x] * ph[j]`` as in
-    :func:`pauli_conjugate`, bit for bit; the gather takes the flat index
-    ``(i * 2^k + j) ^ (x * (2^k + 1))`` of ``(i ^ x, j ^ x)`` in one
-    ``take``.
+    result is ``ph[i ^ x] * m[b, i ^ x, j ^ x] * ph[j]``: a Pauli string
+    is a signed permutation, ``P|j> = ph[j] |j ^ x>`` with ``x`` the mask
+    of its ``X``/``Y`` sites (see :func:`_signed_permutation`).  Every
+    phase is ``+-1`` or ``+-i``, so the result equals the two dense
+    products exactly.  The gather takes the flat index ``(i * 2^k + j) ^
+    (x * (2^k + 1))`` of ``(i ^ x, j ^ x)`` in one ``take``.
     """
     count, k = letters.shape
     dim = 2**k
@@ -156,23 +152,6 @@ def pauli_conjugator(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return conjugate
 
 
-def pauli_conjugate(m: np.ndarray, label: str) -> np.ndarray:
-    """``P @ m @ P`` for the Pauli string ``P``, without forming ``P``.
-
-    A Pauli string is a signed permutation, ``P|j> = ph[j] |j ^ x>`` with
-    ``x`` the mask of its ``X``/``Y`` sites, so the product is
-    ``ph[i ^ x] * m[i ^ x, j ^ x] * ph[j]``.  Every phase is ``+-1`` or
-    ``+-i``, so the result equals the two dense products exactly.  This is
-    :func:`pauli_conjugator` on a stack of one.
-    """
-    validate_label(label)
-    n = len(label)
-    if m.shape != (2**n, 2**n):
-        raise ValueError(f"Matrix shape {m.shape} does not match {n} qubits.")
-    letters = np.frombuffer(label.encode("ascii"), dtype=np.uint8)
-    return pauli_conjugator(letters[None])(m[None])[0]
-
-
 def to_dense(h: PauliSum) -> np.ndarray:
     """Materialize a Pauli sum as a dense Hermitian matrix.
 
@@ -187,7 +166,7 @@ def to_dense(h: PauliSum) -> np.ndarray:
 def to_dense_stack(sums: Sequence[PauliSum]) -> np.ndarray:
     """Materialize equal-size Pauli sums as a ``(B, 2^n, 2^n)`` stack.
 
-    Each term is a signed permutation (see :func:`pauli_conjugate`), so
+    Each term is a signed permutation (see :func:`pauli_conjugator`), so
     it adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only.
     The phases and flips of all terms come from :func:`_letter_phases` at
     once, and one ``np.add.at`` adds them in term order, so matrix ``b``
@@ -271,25 +250,13 @@ def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-@functools.lru_cache(maxsize=2)
-def _spectrum(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    # PauliSum is immutable and stores its terms sorted, so equal keys
-    # give the same dense matrix bit for bit and an entry cannot go stale.
-    # Every caller shares the arrays, so they are read-only.
-    w, v = eig_decompose(to_dense(h))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
 def evolve(h: PauliSum, t: float) -> np.ndarray:
     """Unitary ``exp(-i t H)`` for a Pauli sum, via eigendecomposition.
 
     ``t`` may be any real number here; forward-only restrictions are
-    enforced at the oracle boundary, not by this raw primitive.  The last
-    two sums' eigendecompositions are kept (see the module docstring).
+    enforced at the oracle boundary, not by this raw primitive.
     """
-    return propagator(*_spectrum(h), float(t))
+    return propagator(*eig_decompose(to_dense(h)), float(t))
 
 
 def hoffman_wielandt_gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,9 +10,8 @@ and counted as ``N`` queries in a single charge.
 
 Evolution under the *known* reference Hamiltonian is compiled classically,
 costs nothing, and both time signs are allowed.  Both evolve through
-eigendecompositions: :func:`hamcert.dense.evolve` keeps those of the two
-sums it evolved last, and a trotter oracle keeps those of its blocks for
-the most recent reference.
+eigendecompositions; a trotter oracle keeps those of its blocks for the
+most recent reference.
 
 Two oracle modes exist:
 
@@ -71,14 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bell import identity_prob_spectral
-from .dense import (
-    QUBIT_CAP,
-    _signed_permutation,
-    _spectrum,
-    eig_decompose,
-    evolve,
-    to_dense_stack,
-)
+from .dense import QUBIT_CAP, _signed_permutation, eig_decompose, evolve, to_dense_stack
 from .moments import walsh_table, walsh_transform
 from .pauli import PauliSum, restrict, subtract, support_blocks
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -337,14 +329,14 @@ class EvolutionOracle:
         queries.
 
         The blocks are grouped by size, groups in the order their size
-        first occurs and blocks in site order within a group, and each
-        group's factors come from one stacked product, taken as
+        first occurs and blocks in site order within a group; this group
+        order is the one every later step of a round keeps.  Each group's
+        factors come from one stacked product, taken as
         :func:`hamcert.dense.propagator` takes it.  The groups, and the
         eigendecompositions of both sums cut to each block, are kept for
         the most recent reference; each group's come from one stacked
-        :func:`hamcert.dense.to_dense_stack` and eigendecomposition.  When
-        one block spans every site, the sums themselves are decomposed, so
-        the spectra that :func:`hamcert.dense.evolve` keeps are reused.
+        :func:`hamcert.dense.to_dense_stack` and eigendecomposition, a
+        block over every site included.
 
         Raises:
             AccessModelError, TypeError: As :meth:`query_forward`.
@@ -378,8 +370,6 @@ class EvolutionOracle:
             groups.setdefault(len(sites), []).append(sites)
 
         def stacked(h: PauliSum, group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-            if len(group[0]) == h.n:
-                return tuple(array[None] for array in _spectrum(h))
             return eig_decompose(to_dense_stack([restrict(h, sites) for sites in group]))
 
         return [(tuple(group), stacked(self._hidden, group), stacked(h0, group))

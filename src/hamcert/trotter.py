@@ -223,7 +223,9 @@ def trotter_evolve(
 ) -> np.ndarray:
     """The dense unitary of :func:`trotter_blocks`, with the same charge.
 
-    Qubit 0 is the most significant bit, as in :mod:`hamcert.dense`.
+    The block factors enter the Kronecker product in group order, and a
+    final transpose moves each site to its place: qubit 0 is the most
+    significant bit, as in :mod:`hamcert.dense`.
 
     Raises:
         OracleModeError: Outside ``TROTTERIZED`` mode.
@@ -233,16 +235,12 @@ def trotter_evolve(
     n = oracle.n_qubits
     if n > QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the dense cap of {QUBIT_CAP} qubits.")
-    groups = trotter_blocks(oracle, h0, plan, shots)
-    # Blocks in site order, whatever group holds them, so the products that
-    # form each entry do not depend on the grouping.
-    blocks = sorted(((sites[b], u[b]) for sites, u in groups for b in range(len(sites))),
-                    key=lambda block: block[0])
     u = np.ones((1, 1), dtype=complex)
     order: list[int] = []
-    for sites, block in blocks:
-        u = np.kron(u, block)
-        order += sites
+    for sites, stack in trotter_blocks(oracle, h0, plan, shots):
+        for block_sites, block in zip(sites, stack):
+            u = np.kron(u, block)
+            order += block_sites
     idle = sorted(set(range(n)) - set(order))
     u = np.kron(u, np.eye(2 ** len(idle)))
     # Axis a of the product is site order[a]; move each site to its place.

@@ -1,6 +1,7 @@
 """Tests for the certification protocol, its config, and the sweep harness."""
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,42 @@ class TestConfigDerivation:
     def test_shallow_twirl_rejected(self):
         with pytest.raises(ConfigError, match="shallow"):
             CertificationConfig(epsilon=0.2, delta=0.2, k=1, c2=3.0)
+
+    @pytest.mark.parametrize(
+        "k, c2, deep_enough",
+        # 2^steps >= 2^11 * 27^k: 55296 needs 16 steps at k=1, and
+        # 1492992 needs 21 at k=2.
+        [(1, 16.0, True), (1, 15.0, False), (2, 10.5, True), (2, 10.0, False)],
+    )
+    def test_depth_boundary(self, k, c2, deep_enough):
+        kwargs = dict(epsilon=0.2, delta=0.2, k=k, c2=c2)
+        if deep_enough:
+            CertificationConfig(**kwargs)
+        else:
+            with pytest.raises(ConfigError, match="shallow"):
+                CertificationConfig(**kwargs)
+
+    def test_a_huge_depth_is_checked_in_bounded_time(self):
+        start = time.perf_counter()
+        cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1, c2=1e300)
+        assert time.perf_counter() - start < 1.0
+        assert cfg.twirl_steps == math.ceil(1e300)
+
+    def test_a_huge_k_is_refused_in_bounded_time(self):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="overflow"):
+            CertificationConfig(epsilon=0.2, delta=0.2, k=10**7)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("waived", [False, True])
+    def test_a_depth_beyond_a_float_is_refused(self, waived):
+        with pytest.raises(ConfigError, match=r"Twirl depth ceil\(c2 \* k\) overflows"):
+            CertificationConfig(epsilon=0.2, delta=0.2, k=2, c2=1e308,
+                                allow_weak_constants=waived)
+
+    def test_a_boolean_k_is_refused(self):
+        with pytest.raises(ConfigError, match="k must be a positive integer, got True"):
+            CertificationConfig(epsilon=0.2, delta=0.2, k=True)
 
     def test_shallow_twirl_allowed_when_waived(self):
         cfg = CertificationConfig(

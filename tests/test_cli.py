@@ -85,6 +85,15 @@ class TestCertifyCommand:
         assert "round,axes,transcript_digest,time,identity_fraction,flagged" in text
 
 
+    def test_an_unwritable_report_path_is_an_input_error(self, files, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        assert main(certify_args(files, "h_far.txt", out=out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(out) in err
+        assert "unexpected" not in err
+
+
 class TestSweepCommand:
     def sweep_args(self, files, out=None, eps="0.4,0.2"):
         args = [
@@ -115,6 +124,14 @@ class TestSweepCommand:
         assert any(ln.startswith("# k = ") for ln in comments)
         assert any(ln.startswith("# eps_list = ") for ln in comments)
 
+    def test_an_unwritable_csv_path_is_an_input_error(self, files, tmp_path, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(self.sweep_args(files, out=out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(out) in err
+        assert "unexpected" not in err
+
     def test_non_unit_direction_is_a_usage_error(self, files, capsys):
         (files / "dir.txt").write_text("0.5 X\n")
         assert main(self.sweep_args(files)) == 2
@@ -144,9 +161,11 @@ class TestOutOfRangeNumbers:
             {"eps-trott": "nan"},
             {"delta": "5e-324"},
             {"k": "400"},
+            {"k": "100000000"},
+            {"c2": "1e300"},
         ],
         ids=["epsilon-nan", "epsilon-subnormal", "c4-inf", "eps-trott-nan",
-             "delta-subnormal", "k-400"],
+             "delta-subnormal", "k-400", "k-1e8", "c2-1e300"],
     )
     def test_exit_2_without_traceback(self, files, capsys, extra):
         args = certify_args(files, "h_same.txt")
@@ -160,6 +179,7 @@ class TestOutOfRangeNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "unexpected" not in captured.err
         assert "Traceback" not in captured.err
 
     def test_unexpected_exception_is_an_error_not_a_reject(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import dense as dense_module
 from hamcert.dense import (
     PAULI_MATRICES,
     _signed_permutation,
@@ -17,7 +16,6 @@ from hamcert.dense import (
     hoffman_wielandt_gap,
     hoffman_wielandt_gap_stack,
     normalized_frobenius,
-    pauli_conjugate,
     pauli_conjugator,
     pauli_matrix,
     to_dense,
@@ -211,6 +209,12 @@ class TestStackedSpectra:
             hoffman_wielandt_gap_stack(a, a[:1])
 
 
+def _codes(labels):
+    """The ``(B, k)`` ASCII codes of equal-length Pauli strings."""
+    return np.array([list(label.encode("ascii")) for label in labels],
+                    dtype=np.uint8).reshape(len(labels), -1)
+
+
 class TestPauliConjugate:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_the_dense_sandwich_exactly(self, n):
@@ -220,11 +224,8 @@ class TestPauliConjugate:
         for letters in itertools.product("IXYZ", repeat=n):
             label = "".join(letters)
             q = pauli_matrix(label)
-            assert np.array_equal(pauli_conjugate(m, label), q @ m @ q), label
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            pauli_conjugate(np.eye(4, dtype=complex), "XYZ")
+            got = pauli_conjugator(_codes([label]))(m[None])[0]
+            assert np.array_equal(got, q @ m @ q), label
 
     @pytest.mark.parametrize("count, n", [(1, 3), (5, 1), (4, 2), (3, 4), (1, 8)])
     def test_a_stack_equals_the_per_matrix_calls(self, count, n):
@@ -232,15 +233,15 @@ class TestPauliConjugate:
         dim = 2**n
         m = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
         labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
-        letters = np.array([list(label.encode("ascii")) for label in labels],
-                           dtype=np.uint8).reshape(count, n)
+        letters = _codes(labels)
         got = pauli_conjugator(letters)(m)
         for b, label in enumerate(labels):
             # The gather through np.ix_ that one matrix took before stacks.
             flip, phase = _signed_permutation(label)
             index = np.arange(dim) ^ flip
             ix = phase[index][:, None] * m[b][np.ix_(index, index)] * phase
-            for want in (pauli_conjugate(m[b], label), ix):
+            alone = pauli_conjugator(letters[b : b + 1])(m[b : b + 1])[0]
+            for want in (alone, ix):
                 assert np.array_equal(got[b].view(np.uint64), want.view(np.uint64)), label
 
 
@@ -320,30 +321,6 @@ class TestEvolve:
     def test_negative_time_allowed_for_raw_primitive(self):
         h = PauliSum(1, {"Z": 0.4})
         assert np.allclose(evolve(h, 1.3) @ evolve(h, -1.3), np.eye(2), atol=1e-12)
-
-    def test_the_last_two_sums_are_diagonalized_once(self, monkeypatch):
-        calls = []
-        original = dense_module.eig_decompose
-
-        def counting(m):
-            calls.append(m.shape)
-            return original(m)
-
-        monkeypatch.setattr(dense_module, "eig_decompose", counting)
-        dense_module._spectrum.cache_clear()
-        h0 = PauliSum(2, {"ZX": 0.35, "IY": 0.15})
-        forward = evolve(h0, 0.6)
-        backward = evolve(h0, -0.6)
-        assert calls == [(4, 4)]
-        assert np.max(np.abs(forward @ backward - np.eye(4))) <= 1e-12
-        evolve(PauliSum(2, {"ZZ": 0.5}), 0.6)
-        evolve(h0, 0.6)
-        assert len(calls) == 2
-        # Two other sums since h0 was last evolved push it out.
-        evolve(PauliSum(2, {"XX": 0.5}), 0.6)
-        evolve(PauliSum(2, {"ZZ": 0.5}), 0.6)
-        evolve(h0, 0.6)
-        assert len(calls) == 5
 
 
 class TestHoffmanWielandt:

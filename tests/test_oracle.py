@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import dense as dense_module
 from hamcert import oracle as oracle_module
 from hamcert.bell import identity_prob_spectral, identity_prob_trace
-from hamcert.dense import QUBIT_CAP, evolve
+from hamcert.dense import QUBIT_CAP, eig_decompose, evolve, to_dense
 from hamcert.instances import random_pauli_sum
 from hamcert.moments import walsh_table, walsh_transform
 from hamcert.oracle import (
@@ -106,26 +105,16 @@ class TestQueryForward:
             oracle.query_forward(t, count=count)
         assert oracle.ledger == EvolutionLedger(3 * 0.2, 3)
 
-    def test_hidden_spectrum_computed_on_first_query_only(self, monkeypatch):
-        calls = []
-        original = dense_module.eig_decompose
-
-        def counting(m):
-            calls.append(m.shape)
-            return original(m)
-
-        monkeypatch.setattr(dense_module, "eig_decompose", counting)
-        dense_module._spectrum.cache_clear()
-        oracle = EvolutionOracle(PauliSum(2, {"XZ": 0.3}), OracleMode.TROTTERIZED)
-        assert calls == []
-        oracle.query_forward(0.4)
-        oracle.query_forward(0.7)
-        oracle.query_forward(0.4)
-        assert calls == [(4, 4)]
-        # A trotter round interleaves the reference: both spectra are kept.
-        evolve(PauliSum(2, {"ZI": 0.2}), -0.7)
-        oracle.query_forward(0.9)
-        assert calls == [(4, 4), (4, 4)]
+    def test_a_block_over_every_site_is_decomposed_as_the_whole_sum(self):
+        hidden = PauliSum(3, {"XYI": 0.3, "IZZ": -0.4})
+        h0 = PauliSum(3, {"ZZI": 0.2, "IXY": 0.7})
+        oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+        [(sites, *stacked)] = oracle._group_spectra(h0)
+        assert sites == ((0, 1, 2),)
+        for h, (w, v) in zip((hidden, h0), stacked):
+            want_w, want_v = eig_decompose(to_dense(h))
+            assert w.tobytes() == want_w.tobytes()
+            assert v.tobytes() == want_v.tobytes()
 
     def test_only_the_last_propagator_is_kept(self):
         hidden = PauliSum(2, {"XZ": 0.3, "YI": -0.2})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hamcert.bell import identity_prob_factors, identity_prob_trace
 from hamcert.certifier import CertificationConfig, _trotter_identity_prob
-from hamcert.dense import _signed_permutation, _spectrum, evolve, pauli_conjugate, pauli_matrix
+from hamcert.dense import _signed_permutation, eig_decompose, evolve, pauli_matrix, to_dense
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
 from hamcert.pauli import PauliSum, conjugate, restrict, scale, subtract, support_blocks
@@ -211,7 +211,7 @@ class TestTrotterEvolve:
 def _deviation(h, t):
     """``exp(-i t H) - I`` on the spectrum of ``H``, each phase as
     ``-2 sin^2(theta/2) - i sin theta``."""
-    w, v = _spectrum(h)
+    w, v = eig_decompose(to_dense(h))
     theta = w * t
     return (v * (-2.0 * np.sin(theta / 2) ** 2 - 1j * np.sin(theta))) @ v.conj().T
 
@@ -219,7 +219,7 @@ def _deviation(h, t):
 def _expm1_deviation(h, t):
     """``exp(-i t H) - I`` with each phase from ``np.expm1``, as the oracle
     takes it."""
-    w, v = _spectrum(h)
+    w, v = eig_decompose(to_dense(h))
     return (v * np.expm1(-1j * (w * t))) @ v.conj().T
 
 
@@ -300,8 +300,6 @@ class TestAgainstLiteralProduct:
         scipy and form the literal symmetric product."""
         from scipy.linalg import expm
 
-        from hamcert.dense import to_dense
-
         rng = np.random.default_rng(14)
         h0 = random_pauli_sum(2, 2, rng, num_terms=4)
         hidden = random_pauli_sum(2, 2, rng, num_terms=4)
@@ -327,6 +325,14 @@ class TestAgainstLiteralProduct:
         assert np.max(np.abs(v - reference)) <= 1e-10
 
 
+def _ix_conjugate(m, label):
+    """``P @ m @ P`` through ``np.ix_``, as one matrix was conjugated before
+    the conjugation took stacks."""
+    flip, phase = _signed_permutation(label)
+    index = np.arange(2 ** len(label)) ^ flip
+    return phase[index][:, None] * m[np.ix_(index, index)] * phase
+
+
 def _full_matrix_doubling(hidden, h0, plan):
     """The product formula on the full ``2^n`` matrices, as it was computed
     before it was factored over blocks."""
@@ -334,8 +340,8 @@ def _full_matrix_doubling(hidden, h0, plan):
     forward, compiled = evolve(hidden, half), evolve(h0, -half)
     first_half, second_half = forward @ compiled, compiled @ forward
     for p in plan.draws:
-        first_half = first_half @ pauli_conjugate(first_half, p)
-        second_half = pauli_conjugate(second_half, p) @ second_half
+        first_half = first_half @ _ix_conjugate(first_half, p)
+        second_half = _ix_conjugate(second_half, p) @ second_half
     return np.linalg.matrix_power(first_half @ second_half, plan.steps)
 
 
@@ -434,26 +440,22 @@ class TestFactoredRound:
         assert oracle.ledger == EvolutionLedger()
 
 
-def _ix_conjugate(m, label):
-    """``P @ m @ P`` through ``np.ix_``, as one matrix was conjugated before
-    the conjugation took stacks."""
-    flip, phase = _signed_permutation(label)
-    index = np.arange(2 ** len(label)) ^ flip
-    return phase[index][:, None] * m[np.ix_(index, index)] * phase
-
-
 def _per_block_round(hidden, h0, plan):
     """A trotter round as it ran one block at a time, before equal-size
     blocks were stacked: per block, its own two propagators less the
     identity, the Strang doubling in that form with the draws cut to its
     sites, the identity added back and ``matrix_power``; then the list
-    form of the unitarity bound and the product, in site order.
+    form of the unitarity bound and the product.  The blocks run in the
+    oracle's group order: sizes in the order they first occur, sites in
+    order within a size.
 
     Returns ``([(sites, u)], probability, bound)``.
     """
     half = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    in_site_order = support_blocks(hidden, h0)
+    sizes = list(dict.fromkeys(map(len, in_site_order)))
     blocks = []
-    for sites in support_blocks(hidden, h0):
+    for sites in sorted(in_site_order, key=lambda sites: sizes.index(len(sites))):
         forward = _expm1_deviation(restrict(hidden, sites), half)
         compiled = _expm1_deviation(restrict(h0, sites), -half)
         first_half, second_half = _compose(forward, compiled), _compose(compiled, forward)
@@ -493,8 +495,7 @@ def _check_stacked(hidden, h0, plan, shots=1):
     oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
     groups = trotter_blocks(oracle, h0, plan, shots=shots)
     blocks, prob, bound = _per_block_round(hidden, h0, plan)
-    got = sorted(((sites[b], u[b]) for sites, u in groups for b in range(len(sites))),
-                 key=lambda block: block[0])
+    got = [(sites[b], u[b]) for sites, u in groups for b in range(len(sites))]
     assert [sites for sites, _ in got] == [sites for sites, _ in blocks]
     for (sites, u), (_, want) in zip(got, blocks):
         assert np.array_equal(u, want), sites
@@ -504,14 +505,12 @@ def _check_stacked(hidden, h0, plan, shots=1):
     oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
     if bound <= 1e-8 * plan.steps:
         assert _trotter_identity_prob(oracle, h0, plan, shots) == prob
-    # The bound accumulates in site order too: it passes at itself and
+    # The bound accumulates in group order too: it passes at itself and
     # fails just below.
     stacks = [u for _, u in groups]
-    sites = [block for block_sites, _ in groups for block in block_sites]
-    order = sorted(range(len(sites)), key=sites.__getitem__)
-    assert identity_prob_factors(stacks, atol=bound, order=order) == prob
+    assert identity_prob_factors(stacks, atol=bound) == prob
     with pytest.raises(ValueError, match="not unitary"):
-        identity_prob_factors(stacks, atol=np.nextafter(bound, -1.0), order=order)
+        identity_prob_factors(stacks, atol=np.nextafter(bound, -1.0))
     return [sites for sites, _ in groups]
 
 
