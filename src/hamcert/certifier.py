@@ -82,9 +82,11 @@ class CertificationConfig:
     implementation-error budget ``1 / (128 * 9^k)``.  Both oracle modes
     run at the default constants.  Constants may be overridden for
     experiments, but overrides that break the consistency arithmetic
-    require ``allow_weak_constants=True``.  In trotter mode a round counts
-    ``shots * steps * 2 * 2^T`` queries, so the twirl depth is bounded
+    require ``allow_weak_constants=True``.  A shot at twirl depth ``T`` is
+    a circuit of ``steps * 2 * 2^T`` queries, which trotter mode counts and
+    exact mode charges the time of, so in both modes the depth is bounded
     from above as well: the run's largest count must be a finite float.
+    ``seed`` is a non-negative integer.
     """
 
     epsilon: float
@@ -143,6 +145,8 @@ class CertificationConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}.")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}.")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}.")
         for name in ("c1", "c2", "c3", "c4"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive.")
@@ -168,27 +172,21 @@ class CertificationConfig:
             raise ConfigError("Ledger ceiling rounds * shots * time_cap overflows.")
         if tol <= 0:
             raise ConfigError(f"eps_trott must be positive, got {tol}.")
-        if self.mode is OracleMode.TROTTERIZED:
-            # A run counts up to rounds * shots * 2 * TROTTER_STEP_CAP * 2^T
-            # queries of weight 2^-T.  A finite count keeps 2^-T a normal
-            # float, and a round's charge, its count times at most
-            # time_cap * 2^-T / 2, below the ledger ceiling.
-            try:
-                queries = (counts["rounds"] * counts["shots_per_round"] * 2
-                           * TROTTER_STEP_CAP * 2.0**self.twirl_steps)
-            except OverflowError:
-                queries = math.inf
-            if not math.isfinite(queries):
-                raise ConfigError(
-                    f"Trotter mode at twirl depth ceil(c2 * k) with c2={self.c2!r} "
-                    f"and k={self.k} counts more queries than a float holds; lower c2."
-                )
+        # A run counts up to rounds * shots * 2 * TROTTER_STEP_CAP * 2^T
+        # queries of weight 2^-T in either mode.  A finite count keeps 2^-T
+        # a normal float, and a round's charge, its count times at most
+        # time_cap * 2^-T / 2, below the ledger ceiling.
         try:
             steps = self.twirl_steps
+            queries = (counts["rounds"] * counts["shots_per_round"] * 2
+                       * TROTTER_STEP_CAP * 2.0**steps)
         except OverflowError:
+            queries = math.inf
+        if not math.isfinite(queries):
             raise ConfigError(
-                f"Twirl depth ceil(c2 * k) overflows with c2={self.c2!r} and k={self.k}."
-            ) from None
+                f"Twirl depth ceil(c2 * k) with c2={self.c2!r} and k={self.k} "
+                "counts more queries than a float holds; lower c2."
+            )
         if self.allow_weak_constants:
             return
         # 2^steps >= m exactly when steps reaches the bit length of m - 1,

@@ -73,7 +73,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
-    return int(os.environ.get("HAMCERT_SEED", "0"))
+    value = os.environ.get("HAMCERT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"HAMCERT_SEED must be an integer, got {value!r}.") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> CertificationConfig:

@@ -14,7 +14,8 @@ Index convention: qubit 0 is the most significant bit of the computational
 basis index, matching the Kronecker order ``letters[0] (x) ... (x)
 letters[n-1]``.
 
-Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated.
+Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated, by
+:func:`_check_cap`, which the oracle's and trotter's dense routes call too.
 """
 
 from __future__ import annotations
@@ -71,36 +72,12 @@ def pauli_matrix(label: str) -> np.ndarray:
     return m
 
 
-#: Phase each letter applies to a basis bit 0 and 1: ``P|b> = phase[b] |b ^ flip>``.
-_LETTER_PHASES = {
-    "I": np.array([1, 1], dtype=complex),
-    "X": np.array([1, 1], dtype=complex),
-    "Y": np.array([1j, -1j]),
-    "Z": np.array([1, -1], dtype=complex),
-}
-
-
-def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
-    """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``.
-
-    ``ph`` is the Kronecker product of the letters' phases, formed by the
-    same complex products as :func:`pauli_matrix`, so ``ph[j]`` equals
-    ``pauli_matrix(label)[j ^ x, j]`` bit for bit.  The label is not
-    validated here.
-    """
-    phase = np.ones(1, dtype=complex)
-    flip = 0
-    for ch in label:
-        phase = np.multiply.outer(phase, _LETTER_PHASES[ch]).ravel()
-        flip = flip << 1 | (ch in "XY")
-    return flip, phase
-
-
 #: Per ASCII code of a letter: its flip bit, and its phases on bits 0 and 1.
 _CODE_FLIPS = np.zeros(256, dtype=np.intp)
 _CODE_PHASES = np.ones((256, 2), dtype=complex)
-for _ch, _ph in _LETTER_PHASES.items():
-    _CODE_FLIPS[ord(_ch)] = _ch in "XY"
+for _ch, _flip, _ph in (("I", 0, (1, 1)), ("X", 1, (1, 1)),
+                        ("Y", 1, (1j, -1j)), ("Z", 0, (1, -1))):
+    _CODE_FLIPS[ord(_ch)] = _flip
     _CODE_PHASES[ord(_ch)] = _ph
 
 
@@ -108,8 +85,9 @@ def _letter_phases(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip masks ``(B,)`` and phases ``(B, 2^k)`` of the strings in ``letters``.
 
     ``letters`` is a ``(B, k)`` uint8 array of ASCII codes of valid letters.
-    Row ``b`` is :func:`_signed_permutation` of string ``b``, formed by the
-    same Kronecker products in the same order, so it has the same bits.
+    String ``b`` maps ``|j>`` to ``phase[b, j] |j ^ flip[b]>``, its phases
+    formed by the same complex products in the same order as
+    :func:`pauli_matrix`, so they equal that matrix's entries bit for bit.
     """
     count, k = letters.shape
     phase = np.ones((count, 1), dtype=complex)
@@ -119,6 +97,17 @@ def _letter_phases(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = (phase[:, :, None] * _CODE_PHASES[code][:, None, :]).reshape(count, -1)
         flip = flip << 1 | _CODE_FLIPS[code]
     return flip, phase
+
+
+def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
+    """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``.
+
+    Row 0 of :func:`_letter_phases` on the one string, so ``ph[j]`` equals
+    ``pauli_matrix(label)[j ^ x, j]`` bit for bit.  The label is not
+    validated here.
+    """
+    flip, phase = _letter_phases(np.frombuffer(label.encode("ascii"), dtype=np.uint8)[None])
+    return int(flip[0]), phase[0]
 
 
 def pauli_conjugator(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

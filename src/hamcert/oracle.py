@@ -70,7 +70,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bell import identity_prob_spectral
-from .dense import QUBIT_CAP, _signed_permutation, eig_decompose, evolve, to_dense_stack
+from .dense import (QUBIT_CAP, _check_cap, _signed_permutation, eig_decompose, evolve,
+                    to_dense_stack)
 from .moments import walsh_table, walsh_transform
 from .pauli import PauliSum, restrict, subtract, support_blocks
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -300,10 +301,7 @@ class EvolutionOracle:
                 dense cap.  All checks run before any charge, so a rejected
                 request leaves the ledger unchanged.
         """
-        if self.n_qubits > QUBIT_CAP:
-            raise ValueError(
-                f"n={self.n_qubits} exceeds the dense cap of {QUBIT_CAP} qubits."
-            )
+        _check_cap(self.n_qubits)
         t, count = _forward_request(t, count)
         self.ledger.charge(count * t, queries=count)
         if self._last_query is None or self._last_query[0] != t:
@@ -407,8 +405,7 @@ class EvolutionOracle:
             ValueError: If the generator exceeds the dense cap; checked,
                 like every other error, before anything is charged.
         """
-        if h_t.n > QUBIT_CAP:
-            raise ValueError(f"n={h_t.n} exceeds the dense cap of {QUBIT_CAP} qubits.")
+        _check_cap(h_t.n)
         t = self._charge_shots(h_t.n, t, shots)
         return evolve(h_t, t)
 

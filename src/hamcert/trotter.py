@@ -49,10 +49,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import QUBIT_CAP, evolve, operator_norm, pauli_conjugator
+from .dense import _check_cap, evolve, operator_norm, pauli_conjugator
 from .oracle import EvolutionOracle, OracleMode, OracleModeError
 from .pauli import PauliSum, validate_label
-from .twirl import DiagonalSubspace
+from .twirl import DiagonalSubspace, _member_bits
 
 __all__ = [
     "TROTTER_STEP_CAP",
@@ -77,14 +77,14 @@ def twirl_conjugators(
     Their ``2^T`` subset products are the sector conjugators, whose
     coefficient-space average equals the twirl filter exactly.  Within one
     subspace the draws commute and every product is phase-free, which
-    :func:`trotter_blocks` relies on.
+    :func:`trotter_blocks` relies on.  The check is the one that
+    :func:`hamcert.twirl.apply_twirl` makes of its draws.
 
     Raises:
-        ValueError: If a draw lies outside the subspace.
+        ValueError: If a draw does not act on the subspace's qubits or
+            lies outside the subspace.
     """
-    for p in paulis:
-        if not subspace.contains(p):
-            raise ValueError(f"Draw {p!r} is not in the subspace.")
+    _member_bits(subspace, paulis)
     return paulis
 
 
@@ -233,8 +233,7 @@ def trotter_evolve(
             the dense cap; checked before any charge.
     """
     n = oracle.n_qubits
-    if n > QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the dense cap of {QUBIT_CAP} qubits.")
+    _check_cap(n)
     u = np.ones((1, 1), dtype=complex)
     order: list[int] = []
     for sites, stack in trotter_blocks(oracle, h0, plan, shots):

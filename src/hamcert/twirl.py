@@ -133,19 +133,19 @@ def _axis_codes(subspace: DiagonalSubspace) -> np.ndarray:
 def _member_bits(subspace: DiagonalSubspace, paulis: tuple[str, ...]) -> np.ndarray:
     """The inclusion bits of ``paulis``, one row per draw.
 
-    Raises ValueError for a draw that is not a member of ``subspace``.
+    Raises ValueError for a draw of another length or outside ``subspace``.
     """
     n = subspace.n
     if not set(map(len, paulis)) <= {n}:
         bad = next(p for p in paulis if len(p) != n)
-        raise ValueError(f"Transcript Pauli {bad!r} does not act on n={n} qubits.")
+        raise ValueError(f"Draw {bad!r} does not act on n={n} qubits.")
     # Site by site over all draws at once: the letters of site i, taken
     # as one string, must consist of I and the site's axis only.
     joined = "".join(paulis)
     for i, ax in enumerate(subspace.axes):
         if joined[i::n].strip("I" + ax):
             bad = next(p for p in paulis if p[i] not in ("I", ax))
-            raise ValueError(f"Transcript Pauli {bad!r} is not in the subspace.")
+            raise ValueError(f"Draw {bad!r} is not in the subspace.")
     letters = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
     return (letters.reshape(len(paulis), n) != _I).astype(np.int64)
 
@@ -236,19 +236,13 @@ def project_effective(
     """Split ``h`` into its in-subspace and off-subspace parts.
 
     Returns ``(effective, off)`` with ``effective + off == h`` exactly:
-    ``effective`` holds the terms with a zero mismatch mask.  Both parts
-    keep the terms of ``h`` in order, so they are built without
-    re-validating them.
+    ``effective`` holds the terms with a zero mismatch mask.  This is the
+    twirl by no draws, which keeps every term, so both parts are those
+    of ``apply_twirl(h, subspace, ())``, in the order of ``h``.
     """
     _check_sizes(h, subspace)
-    if not h:
-        return h, h
-    fixed = (~_mismatch(h, subspace).any(axis=1)).tolist()
-    inside: dict[str, float] = {}
-    outside: dict[str, float] = {}
-    for (label, coeff), fix in zip(h.items(), fixed):
-        (inside if fix else outside)[label] = coeff
-    return PauliSum._from_valid(h.n, inside), PauliSum._from_valid(h.n, outside)
+    tr = _split(h, subspace, (), np.zeros((0, h.n)))
+    return tr.effective, tr.residual
 
 
 def apply_twirl(

@@ -723,9 +723,12 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResul
     """Run a suite by name, optionally overriding its main trial count.
 
     Raises:
-        KeyError, ValueError: As :func:`check_trials`.
+        KeyError, ValueError: As :func:`check_trials`, and ValueError for
+            a negative seed.
     """
     check_trials(name, trials)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}.")
     suite, knob, _ = SUITES[name]
     kwargs: dict[str, int] = {"seed": seed}
     if trials is not None and knob is not None:

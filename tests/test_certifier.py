@@ -1,6 +1,7 @@
 """Tests for the certification protocol, its config, and the sweep harness."""
 
 import math
+import re
 import time
 from pathlib import Path
 
@@ -74,9 +75,9 @@ class TestConfigDerivation:
 
     def test_a_huge_depth_is_checked_in_bounded_time(self):
         start = time.perf_counter()
-        cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1, c2=1e300)
+        with pytest.raises(ConfigError, match=re.escape("c2=1e+300 and k=1")):
+            CertificationConfig(epsilon=0.2, delta=0.2, k=1, c2=1e300)
         assert time.perf_counter() - start < 1.0
-        assert cfg.twirl_steps == math.ceil(1e300)
 
     def test_a_huge_k_is_refused_in_bounded_time(self):
         start = time.perf_counter()
@@ -86,7 +87,8 @@ class TestConfigDerivation:
 
     @pytest.mark.parametrize("waived", [False, True])
     def test_a_depth_beyond_a_float_is_refused(self, waived):
-        with pytest.raises(ConfigError, match=r"Twirl depth ceil\(c2 \* k\) overflows"):
+        with pytest.raises(ConfigError, match=r"Twirl depth ceil\(c2 \* k\) with c2=1e\+308 "
+                                              r"and k=2 counts more queries"):
             CertificationConfig(epsilon=0.2, delta=0.2, k=2, c2=1e308,
                                 allow_weak_constants=waived)
 
@@ -118,19 +120,38 @@ class TestConfigDerivation:
             (993.0, 1, False),
             # 2^T overflows a float and 2^-T is 0.0.
             (1100.0, 1, False),
+            (1e7, 1, False),
+            (1e300, 1, False),
             # c2 * k overflows.
             (1e308, 2, False),
         ],
     )
     def test_trotter_depth_is_bounded_by_the_query_count(self, c2, k, fits):
-        kwargs = dict(epsilon=0.2, delta=0.2, k=k, c2=c2, mode=OracleMode.TROTTERIZED)
-        if fits:
-            cfg = CertificationConfig(**kwargs)
-            queries = cfg.rounds * cfg.shots_per_round * 2 * TROTTER_STEP_CAP * 2**cfg.twirl_steps
-            assert math.isfinite(float(queries))
-        else:
-            with pytest.raises(ConfigError, match="more queries than a float holds"):
-                CertificationConfig(**kwargs)
+        # Exact mode charges each shot the time of the circuit that trotter
+        # mode counts, so both modes take the same depths.
+        for mode in OracleMode:
+            kwargs = dict(epsilon=0.2, delta=0.2, k=k, c2=c2, mode=mode)
+            start = time.perf_counter()
+            if fits:
+                cfg = CertificationConfig(**kwargs)
+                queries = (cfg.rounds * cfg.shots_per_round * 2 * TROTTER_STEP_CAP
+                           * 2**cfg.twirl_steps)
+                assert math.isfinite(float(queries))
+            else:
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"c2={c2!r} and k={k} counts more queries than a float holds")):
+                    CertificationConfig(**kwargs)
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, -1, -(2**70), "3", None])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be a non-negative integer, "
+                                              f"got {re.escape(repr(seed))}"):
+            CertificationConfig(epsilon=0.2, delta=0.2, k=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**70])
+    def test_any_non_negative_integer_seed_is_accepted(self, seed):
+        assert CertificationConfig(epsilon=0.2, delta=0.2, k=1, seed=seed).seed == seed
 
     def test_basic_ranges(self):
         with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,59 @@ class TestSeedResolution:
         out = tmp_path / "flag_wins.txt"
         main(certify_args(files, "h_far.txt", out=out))
         assert "seed: 7" in out.read_text()
+
+
+class TestInputErrorsNameTheInput:
+    """Each bad input exits 2 at once with one error line that names it."""
+
+    @staticmethod
+    def _run(argv):
+        start = time.perf_counter()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "extra, env, named",
+        [
+            # Exact mode takes trotter mode's bound on the twirl depth.
+            (["--c2", "1e300"], None, "c2=1e+300"),
+            (["--c2", "1e7"], None, "c2=10000000.0"),
+            (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+            ([], "abc", "HAMCERT_SEED must be an integer, got 'abc'"),
+            ([], "-5", "seed must be a non-negative integer, got -5"),
+        ],
+        ids=["c2-1e300", "c2-1e7", "seed-negative", "env-seed-malformed", "env-seed-negative"],
+    )
+    def test_certify(self, files, monkeypatch, extra, env, named):
+        args = [a for a in certify_args(files, "h_same.txt") if a not in ("--seed", "7")]
+        if env is not None:
+            monkeypatch.setenv("HAMCERT_SEED", env)
+        code, out, err = self._run(args + extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert "unexpected" not in err
+
+    @pytest.mark.parametrize(
+        "extra, env, named",
+        [
+            (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+            ([], "abc", "HAMCERT_SEED must be an integer, got 'abc'"),
+            ([], "-5", "seed must be a non-negative integer, got -5"),
+        ],
+        ids=["seed-negative", "env-seed-malformed", "env-seed-negative"],
+    )
+    def test_verify_prints_no_suite(self, monkeypatch, extra, env, named):
+        if env is not None:
+            monkeypatch.setenv("HAMCERT_SEED", env)
+        code, out, err = self._run(["verify", *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert "unexpected" not in err
 
 
 class TestDeterminism:

@@ -215,6 +215,21 @@ def _codes(labels):
                     dtype=np.uint8).reshape(len(labels), -1)
 
 
+class TestSignedPermutation:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_each_column_holds_one_phase_of_the_kronecker_matrix(self, k):
+        # The one encoder that to_dense, the conjugations and the coset
+        # route share, against the independent Kronecker product.
+        for letters in itertools.product("IXYZ", repeat=k):
+            label = "".join(letters)
+            flip, phase = _signed_permutation(label)
+            m = pauli_matrix(label)
+            cols = np.arange(2**k)
+            assert _same_bits(phase, m[cols ^ flip, cols].copy()), label
+            m[cols ^ flip, cols] = 0
+            assert not m.any(), label
+
+
 class TestPauliConjugate:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_the_dense_sandwich_exactly(self, n):

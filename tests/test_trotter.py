@@ -85,6 +85,19 @@ class TestUnroll:
         )
         assert averaged == apply_twirl(h1, s, paulis).twirled
 
+    @pytest.mark.parametrize(
+        "draws, match",
+        [
+            (("ZI", "XZ"), "'XZ' is not in the subspace"),
+            (("ZZ", "YI", "IZ"), "'YI' is not in the subspace"),
+            (("ZZ", "Z"), "'Z' does not act on n=2 qubits"),
+            (("ZZZ",), "'ZZZ' does not act on n=2 qubits"),
+        ],
+    )
+    def test_a_foreign_draw_is_refused(self, draws, match):
+        with pytest.raises(ValueError, match=match):
+            twirl_conjugators(DiagonalSubspace(("Z", "Z")), draws)
+
     def test_identity_draws_leave_everything(self):
         s = DiagonalSubspace(("Z", "Z"))
         assert twirl_conjugators(s, ("II", "II")) == ("II", "II")

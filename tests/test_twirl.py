@@ -156,6 +156,16 @@ class TestProjectEffective:
             project_effective(h, DiagonalSubspace(("Z",)))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_twirl_case(max_n=5))
+    def test_equals_the_twirl_by_no_draws(self, case):
+        h, s, _ = case
+        tr = apply_twirl(h, s, ())
+        eff, off = project_effective(h, s)
+        assert (eff, off) == (tr.effective, tr.residual)
+        assert list(eff.items()) == list(tr.effective.items())
+        assert list(off.items()) == list(tr.residual.items())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=_twirl_case())
     def test_trusted_split_equals_the_validating_constructor(self, case):
         h, s, paulis = case

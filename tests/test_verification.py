@@ -59,6 +59,13 @@ class TestRunSuite:
         assert main(["verify", "--suite", "twirl", "--trials", "5"]) == 2
         assert "at least 100" in capsys.readouterr().err
 
+    def test_a_negative_seed_is_refused_before_the_suite_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(SUITES, "bell", (lambda **kw: calls.append(kw), "trials", 1))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            run_suite("bell", seed=-1)
+        assert calls == []
+
     def test_seed_changes_sampled_details(self):
         a = run_suite("bell", trials=8, seed=1)
         b = run_suite("bell", trials=8, seed=2)
