@@ -214,9 +214,10 @@ def identity_prob_factors(stacks: list[np.ndarray], atol: float = 1e-8) -> float
     assembled ``U^dag U - I`` is at most ``prod(1 + e_J) - 1`` entrywise,
     and that bound is checked against ``atol``; for one factor it is
     ``e_J`` itself.  The defects and traces are taken per stack; the bound
-    and the product accumulate factor by factor in stack order, as
-    :meth:`hamcert.oracle.EvolutionOracle.query_forward_blocks` groups the
-    blocks of a trotter round.
+    and the product accumulate factor by factor in stack order, the group
+    order of :meth:`hamcert.oracle.EvolutionOracle.query_forward_blocks`,
+    which :func:`hamcert.trotter.trotter_blocks` keeps for a trotter
+    round's unitaries.
 
     Raises:
         ValueError: If a stack is not of square matrices, or if the bound

@@ -4,11 +4,11 @@ Materializes Pauli sums as ``2^n x 2^n`` complex arrays, building each
 Pauli term as a signed permutation (one phase per column, no Kronecker
 product of matrices), provides the Hermitian eigendecomposition, unitary
 time evolution through the spectral form, and the mean-square eigenvalue
-displacement used to bound spectral perturbations.  Propagators, Pauli
-conjugations, spectra and displacements also take ``(B, d, d)`` stacks of
-equal-size matrices, and :func:`to_dense_stack` builds such a stack from
-equal-size sums; each per-matrix function is the one-element case of its
-stacked form, so a matrix gets the same bits alone or in a stack.
+displacement used to bound spectral perturbations.  Propagators, spectra
+and displacements also take ``(B, d, d)`` stacks of equal-size matrices,
+and :func:`to_dense_stack` builds such a stack from equal-size sums; each
+per-matrix function is the one-element case of its stacked form, so a
+matrix gets the same bits alone or in a stack.
 
 Index convention: qubit 0 is the most significant bit of the computational
 basis index, matching the Kronecker order ``letters[0] (x) ... (x)
@@ -20,7 +20,7 @@ Sizes above :data:`QUBIT_CAP` qubits are rejected, not approximated, by
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "is_hermitian",
     "normalized_frobenius",
     "operator_norm",
-    "pauli_conjugator",
     "pauli_matrix",
     "propagator",
     "to_dense",
@@ -84,17 +83,18 @@ for _ch, _flip, _ph in (("I", 0, (1, 1)), ("X", 1, (1, 1)),
 def _letter_phases(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip masks ``(B,)`` and phases ``(B, 2^k)`` of the strings in ``letters``.
 
-    ``letters`` is a ``(B, k)`` uint8 array of ASCII codes of valid letters.
-    String ``b`` maps ``|j>`` to ``phase[b, j] |j ^ flip[b]>``, its phases
-    formed by the same complex products in the same order as
-    :func:`pauli_matrix`, so they equal that matrix's entries bit for bit.
+    ``letters`` is a ``(B, k)`` uint8 array of ASCII codes of valid letters,
+    ``B = 0`` included.  String ``b`` maps ``|j>`` to ``phase[b, j] |j ^
+    flip[b]>``, its phases formed by the same complex products in the same
+    order as :func:`pauli_matrix`, so they equal that matrix's entries bit
+    for bit.
     """
     count, k = letters.shape
     phase = np.ones((count, 1), dtype=complex)
     flip = np.zeros(count, dtype=np.intp)
     for site in range(k):
         code = letters[:, site]
-        phase = (phase[:, :, None] * _CODE_PHASES[code][:, None, :]).reshape(count, -1)
+        phase = (phase[:, :, None] * _CODE_PHASES[code][:, None, :]).reshape(-1, 2 << site)
         flip = flip << 1 | _CODE_FLIPS[code]
     return flip, phase
 
@@ -108,37 +108,6 @@ def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
     """
     flip, phase = _letter_phases(np.frombuffer(label.encode("ascii"), dtype=np.uint8)[None])
     return int(flip[0]), phase[0]
-
-
-def pauli_conjugator(letters: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``m -> P_b @ m[b] @ P_b`` on ``(B, 2^k, 2^k)`` stacks.
-
-    ``letters`` is a ``(B, k)`` uint8 array: row ``b`` holds the ASCII
-    codes of the Pauli string ``P_b``, which must be valid letters.  Each
-    string's flip mask and phases come from :func:`_letter_phases` and are
-    taken once, so one conjugator serves several stacks.  Row ``b`` of the
-    result is ``ph[i ^ x] * m[b, i ^ x, j ^ x] * ph[j]``: a Pauli string
-    is a signed permutation, ``P|j> = ph[j] |j ^ x>`` with ``x`` the mask
-    of its ``X``/``Y`` sites (see :func:`_signed_permutation`).  Every
-    phase is ``+-1`` or ``+-i``, so the result equals the two dense
-    products exactly.  The gather takes the flat index ``(i * 2^k + j) ^
-    (x * (2^k + 1))`` of ``(i ^ x, j ^ x)`` in one ``take``.
-    """
-    count, k = letters.shape
-    dim = 2**k
-    flip, phase = _letter_phases(letters)
-    rows = np.arange(count * dim).reshape(count, dim)
-    rows ^= flip[:, None]
-    cells = np.arange(count * dim * dim).reshape(count, -1)
-    cells ^= (flip * (dim + 1))[:, None]
-    row_phase, col_phase = phase.take(rows)[:, :, None], phase[:, None, :]
-
-    def conjugate(m: np.ndarray) -> np.ndarray:
-        out = m.take(cells).reshape(count, dim, dim).astype(complex, copy=False)
-        np.multiply(row_phase, out, out=out)
-        return np.multiply(out, col_phase, out=out)
-
-    return conjugate
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
@@ -155,7 +124,7 @@ def to_dense(h: PauliSum) -> np.ndarray:
 def to_dense_stack(sums: Sequence[PauliSum]) -> np.ndarray:
     """Materialize equal-size Pauli sums as a ``(B, 2^n, 2^n)`` stack.
 
-    Each term is a signed permutation (see :func:`pauli_conjugator`), so
+    Each term is a signed permutation (see :func:`_signed_permutation`), so
     it adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only.
     The phases and flips of all terms come from :func:`_letter_phases` at
     once, and one ``np.add.at`` adds them in term order, so matrix ``b``

@@ -38,11 +38,11 @@ and the reference together (:meth:`EvolutionOracle.query_forward_blocks`).
 A block factor of ``exp(-i t H)`` is ``exp(-i t H)`` restricted to the
 block's sites, and the dense matrix is their Kronecker product, so the
 factors reveal nothing that the dense forward query does not.  Blocks of
-one size form a group, whose factors are computed and returned as one
-``(B, d, d)`` stack, so a round costs a few numpy calls per block size,
-not per block.  Each block is at most :data:`~hamcert.dense.QUBIT_CAP`
-sites; the construction of an oracle above that size refuses a hidden
-block beyond it.
+one size form a group, whose forward and compiled factors are computed
+and returned as one ``(2, B, d, d)`` stack, so a round costs a few numpy
+calls per block size, not per block.  Each block is at most
+:data:`~hamcert.dense.QUBIT_CAP` sites; the construction of an oracle
+above that size refuses a hidden block beyond it.
 
 In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
 ``hidden - reference`` on the certifier's behalf (:meth:`EvolutionOracle.
@@ -211,9 +211,10 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     return np.linalg.eigvalsh(blocks).ravel()
 
 
-def _deviation(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+def _deviation(w: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``exp(-i t H) - I`` from the eigendecomposition of ``H``, stacked
-    as :func:`hamcert.dense.propagator`.
+    as :func:`hamcert.dense.propagator`; ``t`` broadcasts against ``w``,
+    so one call takes each stacked sum at its own time.
 
     Each phase is ``np.expm1(-i theta) = -2 sin^2(theta/2) - i sin theta``,
     so a factor with ``|theta|`` far below 1 keeps ``theta`` to relative
@@ -227,13 +228,12 @@ def _deviation(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 class BlockPropagators(NamedTuple):
     """One group of equal-size blocks of a forward batch (see
     :meth:`EvolutionOracle.query_forward_blocks`): ``sites`` lists each
-    block's sites, and ``forward`` stacks ``exp(-i t H) - I`` and
-    ``compiled`` the free reference evolution ``exp(+i t H0) - I`` on
-    them, block ``b`` at index ``b`` of a ``(B, d, d)`` array."""
+    block's sites, and ``factors`` is the ``(2, B, d, d)`` stack of
+    ``exp(-i t H) - I`` and the free reference evolution ``exp(+i t H0)
+    - I`` on them, block ``b`` at ``factors[:, b]``."""
 
     sites: tuple[tuple[int, ...], ...]
-    forward: np.ndarray
-    compiled: np.ndarray
+    factors: np.ndarray
 
 
 def _largest_block(blocks: list[tuple[int, ...]]) -> int:
@@ -329,12 +329,13 @@ class EvolutionOracle:
         The blocks are grouped by size, groups in the order their size
         first occurs and blocks in site order within a group; this group
         order is the one every later step of a round keeps.  Each group's
-        factors come from one stacked product, taken as
-        :func:`hamcert.dense.propagator` takes it.  The groups, and the
-        eigendecompositions of both sums cut to each block, are kept for
-        the most recent reference; each group's come from one stacked
-        :func:`hamcert.dense.to_dense_stack` and eigendecomposition, a
-        block over every site included.
+        forward and compiled factors come from one stacked product, taken
+        as :func:`hamcert.dense.propagator` takes it, at times ``(t,
+        -t)``.  The groups, and the eigendecompositions of both sums cut
+        to each block, are kept for the most recent reference; each
+        group's come from one :func:`hamcert.dense.to_dense_stack` and one
+        eigendecomposition of its ``2B`` sums, a block over every site
+        included.
 
         Raises:
             AccessModelError, TypeError: As :meth:`query_forward`.
@@ -350,12 +351,14 @@ class EvolutionOracle:
         if not _same_reference(self._groups, h0):
             self._groups = (h0, self._group_spectra(h0))
         self.ledger.charge(count * t, queries=count)
-        return [BlockPropagators(sites, _deviation(*hidden, t), _deviation(*known, -t))
-                for sites, hidden, known in self._groups[1]]
+        times = np.array([t, -t])[:, None, None]
+        return [BlockPropagators(sites, _deviation(w, v, times))
+                for sites, (w, v) in self._groups[1]]
 
-    def _group_spectra(self, h0: PauliSum) -> list[tuple[tuple, tuple, tuple]]:
+    def _group_spectra(self, h0: PauliSum) -> list[tuple[tuple, tuple]]:
         """Per group of equal-size blocks of ``hidden + h0``: the blocks'
-        sites and the stacked ``(w, v)`` of both sums cut to each block."""
+        sites and the ``(w, v)`` of the hidden sum cut to each block, then
+        of ``h0``, stacked ``(2, B, ...)``."""
         blocks = support_blocks(self._hidden, h0)
         largest = _largest_block(blocks)
         if largest > QUBIT_CAP:
@@ -367,11 +370,12 @@ class EvolutionOracle:
         for sites in blocks:
             groups.setdefault(len(sites), []).append(sites)
 
-        def stacked(h: PauliSum, group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-            return eig_decompose(to_dense_stack([restrict(h, sites) for sites in group]))
+        def stacked(group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+            m = to_dense_stack([restrict(h, sites) for h in (self._hidden, h0)
+                                for sites in group])
+            return eig_decompose(m.reshape(2, len(group), *m.shape[1:]))
 
-        return [(tuple(group), stacked(self._hidden, group), stacked(h0, group))
-                for group in groups.values()]
+        return [(tuple(group), stacked(group)) for group in groups.values()]
 
     def _charge_shots(self, n: int, t: float, shots: int) -> float:
         # The checks shared by both effective-shot channels, then their one

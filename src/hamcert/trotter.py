@@ -32,13 +32,14 @@ factors over the blocks of the support graph of the hidden Hamiltonian
 and the reference (see :meth:`hamcert.oracle.EvolutionOracle.
 query_forward_blocks`): :func:`trotter_blocks` runs the product formula
 on each block's sites alone, with the draws cut to them.  Blocks of one
-size are stacked, so the doubling, the squaring and the Pauli
-conjugations (:func:`hamcert.dense.pauli_conjugator`) run once per
-block size on ``(B, d, d)`` arrays, each block's result bit-identical to
-a run on that block alone.  A block holds at most
-:data:`~hamcert.dense.QUBIT_CAP` sites, whatever the system size;
-:func:`trotter_evolve` assembles the dense unitary and so keeps that cap
-on ``n``.
+size are stacked, and each group's forward and compiled factors come as
+one ``(2, B, d, d)`` stack, which stays one stack through the Strang
+step: per draw, one gather conjugates both halves and one product
+doubles them.  The doubling and the squaring thus run once per block
+size, each block's result bit-identical to a run on that block alone.
+A block holds at most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever
+the system size; :func:`trotter_evolve` assembles the dense unitary and
+so keeps that cap on ``n``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import _check_cap, evolve, operator_norm, pauli_conjugator
+from .dense import _check_cap, _letter_phases, evolve, operator_norm
 from .oracle import EvolutionOracle, OracleMode, OracleModeError
 from .pauli import PauliSum, validate_label
 from .twirl import DiagonalSubspace, _member_bits
@@ -134,38 +135,50 @@ def steps_from_bound(num_draws: int, t: float, eps_trott: float) -> int:
     return max(math.ceil(guess), 1)
 
 
-def _compose(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """``(I + a)(I + b) - I = a + b + ab``, added in place into ``ab = a @ b``."""
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(I + a)(I + b) - I``, summed as ``a @ b + a + b``, stacks pairwise."""
+    ab = a @ b
     ab += a
     ab += b
     return ab
 
 
-def _strang_power(
-    forward: np.ndarray, compiled: np.ndarray, draws: np.ndarray, steps: int
-) -> np.ndarray:
+def _strang_power(factors: np.ndarray, draws: np.ndarray, steps: int) -> np.ndarray:
     """The symmetric step operators from their half-factors, to the power ``steps``.
 
-    ``forward`` and ``compiled`` are ``(B, d, d)`` stacks of half-factors
-    less the identity, one matrix per block, and ``draws[j]`` holds the
-    letters of draw ``j`` cut to each block, as the ``(B, k)`` codes of
-    :func:`hamcert.dense.pauli_conjugator`.  Sector ``m + 2^j`` is sector
-    ``m`` conjugated by draw ``j``, so each half of the step operator
-    doubles once per draw; repeated squaring then raises it to the step
-    count.  Every product before the squaring is carried as its
-    difference from the identity (see the module docstring).
+    ``factors`` is the ``(2, B, d, d)`` stack of forward and compiled
+    half-factors less the identity (see
+    :class:`hamcert.oracle.BlockPropagators`), and ``draws`` the ``(T, B,
+    k)`` ASCII codes of each draw cut to each block.  Sector ``m + 2^j`` is
+    sector ``m`` conjugated by draw ``P_j``, so both halves of the step
+    operator double together once per draw, the first half ``F`` to ``F P
+    F P`` and the second ``S`` to ``P S P S``; repeated squaring then
+    raises the step operator to the step count.  Every product before the
+    squaring is carried as its difference from the identity (see the
+    module docstring).  A Pauli string is a signed permutation, ``P|j> =
+    ph[j] |j ^ x>``, so entry ``(i, j)`` of ``P M P`` is ``ph[i ^ x] * M[i
+    ^ x, j ^ x] * ph[j]``: one gather of the flat index ``(i d + j) ^ (x
+    (d + 1))``, exact since every phase is ``+-1`` or ``+-i``.
     """
-    # Sectors in mask order, then in reversed order.
-    first_half = _compose(forward, compiled, forward @ compiled)
-    second_half = _compose(compiled, forward, compiled @ forward)
-    for letters in draws:
-        conjugate = pauli_conjugator(letters)
-        later = conjugate(first_half)
-        first_half = _compose(first_half, later, first_half @ later)
-        earlier = conjugate(second_half)
-        second_half = _compose(earlier, second_half, earlier @ second_half)
-    step = _compose(first_half, second_half, first_half @ second_half)
-    step += np.eye(step.shape[-1])
+    count, dim = factors.shape[1], factors.shape[-1]
+    flips, phases = _letter_phases(draws.reshape(-1, draws.shape[-1]))
+    flips, phases = flips.reshape(-1, count), phases.reshape(-1, count, dim)
+    row_phases = np.take_along_axis(phases, np.arange(dim) ^ flips[..., None], -1)
+    cells = np.arange(count * dim * dim).reshape(count, -1)
+    # Slots: the first half (sectors in mask order), the earlier and the
+    # later conjugated half, and the second half (sectors in reverse).
+    z = np.empty((4, count, dim, dim), dtype=complex)
+    z[::3] = _compose(factors, factors[::-1])
+    for flip, row_phase, col_phase in zip(flips, row_phases, phases):
+        # P first P into the later slot and P second P into the earlier.
+        conjugated = z[2:0:-1]
+        np.take(z.reshape(4, -1)[::3], cells ^ (flip * (dim + 1))[:, None], axis=1,
+                out=conjugated.reshape(2, count, -1))
+        conjugated *= row_phase[:, :, None]
+        conjugated *= col_phase[:, None, :]
+        z[::3] = _compose(z[:2], z[2:])
+    step = _compose(z[0], z[3])
+    step += np.eye(dim)
     return np.linalg.matrix_power(step, steps)
 
 
@@ -211,8 +224,8 @@ def trotter_blocks(
     # Draw j's ASCII codes in row j; a group's blocks take them at their sites.
     codes = np.frombuffer("".join(plan.draws).encode("ascii"), dtype=np.uint8)
     codes = codes.reshape(len(plan.draws), oracle.n_qubits)
-    return [(sites, _strang_power(forward, compiled, codes[:, sites], plan.steps))
-            for sites, forward, compiled in groups]
+    return [(sites, _strang_power(factors, codes[:, sites], plan.steps))
+            for sites, factors in groups]
 
 
 def trotter_evolve(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, validate_label
+from .pauli import PauliSum
 
 __all__ = [
     "DiagonalSubspace",
@@ -75,13 +75,6 @@ class DiagonalSubspace:
     @property
     def n(self) -> int:
         return len(self.axes)
-
-    def contains(self, label: str) -> bool:
-        """Membership test: every non-identity letter matches the site axis."""
-        validate_label(label)
-        if len(label) != self.n:
-            raise ValueError(f"Label length {len(label)} does not match n={self.n}.")
-        return all(ch == "I" or ch == ax for ch, ax in zip(label, self.axes))
 
     def __str__(self) -> str:
         return "".join(self.axes)

@@ -370,8 +370,8 @@ class TestTrotterRoundUnitarity:
         seen = []
         kernel = trotter._strang_power
 
-        def inflated(forward, compiled, draws, steps):
-            u = kernel(forward, compiled, draws, steps) * (1 + per_step * steps)
+        def inflated(factors, draws, steps):
+            u = kernel(factors, draws, steps) * (1 + per_step * steps)
             seen.append((steps, u))
             return u
 

@@ -16,7 +16,6 @@ from hamcert.dense import (
     hoffman_wielandt_gap,
     hoffman_wielandt_gap_stack,
     normalized_frobenius,
-    pauli_conjugator,
     pauli_matrix,
     to_dense,
     to_dense_stack,
@@ -24,6 +23,7 @@ from hamcert.dense import (
 from hamcert.instances import random_hermitian, random_pauli_sum
 from hamcert.moments import walsh_eigenvalues
 from hamcert.pauli import PauliSum, conjugate
+from hamcert.trotter import _strang_power
 
 
 class TestToDense:
@@ -230,33 +230,51 @@ class TestSignedPermutation:
             assert not m.any(), label
 
 
+def _one_draw_power(forward, compiled, conjugate, steps):
+    """The step operator of one draw, with ``conjugate`` for its Pauli
+    conjugation, summed in the order of :func:`hamcert.trotter._strang_power`."""
+    first = forward @ compiled + forward + compiled
+    second = compiled @ forward + compiled + forward
+    later, earlier = conjugate(first), conjugate(second)
+    first = first @ later + first + later
+    second = earlier @ second + earlier + second
+    return np.linalg.matrix_power(first @ second + first + second + np.eye(len(first)), steps)
+
+
 class TestPauliConjugate:
+    """The conjugation by a draw in :func:`hamcert.trotter._strang_power`."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_the_dense_sandwich_exactly(self, n):
         rng = np.random.default_rng(30 + n)
         dim = 2**n
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        factors = rng.normal(size=(2, 1, dim, dim)) + 1j * rng.normal(size=(2, 1, dim, dim))
         for letters in itertools.product("IXYZ", repeat=n):
             label = "".join(letters)
             q = pauli_matrix(label)
-            got = pauli_conjugator(_codes([label]))(m[None])[0]
-            assert np.array_equal(got, q @ m @ q), label
+            got = _strang_power(factors, _codes([label])[None], 1)[0]
+            want = _one_draw_power(*factors[:, 0], lambda m: q @ m @ q, 1)
+            assert np.array_equal(got, want), label
 
     @pytest.mark.parametrize("count, n", [(1, 3), (5, 1), (4, 2), (3, 4), (1, 8)])
     def test_a_stack_equals_the_per_matrix_calls(self, count, n):
         rng = np.random.default_rng(40 + 10 * count + n)
         dim = 2**n
-        m = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        shape = (2, count, dim, dim)
+        factors = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / dim
         labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
-        letters = _codes(labels)
-        got = pauli_conjugator(letters)(m)
+        draws = _codes(labels)[None]
+        got = _strang_power(factors, draws, 2)
         for b, label in enumerate(labels):
             # The gather through np.ix_ that one matrix took before stacks.
             flip, phase = _signed_permutation(label)
             index = np.arange(dim) ^ flip
-            ix = phase[index][:, None] * m[b][np.ix_(index, index)] * phase
-            alone = pauli_conjugator(letters[b : b + 1])(m[b : b + 1])[0]
-            for want in (alone, ix):
+
+            def ix(m):
+                return phase[index][:, None] * m[np.ix_(index, index)] * phase
+
+            alone = _strang_power(factors[:, b : b + 1], draws[:, b : b + 1], 2)[0]
+            for want in (alone, _one_draw_power(*factors[:, b], ix, 2)):
                 assert np.array_equal(got[b].view(np.uint64), want.view(np.uint64)), label
 
 

@@ -19,7 +19,7 @@ from hamcert.oracle import (
     OracleMode,
     OracleModeError,
 )
-from hamcert.pauli import PauliSum, subtract
+from hamcert.pauli import PauliSum, restrict, subtract
 from hamcert.twirl import (
     DiagonalSubspace,
     apply_twirl,
@@ -109,12 +109,27 @@ class TestQueryForward:
         hidden = PauliSum(3, {"XYI": 0.3, "IZZ": -0.4})
         h0 = PauliSum(3, {"ZZI": 0.2, "IXY": 0.7})
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-        [(sites, *stacked)] = oracle._group_spectra(h0)
+        [(sites, (w, v))] = oracle._group_spectra(h0)
         assert sites == ((0, 1, 2),)
-        for h, (w, v) in zip((hidden, h0), stacked):
+        assert w.shape == (2, 1, 8) and v.shape == (2, 1, 8, 8)
+        for h, row_w, row_v in zip((hidden, h0), w[:, 0], v[:, 0]):
             want_w, want_v = eig_decompose(to_dense(h))
-            assert w.tobytes() == want_w.tobytes()
-            assert v.tobytes() == want_v.tobytes()
+            assert row_w.tobytes() == want_w.tobytes()
+            assert row_v.tobytes() == want_v.tobytes()
+
+    def test_each_row_of_a_group_is_decomposed_as_its_own_sum(self):
+        # Blocks (0, 1), (2,), (3, 4) and (5,): two groups of two blocks.
+        hidden = PauliSum(6, {"XYIIII": 0.3, "IIZIII": -0.4, "IIIXYI": 0.2})
+        h0 = PauliSum(6, {"ZIIIII": 0.2, "IIIIIX": 0.7, "IIIZZI": 0.5})
+        oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+        groups = oracle._group_spectra(h0)
+        assert [sites for sites, _ in groups] == [((0, 1), (3, 4)), ((2,), (5,))]
+        for sites, (w, v) in groups:
+            for i, h in enumerate((hidden, h0)):
+                for b, block in enumerate(sites):
+                    want_w, want_v = eig_decompose(to_dense(restrict(h, block)))
+                    assert w[i, b].tobytes() == want_w.tobytes()
+                    assert v[i, b].tobytes() == want_v.tobytes()
 
     def test_only_the_last_propagator_is_kept(self):
         hidden = PauliSum(2, {"XZ": 0.3, "YI": -0.2})

@@ -502,6 +502,39 @@ def _blocky_sum(draw, n):
     return PauliSum(n, terms)
 
 
+@st.composite
+def _k2_pair(draw, n):
+    """A hidden sum and a reference of terms of weight 1 or 2, each inside
+    one of a run of consecutive chunks of 1 to 3 sites: blocks of 1 to 3
+    sites in mixed order, as in a k=2 instance."""
+    chunks, start = [], 0
+    while start < n:
+        size = draw(st.integers(1, min(3, n - start)))
+        chunks.append(range(start, start + size))
+        start += size
+    sums = []
+    for _ in range(2):
+        terms = {}
+        for chunk in chunks:
+            for _ in range(draw(st.integers(0, 2))):
+                label = ["I"] * n
+                for site in draw(st.lists(st.sampled_from(chunk), min_size=1, max_size=2)):
+                    label[site] = draw(st.sampled_from("XYZ"))
+                terms["".join(label)] = draw(st.floats(-1.0, 1.0))
+        sums.append(PauliSum(n, terms))
+    return sums
+
+
+def _drawn_plan(data, n, draws, steps, t):
+    """A plan of ``draws`` members of a drawn subspace on ``n`` sites."""
+    axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    s = DiagonalSubspace(tuple(axes))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    paulis = tuple(_member(s, b) for b in data.draw(
+        st.lists(bits, min_size=draws, max_size=draws)))
+    return TrotterPlan(twirl_conjugators(s, paulis), steps, t)
+
+
 def _check_stacked(hidden, h0, plan, shots=1):
     """The stacked round bit for bit against the per-block loop; returns
     the sites of each group's blocks."""
@@ -535,12 +568,27 @@ class TestStackedRound:
            steps=st.integers(1, 40), t=st.floats(0.0, 3.0))
     def test_equals_the_per_block_loop(self, data, n, draws, steps, t):
         hidden, h0 = data.draw(_blocky_sum(n)), data.draw(_blocky_sum(n))
-        axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
-        s = DiagonalSubspace(tuple(axes))
-        bits = st.lists(st.booleans(), min_size=n, max_size=n)
-        paulis = tuple(_member(s, b) for b in data.draw(
-            st.lists(bits, min_size=draws, max_size=draws)))
-        _check_stacked(hidden, h0, TrotterPlan(twirl_conjugators(s, paulis), steps, t))
+        _check_stacked(hidden, h0, _drawn_plan(data, n, draws, steps, t))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 9), draws=st.integers(0, 34),
+           steps=st.integers(1, 69), t=st.floats(0.0, 3.0))
+    def test_deep_twirls_equal_the_per_block_loop(self, data, n, draws, steps, t):
+        hidden, h0 = data.draw(_k2_pair(n))
+        _check_stacked(hidden, h0, _drawn_plan(data, n, draws, steps, t))
+
+    @pytest.mark.parametrize("draws", [0, 1, 17, 34])
+    def test_the_paper_depths_on_mixed_blocks(self, draws):
+        # Blocks of 1, 2, 3, 1 and 2 sites, as the mixed-n9 golden pair.
+        rng = np.random.default_rng(draws)
+        hidden = PauliSum(9, {"XIIIIIIII": 0.3, "IXYIIIIII": -0.4, "IIIZXIIII": 0.2,
+                              "IIIIYZIII": 0.5, "IIIIIIXII": -0.1, "IIIIIIIYX": 0.7})
+        h0 = PauliSum(9, {"ZIIIIIIII": 0.6, "IIZIIIIII": 0.2, "IIIIIIIZI": -0.3})
+        s = sample_subspace(9, rng)
+        paulis = sample_twirl_paulis(s, draws, rng) if draws else ()
+        plan = TrotterPlan(paulis, 5, 1.7)
+        assert _check_stacked(hidden, h0, plan, shots=3) == [
+            ((0,), (6,)), ((1, 2), (7, 8)), ((3, 4, 5),)]
 
     @pytest.mark.parametrize(
         "n, hidden, h0, groups",
