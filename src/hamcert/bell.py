@@ -13,7 +13,8 @@ identity-outcome probability depends only on eigenvalue differences and is
 identically 1 for the zero Hamiltonian.
 
 The spectral route evaluates it at given times, each time on its own row,
-so a time gets the same bits in any batch; the certifier uses it.
+so a time gets the same bits in any batch (at several, it gathers from
+the distinct eigenvalues); the certifier uses it.
 :func:`identity_probs_grid` evaluates a whole uniform grid from one
 complex matrix product and agrees with the spectral route only to
 rounding; the verification suites use it for their dip-measure quadrature.
@@ -75,6 +76,14 @@ def identity_prob_spectral(spectrum: np.ndarray, t: float) -> float:
 _PHASE_ENTRIES = 2**18
 
 
+def _spectrum_array(spectrum: np.ndarray) -> np.ndarray:
+    """``spectrum`` as a float array, checked nonempty and 1-D (not finite)."""
+    values = np.asarray(spectrum, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    return values
+
+
 def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarray:
     """:func:`identity_prob_spectral` at every entry of ``times``.
 
@@ -87,8 +96,7 @@ def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarr
     distinct eigenvalue (Walsh spectra repeat a few values many times) and
     gathered back to ``N`` columns with ``np.take``.  The gathered rows are
     C-contiguous, hold the same doubles in the same order, and so sum to
-    the same bits.  A spectrum of distinct values skips the gather, and a
-    single time never pays for the sort.
+    the same bits.  A single time never pays for the sort.
 
     Raises:
         ValueError: On a negative or non-finite time, an empty or non-1-D
@@ -101,14 +109,10 @@ def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarr
     bad = times[~(np.isfinite(times) & (times >= 0))]
     if bad.size:
         raise ValueError(f"Time must be finite and nonnegative, got {bad[0]}.")
-    values = np.asarray(spectrum, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    values = _spectrum_array(spectrum)
     distinct, inverse = values, None
     if times.size > 1:
-        unique, index = np.unique(values, return_inverse=True)
-        if unique.size < values.size:
-            distinct, inverse = unique, index
+        distinct, inverse = np.unique(values, return_inverse=True)
     probs = np.empty(times.size)
     rows = max(1, _PHASE_ENTRIES // values.size)
     # A non-finite eigenvalue or an overflowing phase turns its rows into
@@ -169,9 +173,7 @@ def identity_probs_grid(spectrum: np.ndarray, stop: float, points: int) -> np.nd
         raise ValueError(f"Time must be finite and nonnegative, got {stop}.")
     if points < 1:
         raise ValueError(f"Need at least one grid point, got {points}.")
-    values = np.asarray(spectrum, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    values = _spectrum_array(spectrum)
     if not np.isfinite(values).all():
         raise ValueError("Spectrum must hold finite values only.")
     scale = float(np.abs(values).max())

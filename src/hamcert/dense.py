@@ -99,6 +99,14 @@ def _letter_phases(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flip, phase
 
 
+def _stack_size(sums: Sequence[PauliSum]) -> int:
+    """The size the sums of one stack share (1 for none); ValueError if they differ."""
+    n = sums[0].n if sums else 1
+    if any(h.n != n for h in sums):
+        raise ValueError(f"Sums of {sorted({h.n for h in sums})} qubits in one stack.")
+    return n
+
+
 def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
     """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``.
 
@@ -138,9 +146,7 @@ def to_dense_stack(sums: Sequence[PauliSum]) -> np.ndarray:
         ValueError: If the sums differ in size, or the size exceeds
             :data:`QUBIT_CAP`.
     """
-    n = sums[0].n if sums else 1
-    if any(h.n != n for h in sums):
-        raise ValueError(f"Sums of {sorted({h.n for h in sums})} qubits in one stack.")
+    n = _stack_size(sums)
     _check_cap(n)
     dim = 2**n
     out = np.zeros((len(sums), dim, dim), dtype=complex)

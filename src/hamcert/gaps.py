@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bell import identity_probs_spectral
+from .bell import _spectrum_array, identity_probs_spectral
 from .dense import eigenvalues, to_dense_stack
 from .pauli import PauliSum, add, frobenius_norm
 
@@ -50,9 +50,7 @@ def lambda_stat(spectrum: np.ndarray, epsilon: float) -> float:
         raise ValueError(
             f"Separation threshold must be finite and positive, got {epsilon}."
         )
-    values = np.sort(np.asarray(spectrum, dtype=float))
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("Spectrum must be a nonempty 1-D array of reals.")
+    values = np.sort(_spectrum_array(spectrum))
     if not np.isfinite(values).all():
         raise ValueError("Spectrum must hold finite values only.")
     n = values.size

@@ -11,7 +11,8 @@ verified numerically instead of assumed.
 :func:`walsh_transform` takes a ``(..., 2^v)`` stack of tables, and
 :func:`function_moments_stack` and :func:`verify_gap_bound_stack` evaluate
 a stack of equal-size instances at once; each row gets the bits it would
-get alone, and the one-instance functions are the stacks of one.
+get alone.  :func:`verify_gap_bound` is the stack of one; the moments have
+only the stacked form, which takes a single table as ``table[None]``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .dense import _stack_size
 from .gaps import lambda_stat
 from .pauli import PauliSum, frobenius_norm
 
 __all__ = [
     "WALSH_QUBIT_CAP",
-    "function_moments",
     "function_moments_stack",
     "verify_gap_bound",
     "verify_gap_bound_stack",
@@ -101,23 +102,15 @@ def _check_diagonal(h: PauliSum) -> None:
             )
 
 
-def function_moments(table: np.ndarray) -> tuple[float, float]:
-    """Second and fourth moments of a multilinear function on the cube.
-
-    ``table[p]`` holds the coefficient of the character with support mask
-    ``p``; the function values are its Walsh transform and the moments are
-    uniform averages over all inputs.  This is
-    :func:`function_moments_stack` on a stack of one.
-    """
-    m2, m4 = function_moments_stack(np.asarray(table)[None])
-    return float(m2[0]), float(m4[0])
-
-
 def function_moments_stack(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`function_moments` of each row of a ``(B, 2^v)`` stack.
+    """Second and fourth moments of multilinear functions on the cube, one
+    per row of a ``(B, 2^v)`` stack.
 
-    Each row's means are its own pairwise sums, so entry ``b`` equals the
-    moments of ``tables[b]`` alone bit for bit.
+    ``tables[b, p]`` holds the coefficient of the character with support
+    mask ``p``; the function values are the row's Walsh transform and the
+    moments are uniform averages over all inputs.  Each row's means are its
+    own pairwise sums, so entry ``b`` equals the moments of ``tables[b]``
+    alone (a stack of one) bit for bit.
     """
     sq = walsh_transform(tables)
     sq *= sq
@@ -158,8 +151,7 @@ def verify_gap_bound_stack(sums: Sequence[PauliSum], k: int) -> list[bool]:
         _check_diagonal(h)
     if not sums:
         return []
-    if any(h.n != sums[0].n for h in sums):
-        raise ValueError(f"Sums of {sorted({h.n for h in sums})} qubits in one stack.")
+    _stack_size(sums)
     spectra = walsh_transform(np.stack([walsh_table(h) for h in sums]))
     floor = 0.25 * 9.0 ** (-k) - 1e-12
     return [lambda_stat(spectrum, frobenius_norm(h)) >= floor

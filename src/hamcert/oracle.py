@@ -236,8 +236,17 @@ class BlockPropagators(NamedTuple):
     factors: np.ndarray
 
 
-def _largest_block(blocks: list[tuple[int, ...]]) -> int:
-    return max(map(len, blocks), default=0)
+def _capped_blocks(subject: str, *sums: PauliSum) -> list[tuple[int, ...]]:
+    """The blocks of ``sums`` together; ValueError, opening with ``subject``,
+    for a block above the trotter-mode cap."""
+    blocks = support_blocks(*sums)
+    largest = max(map(len, blocks), default=0)
+    if largest > QUBIT_CAP:
+        raise ValueError(
+            f"{subject} {largest} sites, above the trotter-mode cap of "
+            f"{QUBIT_CAP} per block."
+        )
+    return blocks
 
 
 def _same_reference(cached: tuple | None, h0: PauliSum) -> bool:
@@ -262,12 +271,7 @@ class EvolutionOracle:
 
     def __init__(self, hidden: PauliSum, mode: OracleMode) -> None:
         if mode is OracleMode.TROTTERIZED and hidden.n > QUBIT_CAP:
-            largest = _largest_block(support_blocks(hidden))
-            if largest > QUBIT_CAP:
-                raise ValueError(
-                    f"The hidden Hamiltonian links {largest} sites, above the "
-                    f"trotter-mode cap of {QUBIT_CAP} per block."
-                )
+            _capped_blocks("The hidden Hamiltonian links", hidden)
         self._hidden = hidden
         self._last_query: tuple[float, np.ndarray] | None = None
         # hidden - h0 of the most recent reference: a certify run twirls
@@ -343,10 +347,7 @@ class EvolutionOracle:
                 a block exceeds the dense cap.  All checks run before any
                 charge.
         """
-        if h0.n != self.n_qubits:
-            raise ValueError(
-                f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
-            )
+        self._check_reference(h0)
         t, count = _forward_request(t, count)
         if not _same_reference(self._groups, h0):
             self._groups = (h0, self._group_spectra(h0))
@@ -359,15 +360,9 @@ class EvolutionOracle:
         """Per group of equal-size blocks of ``hidden + h0``: the blocks'
         sites and the ``(w, v)`` of the hidden sum cut to each block, then
         of ``h0``, stacked ``(2, B, ...)``."""
-        blocks = support_blocks(self._hidden, h0)
-        largest = _largest_block(blocks)
-        if largest > QUBIT_CAP:
-            raise ValueError(
-                f"The hidden Hamiltonian and the reference link {largest} "
-                f"sites, above the trotter-mode cap of {QUBIT_CAP} per block."
-            )
         groups: dict[int, list[tuple[int, ...]]] = {}
-        for sites in blocks:
+        subject = "The hidden Hamiltonian and the reference link"
+        for sites in _capped_blocks(subject, self._hidden, h0):
             groups.setdefault(len(sites), []).append(sites)
 
         def stacked(group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
@@ -376,6 +371,12 @@ class EvolutionOracle:
             return eig_decompose(m.reshape(2, len(group), *m.shape[1:]))
 
         return [(tuple(group), stacked(group)) for group in groups.values()]
+
+    def _check_reference(self, h0: PauliSum) -> None:
+        if h0.n != self.n_qubits:
+            raise ValueError(
+                f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
+            )
 
     def _charge_shots(self, n: int, t: float, shots: int) -> float:
         # The checks shared by both effective-shot channels, then their one
@@ -456,10 +457,7 @@ class EvolutionOracle:
         difference Hamiltonian never crosses the boundary untwirled;
         charges nothing.
         """
-        if h0.n != self.n_qubits:
-            raise ValueError(
-                f"Reference size {h0.n} does not match the oracle's {self.n_qubits}."
-            )
+        self._check_reference(h0)
         if not _same_reference(self._difference, h0):
             self._difference = (h0, subtract(self._hidden, h0))
         return run_twirl(self._difference[1], subspace, steps, rng)

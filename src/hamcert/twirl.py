@@ -20,7 +20,8 @@ axis, so it is zero exactly for in-subspace terms.  A term anticommutes
 with a draw exactly when the two masks overlap in an odd number of sites,
 so it survives exactly when its mask has even overlap with every draw:
 one ``(bits @ mismatch.T) & 1`` product filters all terms against all
-draws, and the zero masks among the survivors are the effective part.
+draws (:func:`_survives`, which the ``twirl`` verify suite measures
+too), and the zero masks among the survivors are the effective part.
 
 The public constructors :class:`DiagonalSubspace` and
 :class:`TwirlTranscript`, and :func:`apply_twirl`, check every axis and
@@ -168,6 +169,19 @@ def _draw(
     return bits, tuple(text[:-1].split(","))
 
 
+def _survives(bits: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
+    """``(..., terms)``: whether mask ``j`` of ``mismatch`` ``(terms, n)`` has
+    even overlap with each of the draws ``bits`` ``(..., T, n)``.
+
+    The overlap counts come from one float64 product, which runs through
+    BLAS and is exact: each count is at most ``n``.
+    """
+    *lead, n = bits.shape
+    overlaps = bits.reshape(-1, n).astype(np.float64) @ mismatch.T
+    odd = (overlaps.astype(np.int64) & 1).reshape(*lead, len(mismatch))
+    return ~odd.any(axis=-2)
+
+
 def _split(
     h1: PauliSum,
     subspace: DiagonalSubspace,
@@ -176,16 +190,13 @@ def _split(
 ) -> TwirlTranscript:
     """The transcript of ``h1`` twirled by the member draws ``bits`` (``paulis``).
 
-    A term survives exactly when its mismatch mask has even overlap with
-    every draw; the survivors with a zero mask are the effective part.
-    The overlap counts come from a float64 product, which runs through
-    BLAS and is exact: each count is at most ``n``.
+    The survivors of :func:`_survives` with a zero mask are the effective
+    part, the others the residual.
     """
     if not h1:
         return TwirlTranscript._trusted(subspace, paulis, h1, h1)
     mismatch = _mismatch(h1, subspace)
-    overlaps = bits.astype(np.float64) @ mismatch.T
-    kept = (~(overlaps.astype(np.int64) & 1).any(axis=0)).tolist()
+    kept = _survives(bits, mismatch).tolist()
     inside = (~mismatch.any(axis=1)).tolist()
     effective: dict[str, float] = {}
     residual: dict[str, float] = {}

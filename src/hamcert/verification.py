@@ -12,10 +12,11 @@ value, and evaluate them in stacks of equal size (:func:`_in_stacks`,
 with the stacked forms in :mod:`hamcert.dense`, :mod:`hamcert.gaps` and
 :mod:`hamcert.moments`).  Each instance gets the bits it would get alone,
 and failures are recorded in draw order, so every summary is that of the
-loop.  ``droptime`` takes its dip measure from
-:func:`~hamcert.bell.identity_probs_grid`.  ``bell`` takes its chi-square
-p-value from a closed form (:func:`chi_square_tail`), so no suite
-imports scipy.
+loop.  ``twirl`` filters its transcripts with the twirl's own survival
+test, so it measures the rule the certifier runs.  ``droptime`` takes its
+dip measure from :func:`~hamcert.bell.identity_probs_grid`.  ``bell``
+takes its chi-square p-value from a closed form (:func:`chi_square_tail`),
+so no suite imports scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import certifier as cert
+from . import twirl
 from .bell import (
     bell_measure_choi,
     identity_prob_spectral,
@@ -51,11 +53,10 @@ from .moments import function_moments_stack, verify_gap_bound_stack, walsh_eigen
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, frobenius_norm, scale, subtract
 from .trotter import TrotterPlan, trotter_error, trotter_evolve, twirl_conjugators
-from .twirl import apply_twirl, project_effective, sample_subspace, sample_twirl_paulis
+from .twirl import _AXES, apply_twirl, project_effective, sample_subspace, sample_twirl_paulis
 
 __all__ = ["SUITES", "SuiteResult", "check_trials", "run_suite", "suite_names"]
 
-_AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 _MAX_RECORDED_FAILURES = 10
 
 #: Bytes of stacked arrays that :func:`_in_stacks` lets one window take (2 MiB).
@@ -305,14 +306,20 @@ def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("basis")
     n = 4
+
+    def members(h: PauliSum, axes_draws: np.ndarray) -> Iterator[tuple[float, int, np.ndarray]]:
+        # Each term's coefficient, weight, and whether it lies in each drawn
+        # subspace; the axis codes are those of sample_subspace.
+        for label, coeff in h.items():
+            support = [(i, _AXES.index(ch)) for i, ch in enumerate(label) if ch != "I"]
+            survive = np.ones(draws, dtype=bool)
+            for site, code in support:
+                survive &= axes_draws[:, site] == code
+            yield coeff, len(support), survive
+
     fixed = PauliSum(n, {"ZIII": 0.5, "XYII": 0.4, "XYZI": 0.3})
     axes_draws = rng.integers(0, 3, size=(draws, n))
-    for label, _ in fixed.items():
-        support = [(i, _AXIS_CODE[ch]) for i, ch in enumerate(label) if ch != "I"]
-        survive = np.ones(draws, dtype=bool)
-        for site, code in support:
-            survive &= axes_draws[:, site] == code
-        w = len(support)
+    for _, w, survive in members(fixed, axes_draws):
         p = 3.0 ** (-w)
         sigma = math.sqrt(p * (1.0 - p) / draws)
         freq = float(survive.mean())
@@ -327,15 +334,9 @@ def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
             axes_draws = rng.integers(0, 3, size=(draws, n))
             retained_sq = np.zeros(draws)
             exact_mean = 0.0
-            for label, coeff in h.items():
-                support = [
-                    (i, _AXIS_CODE[ch]) for i, ch in enumerate(label) if ch != "I"
-                ]
-                survive = np.ones(draws, dtype=bool)
-                for site, code in support:
-                    survive &= axes_draws[:, site] == code
+            for coeff, w, survive in members(h, axes_draws):
                 retained_sq += (coeff * coeff) * survive
-                exact_mean += coeff * coeff * 3.0 ** (-len(support))
+                exact_mean += coeff * coeff * 3.0 ** (-w)
             sigma_mean = float(retained_sq.std(ddof=1)) / math.sqrt(draws)
             if abs(float(retained_sq.mean()) - exact_mean) > 3.0 * sigma_mean:
                 result.fail(f"mean retained norm off closed form at k={k}")
@@ -361,44 +362,30 @@ def suite_twirl(transcripts: int = 20_000, seed: int = 0) -> SuiteResult:
     ``T`` steps has exact mean
     ``2^-T`` times the initial off-subspace squared norm, and stays below
     twice ``2^-T/2`` of the full initial norm with probability >= 3/4.
+    Each transcript's survivors come from the twirl's own survival test
+    (:func:`hamcert.twirl._survives`), one off-subspace term at a time.
     """
     rng = np.random.default_rng(seed)
     result = SuiteResult("twirl")
     n = 3
     h1 = random_pauli_sum(n, 2, rng, num_terms=6)
-    subspace = sample_subspace(n, rng)
-    _, off = project_effective(h1, subspace)
-    attempts = 0
-    while not off and attempts < 10:
+    for _ in range(11):
         subspace = sample_subspace(n, rng)
         _, off = project_effective(h1, subspace)
-        attempts += 1
-    if not off:
+        if off:
+            break
+    else:
         result.fail("could not find a subspace with off-subspace terms")
         return result
-    off_terms = [
-        (
-            coeff,
-            np.array(
-                [
-                    i
-                    for i, ch in enumerate(label)
-                    if ch != "I" and ch != subspace.axes[i]
-                ],
-                dtype=int,
-            ),
-        )
-        for label, coeff in off.items()
-    ]
+    mismatch = twirl._mismatch(off, subspace)
     off_norm_sq = frobenius_norm(off) ** 2
     h1_norm_sq = frobenius_norm(h1) ** 2
     max_steps = 6
     for steps in range(1, max_steps + 1):
         bits = rng.integers(0, 2, size=(transcripts, steps, n))
         residual_sq = np.zeros(transcripts)
-        for coeff, sites in off_terms:
-            parity = bits[:, :, sites].sum(axis=2) % 2
-            survive = ~np.any(parity, axis=1)
+        for (_, coeff), row in zip(off.items(), mismatch):
+            survive = twirl._survives(bits, row[None])[:, 0]
             residual_sq += (coeff * coeff) * survive
         exact = 2.0 ** (-steps) * off_norm_sq
         sigma = float(residual_sq.std(ddof=1)) / math.sqrt(transcripts)
@@ -584,30 +571,23 @@ def suite_endtoend(runs: int = 100, seed: int = 0) -> SuiteResult:
     h0 = PauliSum(1, {"X": -0.1})
     same = PauliSum(1, {"X": -0.1})
     far = PauliSum(1, {"X": 0.1})
-    accepts = 0
-    for s in range(runs):
-        cfg = cert.CertificationConfig(epsilon=0.2, delta=0.2, k=1, seed=seed + s)
-        oracle = EvolutionOracle(same, OracleMode.EXACT_EFFECTIVE)
-        report = cert.certify(h0, oracle, cfg)
-        ceiling = cfg.rounds * cfg.shots_per_round * cfg.time_cap
-        if report.ledger_total_time > ceiling * (1 + 1e-12):
-            result.fail(f"ledger {report.ledger_total_time} above ceiling {ceiling}")
-        if report.verdict == "ACCEPT" and all(
-            rec.identity_fraction == 1.0 for rec in report.records
-        ):
-            accepts += 1
-    rejects = 0
-    for s in range(runs):
-        cfg = cert.CertificationConfig(
-            epsilon=0.2, delta=0.2, k=1, seed=seed + 10_000 + s
-        )
-        oracle = EvolutionOracle(far, OracleMode.EXACT_EFFECTIVE)
-        report = cert.certify(h0, oracle, cfg)
-        ceiling = cfg.rounds * cfg.shots_per_round * cfg.time_cap
-        if report.ledger_total_time > ceiling * (1 + 1e-12):
-            result.fail(f"ledger {report.ledger_total_time} above ceiling {ceiling}")
-        if report.verdict == "REJECT":
-            rejects += 1
+
+    def reports(hidden: PauliSum, offset: int) -> Iterator[cert.CertificationReport]:
+        # Each run's report, its ledger checked against the ceiling.
+        for s in range(runs):
+            cfg = cert.CertificationConfig(epsilon=0.2, delta=0.2, k=1, seed=seed + offset + s)
+            report = cert.certify(h0, EvolutionOracle(hidden, OracleMode.EXACT_EFFECTIVE), cfg)
+            ceiling = cfg.rounds * cfg.shots_per_round * cfg.time_cap
+            if report.ledger_total_time > ceiling * (1 + 1e-12):
+                result.fail(f"ledger {report.ledger_total_time} above ceiling {ceiling}")
+            yield report
+
+    accepts = sum(
+        report.verdict == "ACCEPT"
+        and all(rec.identity_fraction == 1.0 for rec in report.records)
+        for report in reports(same, 0)
+    )
+    rejects = sum(report.verdict == "REJECT" for report in reports(far, 10_000))
     result.details["accept_rate"] = f"{accepts}/{runs}"
     result.details["reject_rate"] = f"{rejects}/{runs}"
     if accepts != runs:

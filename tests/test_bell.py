@@ -231,9 +231,10 @@ class TestIdentityProbsGrid:
         assert "overflows" in want
         assert _error(lambda: identity_probs_grid(spec, stop, 7)) == want
 
-    @pytest.mark.parametrize("spec", [np.array([]), np.zeros((2, 2))])
+    @pytest.mark.parametrize("spec", [np.array([]), np.zeros((2, 2)), np.array(3.0)])
     def test_malformed_spectrum_gives_the_spectral_error(self, spec):
         want = _error(lambda: identity_probs_spectral(spec, np.linspace(0.0, 1.0, 3)))
+        assert want == "Spectrum must be a nonempty 1-D array of reals."
         assert _error(lambda: identity_probs_grid(spec, 1.0, 3)) == want
 
     @pytest.mark.parametrize("stop, points", [(-1.0, 3), (math.nan, 3), (math.inf, 3), (1.0, 0)])

@@ -86,6 +86,12 @@ class TestLambdaStat:
         with pytest.raises(ValueError, match="finite"):
             lambda_stat(np.array([-1.0, bad, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("spec", [3.0, np.array(3.0), np.array([]), np.zeros((2, 2))])
+    def test_malformed_spectrum_rejected(self, spec):
+        # A 0-d spectrum used to reach np.sort first and raise numpy's AxisError.
+        with pytest.raises(ValueError, match=r"^Spectrum must be a nonempty 1-D array of reals\.$"):
+            lambda_stat(spec, 1.0)
+
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
             lambda_stat(np.array([0.0, 1.0]), 0.0)

@@ -450,6 +450,21 @@ class TestSizeLimits:
             oracle.query_forward_blocks(h0, 0.5, count=3)
         assert oracle.ledger == EvolutionLedger(2 * 0.5, 2)
 
+    @pytest.mark.parametrize("mode", list(OracleMode))
+    def test_a_reference_of_another_size_is_refused_before_any_charge(self, mode):
+        hidden = PauliSum(3, {"XZI": 0.3, "IZZ": 0.2})
+        oracle = EvolutionOracle(hidden, mode)
+        h0 = PauliSum(2, {"ZZ": 0.1})
+        with pytest.raises(ValueError, match="Reference size 2 does not match the oracle's 3"):
+            oracle.query_forward_blocks(h0, 0.5, count=3)
+        assert oracle.ledger == EvolutionLedger()
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="Reference size 2 does not match the oracle's 3"):
+            oracle.sample_twirl(h0, DiagonalSubspace(("Z",) * 3), 4, rng)
+        assert rng.bit_generator.state == state
+        assert oracle.ledger == EvolutionLedger()
+
     def test_spectral_route_beyond_the_dense_cap(self):
         n = 14
         hidden = PauliSum(n, {"Z" * 2 + "I" * (n - 2): 0.7, "I" * (n - 1) + "Z": 0.2})

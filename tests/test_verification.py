@@ -73,6 +73,26 @@ class TestRunSuite:
         assert a.details["chi2_pvalue"] != b.details["chi2_pvalue"]
 
 
+def test_twirl_suite_measures_the_shipped_survival_rule(monkeypatch):
+    # A survival test that keeps every term breaks the twirl itself and must
+    # also fail the suite that checks its contraction.
+    from hamcert import twirl
+    from hamcert.pauli import PauliSum
+
+    assert run_suite("twirl").passed
+
+    def keep_all(bits, mismatch):
+        return np.ones((*bits.shape[:-2], len(mismatch)), dtype=bool)
+
+    monkeypatch.setattr(twirl, "_survives", keep_all)
+    result = run_suite("twirl")
+    assert not result.passed
+    assert "residual mean" in result.failures[0]
+    h = PauliSum(2, {"XI": 0.5, "ZZ": 0.25})
+    tr = twirl.apply_twirl(h, twirl.DiagonalSubspace(("Z", "Z")), ("ZI", "ZZ", "ZI"))
+    assert tr.residual == PauliSum(2, {"XI": 0.5})
+
+
 def test_cli_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     def failing_suite(seed=0):
         result = SuiteResult("synthetic")
