@@ -215,11 +215,12 @@ def identity_prob_factors(stacks: list[np.ndarray], atol: float = 1e-8) -> float
     N_J^2``, each capped at 1.  With ``e_J = max|U_J^dag U_J - I|``, the
     assembled ``U^dag U - I`` is at most ``prod(1 + e_J) - 1`` entrywise,
     and that bound is checked against ``atol``; for one factor it is
-    ``e_J`` itself.  The defects and traces are taken per stack; the bound
-    and the product accumulate factor by factor in stack order, the group
-    order of :meth:`hamcert.oracle.EvolutionOracle.query_forward_blocks`,
-    which :func:`hamcert.trotter.trotter_blocks` keeps for a trotter
-    round's unitaries.
+    ``e_J`` itself.  The defects and traces are taken per stack, through
+    views of the diagonals; the bound and the product accumulate factor by
+    factor in stack order, the group order of
+    :meth:`hamcert.oracle.EvolutionOracle.query_forward_blocks`, which
+    :func:`hamcert.trotter.trotter_blocks` keeps for a trotter round's
+    unitaries.
 
     Raises:
         ValueError: If a stack is not of square matrices, or if the bound
@@ -231,8 +232,9 @@ def identity_prob_factors(stacks: list[np.ndarray], atol: float = 1e-8) -> float
             raise ValueError(f"Expected a stack of square matrices, got shape {u.shape}.")
         dim = u.shape[1]
         gram = np.swapaxes(u.conj(), 1, 2) @ u
-        defects += np.max(np.abs(gram - np.eye(dim)), axis=(1, 2)).tolist()
-        traces = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2 / dim**2
+        gram.reshape(-1, dim * dim)[:, :: dim + 1] -= 1
+        defects += np.max(np.abs(gram), axis=(1, 2)).tolist()
+        traces = np.abs(u.diagonal(axis1=1, axis2=2).sum(axis=1)) ** 2 / dim**2
         probs += np.minimum(traces, 1.0).tolist()
     bound = 0.0
     for defect in defects:

@@ -11,6 +11,13 @@ time up to the time cap, and thresholds the empirical identity-outcome
 fraction of a batch of Bell shots.  Any round whose fraction falls to the
 threshold or below rejects immediately; surviving all rounds accepts.
 
+A round consumes its generator in a fixed order: ``integers(0, 3, n)``
+for the axes, ``integers(0, 2, (T, n))`` for the twirl draws, one
+``random()`` for the time, which it takes as ``time_cap * random()`` (the
+double and the generator state that ``uniform(0.0, time_cap)`` gives), and
+one ``binomial`` for the shots.  It forms the axes string and the round
+record once each.
+
 The default constants make the round count, twirl depth, time cap, shot
 count, and threshold mutually consistent:
 
@@ -221,6 +228,16 @@ class RoundRecord:
     identity_fraction: float
     flagged: bool
 
+    @classmethod
+    def _trusted(cls, index: int, axes: str, transcript_digest: str, time: float,
+                 identity_fraction: float, flagged: bool) -> "RoundRecord":
+        """The record of these fields, set without the frozen class's
+        per-field ``object.__setattr__``; it equals the keyword construction."""
+        record = object.__new__(cls)
+        record.__dict__.update(index=index, axes=axes, transcript_digest=transcript_digest,
+                               time=time, identity_fraction=identity_fraction, flagged=flagged)
+        return record
+
 
 class SweepRow(NamedTuple):
     epsilon: float
@@ -340,25 +357,21 @@ def run_round(
     shots = cfg.shots_per_round
     if cfg.mode is OracleMode.EXACT_EFFECTIVE:
         transcript = oracle.sample_twirl(h0, subspace, cfg.twirl_steps, rng)
-        t = float(rng.uniform(0.0, cfg.time_cap))
+        # rng.uniform(0.0, cap) without its wrapper: the same double and
+        # the same generator state.
+        t = cfg.time_cap * rng.random()
         prob = oracle.effective_identity_prob(transcript, t, shots=shots)
         paulis = transcript.paulis
     else:
         paulis = sample_twirl_paulis(subspace, cfg.twirl_steps, rng)
-        t = float(rng.uniform(0.0, cfg.time_cap))
+        t = cfg.time_cap * rng.random()
         steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
         plan = TrotterPlan(paulis, steps, t)
         prob = _trotter_identity_prob(oracle, h0, plan, shots)
     count = sample_identity_shots(prob, shots, rng)
     fraction = count / shots
-    return RoundRecord(
-        index=index,
-        axes=axes,
-        transcript_digest=_digest(axes, paulis),
-        time=t,
-        identity_fraction=fraction,
-        flagged=fraction <= cfg.accept_threshold,
-    )
+    return RoundRecord._trusted(index, axes, _digest(axes, paulis), t, fraction,
+                                fraction <= cfg.accept_threshold)
 
 
 def certify(

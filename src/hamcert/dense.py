@@ -46,6 +46,9 @@ __all__ = [
 #: Largest system size the dense backend will materialize (1024 x 1024).
 QUBIT_CAP = 10
 
+#: Complex entries a route that works in chunks holds per chunk (16 MiB).
+_CHUNK_ENTRIES = 2**20
+
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -107,17 +110,6 @@ def _stack_size(sums: Sequence[PauliSum]) -> int:
     return n
 
 
-def _signed_permutation(label: str) -> tuple[int, np.ndarray]:
-    """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``.
-
-    Row 0 of :func:`_letter_phases` on the one string, so ``ph[j]`` equals
-    ``pauli_matrix(label)[j ^ x, j]`` bit for bit.  The label is not
-    validated here.
-    """
-    flip, phase = _letter_phases(np.frombuffer(label.encode("ascii"), dtype=np.uint8)[None])
-    return int(flip[0]), phase[0]
-
-
 def to_dense(h: PauliSum) -> np.ndarray:
     """Materialize a Pauli sum as a dense Hermitian matrix.
 
@@ -132,8 +124,8 @@ def to_dense(h: PauliSum) -> np.ndarray:
 def to_dense_stack(sums: Sequence[PauliSum]) -> np.ndarray:
     """Materialize equal-size Pauli sums as a ``(B, 2^n, 2^n)`` stack.
 
-    Each term is a signed permutation (see :func:`_signed_permutation`), so
-    it adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only.
+    Each term is a signed permutation (see :func:`_letter_phases`), so it
+    adds ``coeff * ph[j]`` to the ``2^n`` entries ``(j ^ x, j)`` only.
     The phases and flips of all terms come from :func:`_letter_phases` at
     once, and one ``np.add.at`` adds them in term order, so matrix ``b``
     is the sum of ``sums[b]``'s terms in order.  The entries the dense sum

@@ -70,8 +70,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bell import identity_prob_spectral
-from .dense import (QUBIT_CAP, _check_cap, _signed_permutation, eig_decompose, evolve,
-                    to_dense_stack)
+from .dense import (_CHUNK_ENTRIES, QUBIT_CAP, _check_cap, _letter_phases, eig_decompose,
+                    evolve, to_dense_stack)
 from .moments import walsh_table, walsh_transform
 from .pauli import PauliSum, restrict, subtract, support_blocks
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
@@ -204,10 +204,17 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     inner = np.arange(combos.size)
     blocks = np.zeros((grid.shape[0], inner.size, inner.size), dtype=complex)
     blocks[:, inner, inner] = diagonal[grid]
-    for label, coeff in terms:
-        flip, phase = _signed_permutation(label)
-        shift = sum((flip >> p & 1) << i for i, p in enumerate(pivots))
-        blocks[:, inner ^ shift, inner] += coeff * phase[grid]
+    # Each term holds 2^n_J phases: as many terms per encoding as fit in
+    # _CHUNK_ENTRIES, at least one.
+    span = max(1, _CHUNK_ENTRIES // diagonal.size)
+    for start in range(0, len(terms), span):
+        chunk = terms[start : start + span]
+        letters = np.frombuffer("".join(label for label, _ in chunk).encode("ascii"),
+                                dtype=np.uint8)
+        flips, phases = _letter_phases(letters.reshape(len(chunk), -1))
+        for (_, coeff), flip, phase in zip(chunk, flips.tolist(), phases):
+            shift = sum((flip >> p & 1) << i for i, p in enumerate(pivots))
+            blocks[:, inner ^ shift, inner] += coeff * phase[grid]
     return np.linalg.eigvalsh(blocks).ravel()
 
 

@@ -34,9 +34,10 @@ query_forward_blocks`): :func:`trotter_blocks` runs the product formula
 on each block's sites alone, with the draws cut to them.  Blocks of one
 size are stacked, and each group's forward and compiled factors come as
 one ``(2, B, d, d)`` stack, which stays one stack through the Strang
-step: per draw, one gather conjugates both halves and one product
-doubles them.  The doubling and the squaring thus run once per block
-size, each block's result bit-identical to a run on that block alone.
+step: per draw, one gather and one phase product conjugate both halves
+and one matrix product doubles them.  The doubling and the squaring thus
+run once per block size, each block's result bit-identical to a run on
+that block alone.
 A block holds at most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever
 the system size; :func:`trotter_evolve` assembles the dense unitary and
 so keeps that cap on ``n``.
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import _check_cap, _letter_phases, evolve, operator_norm
+from .dense import _CHUNK_ENTRIES, _check_cap, _letter_phases, evolve, operator_norm
 from .oracle import EvolutionOracle, OracleMode, OracleModeError
 from .pauli import PauliSum, validate_label
 from .twirl import DiagonalSubspace, _member_bits
@@ -156,29 +157,35 @@ def _strang_power(factors: np.ndarray, draws: np.ndarray, steps: int) -> np.ndar
     raises the step operator to the step count.  Every product before the
     squaring is carried as its difference from the identity (see the
     module docstring).  A Pauli string is a signed permutation, ``P|j> =
-    ph[j] |j ^ x>``, so entry ``(i, j)`` of ``P M P`` is ``ph[i ^ x] * M[i
-    ^ x, j ^ x] * ph[j]``: one gather of the flat index ``(i d + j) ^ (x
-    (d + 1))``, exact since every phase is ``+-1`` or ``+-i``.
+    ph[j] |j ^ x>``, so entry ``(i, j)`` of ``P M P`` is ``M[i ^ x, j ^ x]
+    * (ph[i ^ x] * ph[j])``: one gather of the flat index ``(i d + j) ^ (x
+    (d + 1))`` and one product with the draw's multiplier, exact since
+    every phase and every product of two is ``+-1`` or ``+-i``.
     """
     count, dim = factors.shape[1], factors.shape[-1]
     flips, phases = _letter_phases(draws.reshape(-1, draws.shape[-1]))
-    flips, phases = flips.reshape(-1, count), phases.reshape(-1, count, dim)
-    row_phases = np.take_along_axis(phases, np.arange(dim) ^ flips[..., None], -1)
+    rows = phases[np.arange(flips.size)[:, None], np.arange(dim) ^ flips[:, None]]
+    rows, cols = rows.reshape(-1, count, dim, 1), phases.reshape(-1, count, 1, dim)
+    offsets = (flips * (dim + 1)).reshape(-1, count, 1)
     cells = np.arange(count * dim * dim).reshape(count, -1)
     # Slots: the first half (sectors in mask order), the earlier and the
     # later conjugated half, and the second half (sectors in reverse).
     z = np.empty((4, count, dim, dim), dtype=complex)
     z[::3] = _compose(factors, factors[::-1])
-    for flip, row_phase, col_phase in zip(flips, row_phases, phases):
-        # P first P into the later slot and P second P into the earlier.
-        conjugated = z[2:0:-1]
-        np.take(z.reshape(4, -1)[::3], cells ^ (flip * (dim + 1))[:, None], axis=1,
-                out=conjugated.reshape(2, count, -1))
-        conjugated *= row_phase[:, :, None]
-        conjugated *= col_phase[:, None, :]
-        z[::3] = _compose(z[:2], z[2:])
+    # The multipliers ph[i ^ x] * ph[j] of as many draws at once as fit in
+    # _CHUNK_ENTRIES (all of a round's unless its blocks are large).
+    span = max(1, _CHUNK_ENTRIES // (count * dim * dim))
+    for start in range(0, len(offsets), span):
+        multipliers = rows[start : start + span] * cols[start : start + span]
+        for offset, multiplier in zip(offsets[start : start + span], multipliers):
+            # P first P into the later slot and P second P into the earlier.
+            conjugated = z[2:0:-1]
+            np.take(z.reshape(4, -1)[::3], cells ^ offset, axis=1,
+                    out=conjugated.reshape(2, count, -1))
+            conjugated *= multiplier
+            z[::3] = _compose(z[:2], z[2:])
     step = _compose(z[0], z[3])
-    step += np.eye(dim)
+    step.reshape(count, -1)[:, :: dim + 1] += 1
     return np.linalg.matrix_power(step, steps)
 
 

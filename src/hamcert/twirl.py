@@ -23,6 +23,13 @@ one ``(bits @ mismatch.T) & 1`` product filters all terms against all
 draws (:func:`_survives`, which the ``twirl`` verify suite measures
 too), and the zero masks among the survivors are the effective part.
 
+A round's ``T`` draws are one ``(T, n)`` array of fair bits, and their
+labels are cut from one byte row: draw ``j`` holds ``3 * bit + axis`` at
+each site (axis 0, 1, 2 for X, Y, Z, so bytes 0-2 spell ``I``), then a
+separator byte, and one ``bytes.translate`` turns the row into letters and
+commas.  A subspace from :func:`sample_subspace` keeps the axis indices it
+drew, so no draw re-reads its letters.
+
 The public constructors :class:`DiagonalSubspace` and
 :class:`TwirlTranscript`, and :func:`apply_twirl`, check every axis and
 draw.  :func:`sample_subspace` and :func:`run_twirl` build their results
@@ -34,6 +41,7 @@ again could never fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +59,10 @@ __all__ = [
 
 _AXES = ("X", "Y", "Z")
 _I = ord("I")
+_X = ord("X")
+#: Byte ``3 * bit + axis`` of a draw row to its letter: ``I`` for a clear
+#: bit, else the site's axis (0, 1, 2 for X, Y, Z); byte 6 ends a draw.
+_DRAW_LETTERS = bytes.maketrans(bytes(range(7)), b"IIIXYZ,")
 
 
 @dataclass(frozen=True)
@@ -67,11 +79,18 @@ class DiagonalSubspace:
                 raise ValueError(f"Axis letters must be one of X, Y, Z; got {ax!r}.")
 
     @classmethod
-    def _trusted(cls, axes: tuple[str, ...]) -> "DiagonalSubspace":
-        """A subspace over a nonempty tuple of letters from ``XYZ``, unchecked."""
+    def _trusted(cls, axes: tuple[str, ...], index: np.ndarray) -> "DiagonalSubspace":
+        """A subspace over a nonempty tuple of letters from ``XYZ`` and their
+        :attr:`_index`, unchecked."""
         subspace = object.__new__(cls)
-        subspace.__dict__["axes"] = axes
+        subspace.__dict__.update(axes=axes, _index=index)
         return subspace
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """Each site's axis as an int64 0, 1 or 2 for X, Y or Z."""
+        codes = np.frombuffer(str(self).encode("ascii"), dtype=np.uint8)
+        return codes.astype(np.int64) - _X
 
     @property
     def n(self) -> int:
@@ -119,11 +138,6 @@ class TwirlTranscript:
         return self.effective + self.residual
 
 
-def _axis_codes(subspace: DiagonalSubspace) -> np.ndarray:
-    """The subspace's axis letters as one ASCII code per site."""
-    return np.frombuffer(str(subspace).encode("ascii"), dtype=np.uint8)
-
-
 def _member_bits(subspace: DiagonalSubspace, paulis: tuple[str, ...]) -> np.ndarray:
     """The inclusion bits of ``paulis``, one row per draw.
 
@@ -149,7 +163,7 @@ def _mismatch(h: PauliSum, subspace: DiagonalSubspace) -> np.ndarray:
     holds neither ``I`` nor the site's axis."""
     letters = np.frombuffer("".join(h.labels()).encode("ascii"), dtype=np.uint8)
     letters = letters.reshape(-1, subspace.n)
-    return (letters != _I) & (letters != _axis_codes(subspace))
+    return (letters != _I) & (letters != _X + subspace._index)
 
 
 def _draw(
@@ -157,15 +171,18 @@ def _draw(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """``steps`` uniform subspace members: their inclusion bits and labels.
 
-    The labels are cut from one byte row that ends each draw with a comma.
+    The labels are cut from one byte row: each draw's bytes ``3 * bit +
+    axis`` (one contiguous int64 product, cast once into the row) and a
+    separator, turned into letters and commas by one ``bytes.translate``.
     """
     if steps < 1:
         raise ValueError(f"Twirl needs at least one step, got {steps}.")
     n = subspace.n
     bits = rng.integers(0, 2, size=(steps, n))
-    row = np.full((steps, n + 1), ord(","), dtype=np.uint8)
-    row[:, :n] = np.where(bits, _axis_codes(subspace), np.uint8(_I))
-    text = row.tobytes().decode("ascii")
+    row = np.empty((steps, n + 1), dtype=np.uint8)
+    row[:, n] = 6
+    row[:, :n] = bits * 3 + subspace._index
+    text = row.tobytes().translate(_DRAW_LETTERS).decode("ascii")
     return bits, tuple(text[:-1].split(","))
 
 
@@ -216,7 +233,7 @@ def sample_subspace(n: int, rng: np.random.Generator) -> DiagonalSubspace:
     if n < 1:
         raise ValueError(f"System size must be positive, got {n}.")
     picks = rng.integers(0, 3, size=n)
-    return DiagonalSubspace._trusted(tuple(map(_AXES.__getitem__, picks.tolist())))
+    return DiagonalSubspace._trusted(tuple(map(_AXES.__getitem__, picks.tolist())), picks)
 
 
 def sample_twirl_paulis(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hamcert.bell import (
     bell_distribution,
     bell_measure_choi,
+    identity_prob_factors,
     identity_prob_spectral,
     identity_prob_trace,
     identity_probs_grid,
@@ -266,6 +267,35 @@ class TestIdentityProbTrace:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             identity_prob_trace(np.ones((2, 2), dtype=complex))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 1e-6),
+       shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 5)), min_size=1, max_size=3))
+def test_factor_defects_and_traces_equal_the_eye_and_trace_forms(seed, noise, shapes):
+    # identity_prob_factors reads the diagonals through views; here are the
+    # np.eye and np.trace forms it replaced, bound and product accumulated
+    # in the same order.
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for count, n in shapes:
+        shape = (count, 2**n, 2**n)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w, v = np.linalg.eigh(h + h.conj().swapaxes(1, 2))
+        u = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        stacks.append(u + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    bound, probs = 0.0, []
+    for u in stacks:
+        dim = u.shape[1]
+        gram = np.swapaxes(u.conj(), 1, 2) @ u
+        for defect in np.max(np.abs(gram - np.eye(dim)), axis=(1, 2)).tolist():
+            bound += defect + bound * defect
+        traces = np.abs(np.trace(u, axis1=1, axis2=2)) ** 2 / dim**2
+        probs += np.minimum(traces, 1.0).tolist()
+    got = identity_prob_factors(stacks, atol=bound)
+    assert got.hex() == math.prod(probs, start=1.0).hex()
+    with pytest.raises(ValueError, match="not unitary"):
+        identity_prob_factors(stacks, atol=np.nextafter(bound, -1.0))
 
 
 class TestBellDistribution:

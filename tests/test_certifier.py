@@ -7,20 +7,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert import trotter
-from hamcert.bell import identity_prob_trace
+from hamcert.bell import identity_prob_factors, identity_prob_trace
 from hamcert.certifier import (
     CertificationConfig,
     ConfigError,
+    RoundRecord,
+    _digest,
     certify,
     run_round,
     sweep_epsilon,
 )
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode
-from hamcert.pauli import PauliSum, frobenius_norm, parse_hamiltonian
-from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound
+from hamcert.pauli import PauliSum, frobenius_norm, parse_hamiltonian, subtract
+from hamcert.trotter import TROTTER_STEP_CAP, TrotterPlan, steps_from_bound, trotter_blocks
+from hamcert.twirl import DiagonalSubspace, apply_twirl
 
 
 def make_oracle(hidden, mode=OracleMode.EXACT_EFFECTIVE):
@@ -298,6 +303,62 @@ class TestRunRound:
         assert 0.0 <= rec.time <= cfg.time_cap
         assert rec.identity_fraction == 1.0
         assert rec.flagged is False
+
+    @pytest.mark.parametrize("mode", list(OracleMode))
+    def test_the_record_of_the_reference_draws(self, mode):
+        # The round's draws, one library call each: the subspace, the twirl,
+        # the time and the shots; the record is the keyword construction
+        # from them, and the generator ends where the calls leave it.
+        n, k = 4, 2
+        rng = np.random.default_rng(12)
+        h0 = random_pauli_sum(n, k, rng, num_terms=3 * n)
+        hidden = random_pauli_sum(n, k, rng, num_terms=3 * n)
+        cfg = CertificationConfig(epsilon=0.5, delta=0.2, k=k, c2=2.0, mode=mode,
+                                  allow_weak_constants=True)
+        fractions = set()
+        for seed in range(6):
+            got_rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = run_round(h0, make_oracle(hidden, mode), cfg, got_rng, index=seed + 1)
+            subspace = DiagonalSubspace(tuple("XYZ"[i] for i in ref.integers(0, 3, n)))
+            bits = ref.integers(0, 2, (cfg.twirl_steps, n))
+            paulis = tuple("".join(ax if b else "I" for ax, b in zip(subspace.axes, row))
+                           for row in bits)
+            t = float(ref.uniform(0.0, cfg.time_cap))
+            oracle = make_oracle(hidden, mode)
+            if mode is OracleMode.EXACT_EFFECTIVE:
+                tr = apply_twirl(subtract(hidden, h0), subspace, paulis)
+                prob = oracle.effective_identity_prob(tr, t, shots=cfg.shots_per_round)
+            else:
+                steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
+                plan = TrotterPlan(paulis, steps, t)
+                groups = trotter_blocks(oracle, h0, plan, shots=cfg.shots_per_round)
+                prob = identity_prob_factors([u for _, u in groups], atol=1e-8 * steps)
+            fraction = int(ref.binomial(cfg.shots_per_round, prob)) / cfg.shots_per_round
+            fractions.add(fraction)
+            axes = "".join(subspace.axes)
+            want = RoundRecord(
+                index=seed + 1,
+                axes=axes,
+                transcript_digest=_digest(axes, paulis),
+                time=t,
+                identity_fraction=fraction,
+                flagged=fraction <= cfg.accept_threshold,
+            )
+            assert got == want
+            assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
+            assert got_rng.bit_generator.state == ref.bit_generator.state
+        # The binomial draws saw identity probabilities below 1.
+        assert len(fractions) > 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cap=st.one_of(st.just(0.0), st.floats(0.0, allow_infinity=False)),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_scaled_random_is_the_uniform_draw(cap, seed):
+    # run_round takes its time as time_cap * rng.random().
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (cap * rng.random()).hex() == float(ref.uniform(0.0, cap)).hex()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestTrotterizedMode:

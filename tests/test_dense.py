@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import trotter
 from hamcert.dense import (
     PAULI_MATRICES,
-    _signed_permutation,
+    _letter_phases,
     eig_decompose,
     eigenvalues,
     evolve,
@@ -215,6 +216,13 @@ def _codes(labels):
                     dtype=np.uint8).reshape(len(labels), -1)
 
 
+def _signed_permutation(label):
+    """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``: row 0
+    of :func:`hamcert.dense._letter_phases` on the one string."""
+    flip, phase = _letter_phases(_codes([label]))
+    return int(flip[0]), phase[0]
+
+
 class TestSignedPermutation:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_each_column_holds_one_phase_of_the_kronecker_matrix(self, k):
@@ -255,6 +263,33 @@ class TestPauliConjugate:
             got = _strang_power(factors, _codes([label])[None], 1)[0]
             want = _one_draw_power(*factors[:, 0], lambda m: q @ m @ q, 1)
             assert np.array_equal(got, want), label
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3), count=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_codes_on_a_stack_equal_the_dense_sandwich(self, data, n, count, seed):
+        labels = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                                    min_size=count, max_size=count))
+        rng = np.random.default_rng(seed)
+        shape = (2, count, 2**n, 2**n)
+        factors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = _strang_power(factors, _codes(labels)[None], 1)
+        for b, label in enumerate(labels):
+            q = pauli_matrix(label)
+            want = _one_draw_power(*factors[:, b], lambda m: q @ m @ q, 1)
+            assert _same_bits(got[b], want), label
+
+    @pytest.mark.parametrize("entries", [1, 3 * 48, 2**20])
+    def test_the_multiplier_span_changes_no_bit(self, monkeypatch, entries):
+        # 48 multiplier entries per draw: spans of one draw, of three draws
+        # and of the whole round.
+        rng = np.random.default_rng(entries)
+        shape = (2, 3, 4, 4)
+        factors = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 4
+        draws = rng.choice(np.frombuffer(b"IXYZ", dtype=np.uint8), size=(7, 3, 2))
+        want = _strang_power(factors, draws, 3)
+        monkeypatch.setattr(trotter, "_CHUNK_ENTRIES", entries)
+        assert _same_bits(_strang_power(factors, draws, 3), want)
 
     @pytest.mark.parametrize("count, n", [(1, 3), (5, 1), (4, 2), (3, 4), (1, 8)])
     def test_a_stack_equals_the_per_matrix_calls(self, count, n):

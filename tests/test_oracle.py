@@ -1,6 +1,7 @@
 """Tests for the forward-only oracle and the evolution-time ledger."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -364,6 +365,18 @@ class TestBlockSpectrumProperties:
         want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=shots))
         assert abs(got - want) <= 1e-12
         assert blocks.ledger == dense.ledger
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tr=transcripts())
+    def test_the_encoding_span_changes_no_bit(self, tr):
+        # Residual terms encoded one per call and two per call, against
+        # the whole block's terms in one call.
+        for block in oracle_module._twirled_blocks(tr):
+            want = oracle_module._block_spectrum(*block)
+            for entries in (1, 2 * 2 ** block[0].n):
+                with mock.patch.object(oracle_module, "_CHUNK_ENTRIES", entries):
+                    got = oracle_module._block_spectrum(*block)
+                assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(tr=transcripts(), t=st.floats(0.0, 1e4))

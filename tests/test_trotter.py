@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hamcert.bell import identity_prob_factors, identity_prob_trace
 from hamcert.certifier import CertificationConfig, _trotter_identity_prob
-from hamcert.dense import _signed_permutation, eig_decompose, evolve, pauli_matrix, to_dense
+from hamcert.dense import _letter_phases, eig_decompose, evolve, pauli_matrix, to_dense
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
 from hamcert.pauli import PauliSum, conjugate, restrict, scale, subtract, support_blocks
@@ -336,6 +336,13 @@ class TestAgainstLiteralProduct:
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
         v = trotter_evolve(oracle, h0, TrotterPlan(paulis, steps, t))
         assert np.max(np.abs(v - reference)) <= 1e-10
+
+
+def _signed_permutation(label):
+    """Flip mask ``x`` and phases ``ph`` with ``P|j> = ph[j] |j ^ x>``: row 0
+    of :func:`hamcert.dense._letter_phases` on the one string."""
+    flip, phase = _letter_phases(np.frombuffer(label.encode("ascii"), dtype=np.uint8)[None])
+    return int(flip[0]), phase[0]
 
 
 def _ix_conjugate(m, label):

@@ -13,6 +13,7 @@ from hamcert.pauli import PauliSum, commutes, frobenius_norm
 from hamcert.twirl import (
     DiagonalSubspace,
     TwirlTranscript,
+    _draw,
     apply_twirl,
     project_effective,
     run_twirl,
@@ -118,6 +119,26 @@ class TestSampleTwirlPaulis:
             assert sample_twirl_paulis(s, steps, rng) == expected
             # The same draws leave the generator in the same state.
             assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 64), steps=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), sampled=st.booleans())
+    def test_the_draw_row_spells_each_member(self, data, n, steps, seed, sampled):
+        # A sampled subspace carries the drawn axis indices, a constructed
+        # one works them out from its letters; both must spell the same.
+        if sampled:
+            s = sample_subspace(n, np.random.default_rng(seed + 1))
+        else:
+            axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+            s = DiagonalSubspace(tuple(axes))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits, labels = _draw(s, steps, rng)
+        want = ref_rng.integers(0, 2, size=(steps, n))
+        assert np.array_equal(bits, want)
+        assert labels == tuple(
+            "".join(axis if bit else "I" for axis, bit in zip(s.axes, row)) for row in want
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestTranscriptCheck:
