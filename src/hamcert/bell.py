@@ -24,7 +24,9 @@ Register layout for the measurement simulator: qubits ``0..n-1`` hold the
 evolved halves, qubits ``n..2n-1`` the partner halves, most significant
 bit first.  Measuring pair ``i`` yields bits ``(u_i, v_i)`` at string
 positions ``i`` and ``n+i``; the letter map is ``(0,0) -> I``,
-``(1,0) -> Z``, ``(0,1) -> X``, ``(1,1) -> Y``.
+``(1,0) -> Z``, ``(0,1) -> X``, ``(1,1) -> Y``.  :func:`bell_outcome_indices`
+samples outcomes as basis indices, which callers count in arrays;
+:func:`bell_measure_choi` formats the same draws as bit strings.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "BELL_SAMPLER_QUBIT_CAP",
     "bell_distribution",
     "bell_measure_choi",
+    "bell_outcome_indices",
     "identity_prob_factors",
     "identity_prob_spectral",
     "identity_probs_grid",
@@ -314,21 +317,31 @@ def outcome_pauli_label(bits: str) -> str:
     )
 
 
-def bell_measure_choi(
+def bell_outcome_indices(
     u: np.ndarray, rng: np.random.Generator, shots: int = 1
-) -> list[str]:
-    """Sample Bell-measurement outcomes for the unitary ``u``.
+) -> np.ndarray:
+    """Sample Bell-measurement outcomes for the unitary ``u``, as indices.
 
     One forward application of ``u`` per shot; no inverse or controlled
-    use.  Returns ``shots`` outcome bit strings (see :func:`outcome_bits`).
+    use.  Returns ``shots`` outcome indices into :func:`bell_distribution`
+    (0 is the all-identity outcome), from one ``rng.choice`` call, so
+    callers can count outcomes with ``np.bincount`` instead of strings.
     """
     if shots < 1:
         raise ValueError(f"Shot count must be positive, got {shots}.")
     probs = bell_distribution(u)
+    return rng.choice(probs.size, size=shots, p=probs)
+
+
+def bell_measure_choi(
+    u: np.ndarray, rng: np.random.Generator, shots: int = 1
+) -> list[str]:
+    """:func:`bell_outcome_indices` as outcome bit strings (see
+    :func:`outcome_bits`), with the same draws."""
+    draws = bell_outcome_indices(u, rng, shots)
     n = (u.shape[0]).bit_length() - 1
-    draws = rng.choice(probs.size, size=shots, p=probs)
     # Format each of the 4^n outcomes once rather than once per shot.
-    strings = [outcome_bits(i, n) for i in range(probs.size)]
+    strings = [outcome_bits(i, n) for i in range(4**n)]
     return [strings[i] for i in draws.tolist()]
 
 

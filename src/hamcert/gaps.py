@@ -5,6 +5,11 @@ by at least a threshold.  When that fraction is bounded below, the
 identity-outcome probability of Bell sampling must dip noticeably at some
 time within ``[0, 2/threshold]``, and a handful of uniform random times
 finds such a dip with high probability.
+
+:func:`lambda_stat_stack` takes the pair fraction of a stack of spectra,
+and :func:`find_drop_indices` returns a batch of searches as arrays of
+draws and hit indices; :func:`lambda_stat` and :func:`find_drop_times`
+are their one-row and one-object-per-search forms, with the same bits.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ __all__ = [
     "DropTime",
     "GapStatConfig",
     "find_drop_time",
+    "find_drop_indices",
     "find_drop_times",
     "lambda_stat",
+    "lambda_stat_stack",
     "stability_bound",
     "verify_stability",
     "verify_stability_stack",
@@ -37,7 +44,8 @@ def lambda_stat(spectrum: np.ndarray, epsilon: float) -> float:
 
     Counts ordered pairs ``(j, k)`` with ``|l_j - l_k| >= epsilon`` out of
     all ``N^2`` ordered pairs, self-pairs included (they contribute gap 0
-    and are never counted since ``epsilon > 0``).
+    and are never counted since ``epsilon > 0``).  This is
+    :func:`lambda_stat_stack` on a stack of one.
 
     Args:
         spectrum: Finite real eigenvalues, any order.
@@ -46,17 +54,43 @@ def lambda_stat(spectrum: np.ndarray, epsilon: float) -> float:
     Returns:
         The exact pair fraction in [0, 1].
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    return float(lambda_stat_stack(_spectrum_array(spectrum)[None], [epsilon])[0])
+
+
+def lambda_stat_stack(spectra: np.ndarray, epsilons: Sequence[float]) -> np.ndarray:
+    """:func:`lambda_stat` of each row of a ``(B, N)`` stack at its own threshold.
+
+    The stack is sorted and checked finite once; each row then takes two
+    ``searchsorted`` calls, and the pair counts of all rows are summed at
+    once.  The counts are integers, so every fraction is that of the row
+    alone, bit for bit.
+
+    Raises:
+        ValueError: If a threshold is not finite and positive, the stack
+            is not 2-D with nonempty rows, or a value is not finite.
+    """
+    for epsilon in epsilons:
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(
+                f"Separation threshold must be finite and positive, got {epsilon}."
+            )
+    values = np.asarray(spectra, dtype=float)
+    if values.ndim != 2 or values.shape[1] == 0 or len(epsilons) != len(values):
         raise ValueError(
-            f"Separation threshold must be finite and positive, got {epsilon}."
+            f"Expected {len(epsilons)} nonempty spectra, got shape {values.shape}."
         )
-    values = np.sort(_spectrum_array(spectrum))
+    values = np.sort(values, axis=1)
     if not np.isfinite(values).all():
         raise ValueError("Spectrum must hold finite values only.")
-    n = values.size
-    below = np.searchsorted(values, values - epsilon, side="right")
-    above = n - np.searchsorted(values, values + epsilon, side="left")
-    return float((below.sum() + above.sum()) / n**2)
+    n = values.shape[1]
+    shift = np.asarray(epsilons, dtype=float)[:, None]
+    counts = np.array(
+        [(row.searchsorted(low, side="right"), row.searchsorted(high, side="left"))
+         for row, low, high in zip(values, values - shift, values + shift)],
+        dtype=np.int64,
+    ).reshape(len(values), 2, n).sum(axis=2)
+    # Pairs at least epsilon below each value, plus those at least epsilon above.
+    return (counts[:, 0] + (n * n - counts[:, 1])) / n**2
 
 
 @dataclass(frozen=True)
@@ -119,6 +153,30 @@ def find_drop_times(
 ) -> list[Optional[DropTime]]:
     """``searches`` successive :func:`find_drop_time` calls, vectorised.
 
+    The :class:`DropTime` list of :func:`find_drop_indices`, with its
+    draws: the results and the final ``rng`` state are those of
+    ``searches`` calls of :func:`find_drop_time` that draw one
+    ``rng.uniform(0.0, 2/epsilon)`` at a time.
+    """
+    at, times, probs = find_drop_indices(spectrum, cfg, rng, searches)
+    found: list[Optional[DropTime]] = [None] * searches
+    hit = np.flatnonzero(at >= 0)
+    for j, t, p in zip(hit.tolist(), times[at[hit]].tolist(), probs[at[hit]].tolist()):
+        found[j] = DropTime(t, p)
+    return found
+
+
+def find_drop_indices(
+    spectrum: np.ndarray, cfg: GapStatConfig, rng: np.random.Generator, searches: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of ``searches`` successive drop-time searches, as arrays.
+
+    Returns ``(at, times, probs)``: ``times`` holds every draw the
+    searches take, in order, and ``probs`` their identity probabilities;
+    ``at[j]`` is the index in both of search ``j``'s hit, or -1 if all its
+    ``cfg.m_times`` draws miss.  A miss count is ``np.count_nonzero(at <
+    0)``, without one object per search.
+
     A block of searches draws the most times it can use, ``m_times`` per
     search, with one ``rng.random`` call.  The searches then take their
     draws in order, each up to and including its first hit (see
@@ -127,19 +185,19 @@ def find_drop_times(
     evaluated first, and those of the rest of the block only when a
     search reaches past them; each probability is computed on its own row,
     so this changes no value.  Finally ``rng`` is rewound and advanced by
-    exactly the draws taken.  The results and the final ``rng`` state are
-    those of ``searches`` calls of :func:`find_drop_time` that draw one
-    ``rng.uniform(0.0, 2/epsilon)`` at a time: ``random() * horizon`` is
-    that draw bit for bit.
+    exactly the draws taken, so it ends where one
+    ``rng.uniform(0.0, 2/epsilon)`` per draw taken would leave it:
+    ``random() * horizon`` is that draw bit for bit.
     """
     if searches < 0:
         raise ValueError(f"Search count must be nonnegative, got {searches}.")
     target = 1.0 - cfg.d / 4.0
     horizon = 2.0 / cfg.epsilon
     draws = cfg.m_times
-    found: list[Optional[DropTime]] = []
-    while len(found) < searches:
-        block = min(searches - len(found), _SEARCH_BATCH)
+    ats, taken, evaluated = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
+    offset = 0
+    for done in range(0, searches, _SEARCH_BATCH):
+        block = min(searches - done, _SEARCH_BATCH)
         state = rng.bit_generator.state
         times = rng.random(block * draws) * horizon
         probs = identity_probs_spectral(spectrum, times[: _FIRST_DRAWS * block])
@@ -149,15 +207,14 @@ def find_drop_times(
             rest = identity_probs_spectral(spectrum, times[probs.size :])
             probs = np.concatenate((probs, rest))
             starts, stops, used = _walk(probs <= target, draws, block)
-        results: list[Optional[DropTime]] = [None] * block
-        hit = np.flatnonzero(stops < starts + draws)
-        at = stops[hit]
-        for j, t, p in zip(hit.tolist(), times[at].tolist(), probs[at].tolist()):
-            results[j] = DropTime(t, p)
-        found += results
+        # Every search ends within the evaluated draws, so used <= probs.size.
+        ats.append(np.where(stops < starts + draws, stops + offset, -1))
+        taken.append(times[:used])
+        evaluated.append(probs[:used])
+        offset += used
         rng.bit_generator.state = state
         rng.random(used)
-    return found
+    return np.concatenate(ats), np.concatenate(taken), np.concatenate(evaluated)
 
 
 def _walk(hits: np.ndarray, draws: int, searches: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -221,8 +278,9 @@ def verify_stability_stack(cases: Sequence[tuple[PauliSum, PauliSum, float]]) ->
     """:func:`verify_stability` of each ``(a, b, epsilon)`` of equal size, in order.
 
     The spectra of all ``a`` and of all ``a + b`` come from two stacked
-    :func:`~hamcert.dense.eigenvalues` calls, and each pair fraction is
-    taken on its own row, so every verdict is that of the pair alone.
+    :func:`~hamcert.dense.eigenvalues` calls and their pair fractions from
+    two :func:`lambda_stat_stack` calls, each row on its own, so every
+    verdict is that of the pair alone.
 
     Raises:
         ValueError: If an ``epsilon`` is not positive, or the sums differ
@@ -231,11 +289,12 @@ def verify_stability_stack(cases: Sequence[tuple[PauliSum, PauliSum, float]]) ->
     for _, _, epsilon in cases:
         if epsilon <= 0:
             raise ValueError(f"Separation threshold must be positive, got {epsilon}.")
+    epsilons = [epsilon for _, _, epsilon in cases]
     spec_a = eigenvalues(to_dense_stack([a for a, _, _ in cases]))
     spec_ab = eigenvalues(to_dense_stack([add(a, b) for a, b, _ in cases]))
-    verdicts = []
-    for (_, b, epsilon), row_a, row_ab in zip(cases, spec_a, spec_ab):
-        p = lambda_stat(row_a, epsilon)
-        q = frobenius_norm(b) / epsilon
-        verdicts.append(lambda_stat(row_ab, epsilon / 2) + 1e-9 >= stability_bound(p, q))
-    return verdicts
+    before = lambda_stat_stack(spec_a, epsilons).tolist()
+    after = lambda_stat_stack(spec_ab, [epsilon / 2 for epsilon in epsilons]).tolist()
+    return [
+        half + 1e-9 >= stability_bound(p, frobenius_norm(b) / epsilon)
+        for (_, b, epsilon), p, half in zip(cases, before, after)
+    ]

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import COEFF_DROP_TOL, PauliSum
 
 __all__ = [
     "all_k_local_labels",
@@ -53,8 +53,11 @@ def random_pauli_sum(
 ) -> PauliSum:
     """A k-local sum with standard-normal coefficients on distinct labels.
 
-    The labels come from :func:`all_k_local_labels`, which checked them, so
-    the sum is built without checking them again.
+    The labels come from :func:`all_k_local_labels`, which checked them.
+    Distinct picks give distinct labels unless ``letters`` repeats a
+    letter, so the label-sorted term map is built directly, dropping
+    coefficients below :data:`~hamcert.pauli.COEFF_DROP_TOL` as the
+    constructor does, without checking or summing again.
     """
     pool = all_k_local_labels(n, k, letters)
     if num_terms is None:
@@ -64,12 +67,18 @@ def random_pauli_sum(
         raise ValueError(f"Need at least one term, got num_terms={num_terms}.")
     num_terms = min(num_terms, len(pool))
     picks = rng.choice(len(pool), size=num_terms, replace=False)
-    coeffs = rng.normal(size=num_terms)
+    coeffs = rng.normal(size=num_terms).tolist()
     # Retry degenerate draws: the zero sum has no norm to certify against.
-    while not np.any(np.abs(coeffs) >= 1e-12):
-        coeffs = rng.normal(size=num_terms)
-    terms = [(pool[int(i)], float(c)) for i, c in zip(picks, coeffs)]
-    return PauliSum._from_pairs(n, terms)
+    while not any(abs(c) >= 1e-12 for c in coeffs):
+        coeffs = rng.normal(size=num_terms).tolist()
+    labels = [pool[i] for i in picks.tolist()]
+    terms = dict(zip(labels, coeffs))
+    if len(terms) < num_terms:
+        # A letter repeated in ``letters`` repeats pool labels: sum them.
+        return PauliSum._from_pairs(n, zip(labels, coeffs))
+    return PauliSum._from_valid(
+        n, {p: terms[p] for p in sorted(terms) if abs(terms[p]) >= COEFF_DROP_TOL}
+    )
 
 
 def random_diagonal_sum(

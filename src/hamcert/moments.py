@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .dense import _stack_size
-from .gaps import lambda_stat
+from .gaps import lambda_stat_stack
 from .pauli import PauliSum, frobenius_norm
 
 __all__ = [
@@ -133,8 +133,10 @@ def verify_gap_bound(h: PauliSum, k: int) -> bool:
 def verify_gap_bound_stack(sums: Sequence[PauliSum], k: int) -> list[bool]:
     """:func:`verify_gap_bound` of each of equal-size sums, in order.
 
-    The spectra come from one stacked Walsh transform; each row's pair
-    fraction is taken on its own, so every verdict is that of the sum alone.
+    The spectra come from one stacked Walsh transform and their pair
+    fractions from one :func:`~hamcert.gaps.lambda_stat_stack` call, which
+    gives each row the bits it would get alone, so every verdict is that of
+    the sum alone.
 
     Raises:
         ValueError: If ``k < 1``, or a sum is zero, not ``k``-local, not
@@ -154,5 +156,5 @@ def verify_gap_bound_stack(sums: Sequence[PauliSum], k: int) -> list[bool]:
     _stack_size(sums)
     spectra = walsh_transform(np.stack([walsh_table(h) for h in sums]))
     floor = 0.25 * 9.0 ** (-k) - 1e-12
-    return [lambda_stat(spectrum, frobenius_norm(h)) >= floor
-            for h, spectrum in zip(sums, spectra)]
+    fractions = lambda_stat_stack(spectra, [frobenius_norm(h) for h in sums])
+    return [fraction >= floor for fraction in fractions.tolist()]

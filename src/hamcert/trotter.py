@@ -172,16 +172,19 @@ def _strang_power(factors: np.ndarray, draws: np.ndarray, steps: int) -> np.ndar
     # later conjugated half, and the second half (sectors in reverse).
     z = np.empty((4, count, dim, dim), dtype=complex)
     z[::3] = _compose(factors, factors[::-1])
+    # Views of z: the outer slots, flat per block, and the inner slots in
+    # reverse, P first P into the later slot and P second P into the earlier.
+    outer = z.reshape(4, -1)[::3]
+    conjugated = z[2:0:-1]
+    gathered = conjugated.reshape(2, count, -1)
     # The multipliers ph[i ^ x] * ph[j] of as many draws at once as fit in
     # _CHUNK_ENTRIES (all of a round's unless its blocks are large).
     span = max(1, _CHUNK_ENTRIES // (count * dim * dim))
     for start in range(0, len(offsets), span):
         multipliers = rows[start : start + span] * cols[start : start + span]
         for offset, multiplier in zip(offsets[start : start + span], multipliers):
-            # P first P into the later slot and P second P into the earlier.
-            conjugated = z[2:0:-1]
-            np.take(z.reshape(4, -1)[::3], cells ^ offset, axis=1,
-                    out=conjugated.reshape(2, count, -1))
+            # The array method: np.take's Python wrapper costs a call each.
+            outer.take(cells ^ offset, axis=1, out=gathered)
             conjugated *= multiplier
             z[::3] = _compose(z[:2], z[2:])
     step = _compose(z[0], z[3])

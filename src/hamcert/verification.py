@@ -14,9 +14,13 @@ with the stacked forms in :mod:`hamcert.dense`, :mod:`hamcert.gaps` and
 and failures are recorded in draw order, so every summary is that of the
 loop.  ``twirl`` filters its transcripts with the twirl's own survival
 test, so it measures the rule the certifier runs.  ``droptime`` takes its
-dip measure from :func:`~hamcert.bell.identity_probs_grid`.  ``bell``
-takes its chi-square p-value from a closed form (:func:`chi_square_tail`),
-so no suite imports scipy.
+dip measure from :func:`~hamcert.bell.identity_probs_grid` and its miss
+count from :func:`~hamcert.gaps.find_drop_indices`.  ``bell`` counts
+outcome indices (:func:`~hamcert.bell.bell_outcome_indices`) and takes
+its chi-square p-value from a closed form (:func:`chi_square_tail`), so
+no suite imports scipy.  ``basis`` tabulates each term's survival over
+the ``3^n`` subspaces and gathers it by each draw's code.  No suite
+builds one Python object per shot, search or draw.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ import numpy as np
 from . import certifier as cert
 from . import twirl
 from .bell import (
-    bell_measure_choi,
+    bell_outcome_indices,
     identity_prob_spectral,
     identity_prob_trace,
     identity_probs_grid,
+    outcome_bits,
     outcome_pauli_label,
 )
 from .dense import (
@@ -47,7 +52,7 @@ from .dense import (
     pauli_matrix,
     to_dense,
 )
-from .gaps import GapStatConfig, find_drop_times, lambda_stat, verify_stability_stack
+from .gaps import GapStatConfig, find_drop_indices, lambda_stat, verify_stability_stack
 from .instances import random_diagonal_sum, random_hermitian, random_pauli_sum
 from .moments import function_moments_stack, verify_gap_bound_stack, walsh_eigenvalues
 from .oracle import EvolutionOracle, OracleMode
@@ -201,9 +206,9 @@ def suite_bell(instances: int = 100, seed: int = 0) -> SuiteResult:
     instances, the identity frequency of 100,000 shots must sit within
     three binomial sigmas of the trace value, and the full outcome histogram
     must pass a 1% chi-square test against the trace-formula weights.
+    The shots are counted as outcome indices; only the ``4^n`` possible
+    outcomes get names.
     """
-    from collections import Counter
-
     mc_shots = 100_000
     rng = np.random.default_rng(seed)
     result = SuiteResult("bell")
@@ -226,8 +231,8 @@ def suite_bell(instances: int = 100, seed: int = 0) -> SuiteResult:
         t = float(rng.uniform(0.0, 20.0))
         u = evolve(h, t)
         p = identity_prob_trace(u)
-        outcomes = bell_measure_choi(u, rng, shots=mc_shots)
-        freq = outcomes.count("0" * (2 * n)) / mc_shots
+        outcomes = bell_outcome_indices(u, rng, shots=mc_shots)
+        freq = np.count_nonzero(outcomes == 0) / mc_shots
         sigma = math.sqrt(max(p * (1.0 - p) / mc_shots, 0.0))
         if abs(freq - p) > 3.0 * sigma + 1e-9:
             result.fail(
@@ -239,9 +244,9 @@ def suite_bell(instances: int = 100, seed: int = 0) -> SuiteResult:
     h = random_pauli_sum(n, 2, rng)
     t = float(rng.uniform(0.0, 20.0))
     u = evolve(h, t)
-    # Count the outcome strings first: there are only 4^n distinct ones.
-    histogram = Counter(bell_measure_choi(u, rng, shots=mc_shots))
-    counts = {outcome_pauli_label(o): c for o, c in histogram.items()}
+    histogram = np.bincount(bell_outcome_indices(u, rng, shots=mc_shots), minlength=4**n)
+    counts = {outcome_pauli_label(outcome_bits(i, n)): c
+              for i, c in enumerate(histogram.tolist())}
     observed, expected = [], []
     pooled_obs, pooled_exp = 0.0, 0.0
     for label in ("".join(p) for p in itertools.product("IXYZ", repeat=n)):
@@ -306,23 +311,25 @@ def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult("basis")
     n = 4
+    # Row c holds the axis codes (those of sample_subspace) of subspace code
+    # c = sum(axes[i] * 3^(n-1-i)); a draw is gathered by its code.
+    subspaces = np.array(list(itertools.product(range(3), repeat=n)))
+    weights = 3 ** np.arange(n - 1, -1, -1)
 
-    def members(h: PauliSum, axes_draws: np.ndarray) -> Iterator[tuple[float, int, np.ndarray]]:
-        # Each term's coefficient, weight, and whether it lies in each drawn
-        # subspace; the axis codes are those of sample_subspace.
+    def members(h: PauliSum) -> Iterator[tuple[float, int, np.ndarray]]:
+        # Each term's coefficient, weight, and whether it lies in each of
+        # the 3^n subspaces.
         for label, coeff in h.items():
-            support = [(i, _AXES.index(ch)) for i, ch in enumerate(label) if ch != "I"]
-            survive = np.ones(draws, dtype=bool)
-            for site, code in support:
-                survive &= axes_draws[:, site] == code
-            yield coeff, len(support), survive
+            sites = [i for i, ch in enumerate(label) if ch != "I"]
+            codes = [_AXES.index(label[i]) for i in sites]
+            yield coeff, len(sites), (subspaces[:, sites] == codes).all(axis=1)
 
     fixed = PauliSum(n, {"ZIII": 0.5, "XYII": 0.4, "XYZI": 0.3})
-    axes_draws = rng.integers(0, 3, size=(draws, n))
-    for _, w, survive in members(fixed, axes_draws):
+    drawn = rng.integers(0, 3, size=(draws, n)) @ weights
+    for _, w, survives in members(fixed):
         p = 3.0 ** (-w)
         sigma = math.sqrt(p * (1.0 - p) / draws)
-        freq = float(survive.mean())
+        freq = float(survives[drawn].mean())
         if abs(freq - p) > 3.0 * sigma:
             result.fail(
                 f"survival of weight-{w} term: {freq:.5f} vs 3^-{w}={p:.5f}"
@@ -331,12 +338,16 @@ def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
     for k in (1, 2):
         for _ in range(5):
             h = random_pauli_sum(n, k, rng)
-            axes_draws = rng.integers(0, 3, size=(draws, n))
-            retained_sq = np.zeros(draws)
+            drawn = rng.integers(0, 3, size=(draws, n)) @ weights
+            # Per subspace in term order, then per draw: a draw adds the
+            # same doubles in the same order (an exact 0.0 for a term that
+            # does not survive) as a sum over its own terms.
+            retained_by_code = np.zeros(subspaces.shape[0])
             exact_mean = 0.0
-            for coeff, w, survive in members(h, axes_draws):
-                retained_sq += (coeff * coeff) * survive
+            for coeff, w, survives in members(h):
+                retained_by_code += (coeff * coeff) * survives
                 exact_mean += coeff * coeff * 3.0 ** (-w)
+            retained_sq = retained_by_code[drawn]
             sigma_mean = float(retained_sq.std(ddof=1)) / math.sqrt(draws)
             if abs(float(retained_sq.mean()) - exact_mean) > 3.0 * sigma_mean:
                 result.fail(f"mean retained norm off closed form at k={k}")
@@ -502,7 +513,8 @@ def suite_droptime(reps: int = 10_000, seed: int = 0) -> SuiteResult:
         if measure < 1.0 / 3.0 - 1e-3:
             result.fail(f"dip measure {measure:.4f} below 1/3")
         cfg = GapStatConfig(epsilon=eps, d=d, delta=delta)
-        misses = find_drop_times(spec, cfg, rng, reps).count(None)
+        at, _, _ = find_drop_indices(spec, cfg, rng, reps)
+        misses = np.count_nonzero(at < 0)
         rate = misses / reps
         max_fail_rate = max(max_fail_rate, rate)
         if rate > delta + 3.0 * math.sqrt(delta * (1.0 - delta) / reps):
@@ -634,8 +646,10 @@ def suite_bonami(trials: int = 1000, seed: int = 0) -> SuiteResult:
             for _ in range(int(rng.integers(1, 13))):
                 w = int(rng.integers(1, k + 1))
                 sites = rng.choice(v, size=w, replace=False)
-                masks.add(int(sum(1 << int(s) for s in sites)))
-            yield k, v, list(masks), [rng.normal() for _ in masks]
+                masks.add(sum(1 << s for s in sites.tolist()))
+            # One call gives the values and generator state of one
+            # rng.normal() per mask: Generator.normal keeps no cache.
+            yield k, v, list(masks), rng.normal(size=len(masks)).tolist()
 
     def moments(group: list[tuple[int, int, list[int], list[float]]]) -> Iterable:
         tables = np.zeros((len(group), 2 ** group[0][1]))
@@ -686,9 +700,12 @@ def suite_names() -> list[str]:
 
 def check_trials(name: str, trials: int | None) -> None:
     """Raise ``KeyError`` for an unknown suite and ``ValueError`` for a
-    given trial count below 1 or below the suite's minimum."""
+    given trial count that is not an integer (a boolean is not), below 1
+    or below the suite's minimum."""
     if name not in SUITES:
         raise KeyError(f"Unknown suite {name!r}; choose from {suite_names()}.")
+    if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int)):
+        raise ValueError(f"Trial count must be an integer, got {trials!r}.")
     if trials is not None and trials < 1:
         raise ValueError(f"Trial count must be at least 1, got {trials}.")
     _, knob, minimum = SUITES[name]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hamcert.bell import (
     bell_distribution,
     bell_measure_choi,
+    bell_outcome_indices,
     identity_prob_factors,
     identity_prob_spectral,
     identity_prob_trace,
@@ -350,6 +351,17 @@ class TestBellMeasureChoi:
             got = bell_measure_choi(u, got_rng, shots=2000)
             draws = want_rng.choice(4**n, size=2000, p=bell_distribution(u))
             assert got == [outcome_bits(int(i), n) for i in draws]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_indices_are_the_strings_and_draws_of_the_string_sampler(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 4):
+            u = evolve(random_pauli_sum(n, min(n, 2), rng), float(rng.uniform(0, 10)))
+            got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = bell_outcome_indices(u, got_rng, shots=3000)
+            want = bell_measure_choi(u, want_rng, shots=3000)
+            assert got.shape == (3000,)
+            assert [outcome_bits(i, n) for i in got.tolist()] == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_outcome_label_mapping(self):

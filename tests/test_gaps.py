@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert import gaps
 from hamcert.bell import identity_prob_spectral, identity_probs_spectral
 from hamcert.gaps import (
     DropTime,
     GapStatConfig,
+    find_drop_indices,
     find_drop_time,
     find_drop_times,
     lambda_stat,
+    lambda_stat_stack,
     stability_bound,
     verify_stability,
 )
@@ -95,6 +99,55 @@ class TestLambdaStat:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
             lambda_stat(np.array([0.0, 1.0]), 0.0)
+
+
+# Eigenvalues on a coarse grid of halves, so that rows repeat values and
+# many gaps equal a threshold exactly; the thresholds come from that grid
+# and from arbitrary positive floats.
+GRID_VALUES = st.integers(-8, 8).map(lambda i: i / 2)
+THRESHOLDS = st.one_of(
+    st.integers(1, 12).map(lambda i: i / 2),
+    st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestLambdaStatStack:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), width=st.integers(1, 12), rows=st.integers(1, 6))
+    def test_every_row_is_lambda_stat_bit_for_bit(self, data, width, rows):
+        values = st.one_of(GRID_VALUES, st.floats(-1e3, 1e3, allow_nan=False))
+        spectra = np.array(
+            [data.draw(st.lists(values, min_size=width, max_size=width)) for _ in range(rows)]
+        )
+        epsilons = data.draw(st.lists(THRESHOLDS, min_size=rows, max_size=rows))
+        got = lambda_stat_stack(spectra, epsilons)
+        want = [lambda_stat(row, eps) for row, eps in zip(spectra, epsilons)]
+        assert got.tolist() == want
+        assert [float(g).hex() for g in got] == [w.hex() for w in want]
+
+    def test_gaps_equal_to_the_threshold_count(self):
+        spectra = np.array([[0.0, 0.5, 0.5, 1.0], [-1.0, -1.0, 1.0, 1.0]])
+        got = lambda_stat_stack(spectra, [0.5, 2.0])
+        assert got.tolist() == [brute_lambda(spectra[0], 0.5), brute_lambda(spectra[1], 2.0)]
+        assert got.tolist() == [10 / 16, 8 / 16]
+
+    def test_an_empty_stack_gives_no_fractions(self):
+        assert lambda_stat_stack(np.empty((0, 3)), []).shape == (0,)
+
+    @pytest.mark.parametrize("spectra, epsilons", [
+        (np.zeros(3), [1.0]),
+        (np.zeros((2, 0)), [1.0, 1.0]),
+        (np.zeros((2, 3)), [1.0]),
+    ])
+    def test_malformed_stack_rejected(self, spectra, epsilons):
+        with pytest.raises(ValueError, match="nonempty spectra"):
+            lambda_stat_stack(spectra, epsilons)
+
+    def test_each_threshold_and_value_is_checked(self):
+        with pytest.raises(ValueError, match="finite and positive, got 0.0"):
+            lambda_stat_stack(np.zeros((2, 2)), [1.0, 0.0])
+        with pytest.raises(ValueError, match="finite values only"):
+            lambda_stat_stack(np.array([[0.0, 1.0], [0.0, math.inf]]), [1.0, 1.0])
 
 
 class TestGapStatConfig:
@@ -213,12 +266,35 @@ class TestFindDropTime:
                 assert _bits(got) == _bits(want)
                 assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
+    @pytest.mark.parametrize("searches", [1, 1023, 1024, 1025, 3000])
+    def test_array_core_holds_the_hits_of_the_drop_times(self, searches):
+        # About one draw in ten hits, so searches take several draws and
+        # some miss; block edges at 1024 searches.
+        spec = np.array([-0.14, 0.14])
+        cfg = GapStatConfig(epsilon=0.7, d=0.5, delta=0.05)
+        rngs = [np.random.default_rng(searches) for _ in range(4)]
+        at, times, probs = find_drop_indices(spec, cfg, rngs[0], searches)
+        assert at.shape == (searches,) and times.shape == probs.shape
+        got = [None if a < 0 else DropTime(times[a], probs[a]) for a in at.tolist()]
+        want = [_uniform_loop(spec, cfg, rngs[1]) for _ in range(searches)]
+        assert _bits(got) == _bits(want)
+        assert _bits(find_drop_times(spec, cfg, rngs[2], searches)) == _bits(want)
+        assert 0 < np.count_nonzero(at < 0) < searches or searches == 1
+        # The arrays hold every draw taken, in the order one uniform draw at
+        # a time gives them, with their probabilities.
+        loop = [float(rngs[3].uniform(0.0, 2.0 / cfg.epsilon)) for _ in range(times.size)]
+        assert times.tolist() == loop
+        assert probs.tolist() == identity_probs_spectral(spec, times).tolist()
+        states = [r.bit_generator.state for r in rngs]
+        assert states[0] == states[1] == states[2] == states[3]
+
     def test_negative_search_count_rejected(self):
         cfg = GapStatConfig(epsilon=1.0, d=0.5, delta=0.1)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="nonnegative"):
             find_drop_times(np.zeros(2), cfg, rng, -1)
         assert find_drop_times(np.zeros(2), cfg, rng, 0) == []
+        assert [a.size for a in find_drop_indices(np.zeros(2), cfg, rng, 0)] == [0, 0, 0]
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_failure_rate_within_envelope(self):

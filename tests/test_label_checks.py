@@ -304,6 +304,53 @@ class TestGeneratorsTrustTheirPool:
         assert got == _outcome(_reference_random_pauli_sum, n, k, rngs[1], num_terms, letters)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
+    @pytest.mark.parametrize("n, k, num_terms, letters", [
+        (4, 2, None, "XYZ"),
+        (5, 2, 12, "Z"),
+        # Above the pool size (3 labels): every label is drawn.
+        (3, 1, 40, "Z"),
+        (2, 2, 40, "XYZ"),
+    ])
+    def test_random_pauli_sum_equals_the_constructor_on_its_draws(self, n, k, num_terms, letters):
+        for seed in range(20):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_pauli_sum(n, k, rng, num_terms, letters)
+            pool = all_k_local_labels(n, k, letters)
+            size = min(num_terms or int(replay.integers(1, min(len(pool), 3 * n) + 1)), len(pool))
+            picks = replay.choice(len(pool), size=size, replace=False)
+            want = PauliSum(n, [(pool[i], c) for i, c in zip(picks, replay.normal(size=size))])
+            assert _outcome(lambda: got) == _outcome(lambda: want)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_random_pauli_sum_drops_what_the_constructor_drops(self):
+        class Tiny:
+            """A generator whose normal draws include magnitudes at the drop tolerance."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+            def normal(self, size):
+                return np.array([0.5, COEFF_DROP_TOL / 2, -COEFF_DROP_TOL, 1e-13][:size])
+
+        got = random_pauli_sum(3, 1, Tiny(), num_terms=4)
+        picks = np.random.default_rng(0).choice(9, size=4, replace=False)
+        pool = all_k_local_labels(3, 1)
+        want = PauliSum(3, [(pool[i], c) for i, c in zip(picks, Tiny().normal(4))])
+        assert _outcome(lambda: got) == _outcome(lambda: want)
+        assert got.num_terms == 3
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 12, 100])
+    def test_one_normal_call_is_as_many_scalar_draws(self, size):
+        # suite_bonami draws each function's coefficients in one call.
+        rng, loop = np.random.default_rng(size), np.random.default_rng(size)
+        drawn = rng.normal(size=size).tolist()
+        assert [c.hex() for c in drawn] == [loop.normal().hex() for _ in range(size)]
+        assert rng.bit_generator.state == loop.bit_generator.state
+        assert rng.normal() == loop.normal()
+
     @pytest.mark.parametrize("letters", ["Q", "XI", "I", "xy", "Xé", ("XY",), ""])
     def test_letters_outside_xyz_rejected(self, letters):
         with pytest.raises(ValueError, match="Letters must be drawn from 'XYZ'"):

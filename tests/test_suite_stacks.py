@@ -1,28 +1,149 @@
-"""The stacked verify suites against their per-instance loops.
+"""The verify suites against their per-instance loops.
 
 ``suite_stability``, ``suite_gapbound`` and ``suite_bonami`` draw all of
 their instances first and evaluate them in stacks of equal size;
-``suite_droptime`` takes its dip measure from one grid product.  The
-reference loops below draw and evaluate one instance at a time, with the
-per-instance functions, as the suites did before they were stacked.  A
-suite must give the same ``passed``, ``details`` and ``failures`` as its
-loop, also when a bound is forced to fail everywhere, so that the first
-recorded failures come in the same order.
+``suite_droptime`` takes its dip measure from one grid product and its
+miss count from the drop-time array core; ``suite_bell`` counts outcome
+indices and ``suite_basis`` gathers per-subspace tables by each draw's
+code.  The reference loops below draw and evaluate one instance at a time,
+with the per-instance functions and one Python object per shot, search,
+draw or coefficient, as the suites did before.  A suite must give the same
+``passed``, ``details`` and ``failures`` as its loop, also when a bound is
+forced to fail everywhere, so that the first recorded failures come in the
+same order.
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hamcert import gaps, moments, verification
-from hamcert.bell import identity_probs_spectral
-from hamcert.dense import hoffman_wielandt_gap
+from hamcert import bell, gaps, moments, verification
+from hamcert.bell import (
+    bell_measure_choi,
+    identity_prob_spectral,
+    outcome_pauli_label,
+)
+from hamcert.dense import eigenvalues, evolve, hoffman_wielandt_gap, pauli_matrix, to_dense
 from hamcert.gaps import GapStatConfig, find_drop_times, lambda_stat, verify_stability
 from hamcert.instances import random_diagonal_sum, random_hermitian, random_pauli_sum
 from hamcert.moments import verify_gap_bound, walsh_eigenvalues
-from hamcert.pauli import frobenius_norm, scale
-from hamcert.verification import SuiteResult
+from hamcert.pauli import PauliSum, frobenius_norm, scale
+from hamcert.twirl import _AXES
+from hamcert.verification import SUITES, SuiteResult
+
+
+def reference_bell(instances, seed):
+    mc_shots = 100_000
+    rng = np.random.default_rng(seed)
+    result = SuiteResult("bell")
+    worst = 0.0
+    for i in range(instances):
+        n = 1 + i % 4
+        h = random_pauli_sum(n, min(n, 2), rng)
+        t = float(rng.uniform(0.0, 20.0))
+        spec = eigenvalues(to_dense(h))
+        u = evolve(h, t)
+        # Looked up at call time, so that a test can patch the trace route.
+        dev = abs(identity_prob_spectral(spec, t) - verification.identity_prob_trace(u))
+        worst = max(worst, dev)
+        if dev > 1e-10:
+            result.fail(f"spectral/trace deviation {dev:.2e} at n={n}, t={t:.3f}")
+    result.details["instances"] = instances
+    result.details["max_route_deviation"] = f"{worst:.2e}"
+    for n in (1, 2, 3):
+        h = random_pauli_sum(n, min(n, 2), rng)
+        t = float(rng.uniform(0.0, 20.0))
+        u = evolve(h, t)
+        p = verification.identity_prob_trace(u)
+        outcomes = bell_measure_choi(u, rng, shots=mc_shots)
+        freq = outcomes.count("0" * (2 * n)) / mc_shots
+        sigma = math.sqrt(max(p * (1.0 - p) / mc_shots, 0.0))
+        if abs(freq - p) > 3.0 * sigma + 1e-9:
+            result.fail(
+                f"identity frequency {freq:.5f} vs p={p:.5f} "
+                f"outside 3 sigma at n={n}"
+            )
+    n = 2
+    h = random_pauli_sum(n, 2, rng)
+    t = float(rng.uniform(0.0, 20.0))
+    u = evolve(h, t)
+    histogram = Counter(bell_measure_choi(u, rng, shots=mc_shots))
+    counts = {outcome_pauli_label(o): c for o, c in histogram.items()}
+    observed, expected = [], []
+    pooled_obs, pooled_exp = 0.0, 0.0
+    for label in ("".join(p) for p in itertools.product("IXYZ", repeat=n)):
+        exp = abs(np.trace(pauli_matrix(label) @ u)) ** 2 / 4**n * mc_shots
+        obs = counts.get(label, 0)
+        if exp >= 5.0:
+            observed.append(obs)
+            expected.append(exp)
+        else:
+            pooled_obs += obs
+            pooled_exp += exp
+    if pooled_exp > 0:
+        observed.append(pooled_obs)
+        expected.append(pooled_exp)
+    expected_arr = np.asarray(expected, dtype=float)
+    observed_arr = np.asarray(observed, dtype=float)
+    expected_arr *= observed_arr.sum() / expected_arr.sum()
+    pvalue = verification.chi_square_pvalue(observed_arr, expected_arr)
+    result.details["chi2_pvalue"] = f"{pvalue:.4f}"
+    if pvalue < 0.01:
+        result.fail(f"chi-square p-value {pvalue:.4f} below the 1% level")
+    return result
+
+
+def reference_basis(draws, seed):
+    rng = np.random.default_rng(seed)
+    result = SuiteResult("basis")
+    n = 4
+
+    def members(h, axes_draws):
+        # One boolean array over all draws per term.
+        for label, coeff in h.items():
+            support = [(i, _AXES.index(ch)) for i, ch in enumerate(label) if ch != "I"]
+            survive = np.ones(draws, dtype=bool)
+            for site, code in support:
+                survive &= axes_draws[:, site] == code
+            yield coeff, len(support), survive
+
+    fixed = PauliSum(n, {"ZIII": 0.5, "XYII": 0.4, "XYZI": 0.3})
+    axes_draws = rng.integers(0, 3, size=(draws, n))
+    for _, w, survive in members(fixed, axes_draws):
+        p = 3.0 ** (-w)
+        sigma = math.sqrt(p * (1.0 - p) / draws)
+        freq = float(survive.mean())
+        if abs(freq - p) > 3.0 * sigma:
+            result.fail(f"survival of weight-{w} term: {freq:.5f} vs 3^-{w}={p:.5f}")
+    min_margin = math.inf
+    for k in (1, 2):
+        for _ in range(5):
+            h = random_pauli_sum(n, k, rng)
+            axes_draws = rng.integers(0, 3, size=(draws, n))
+            retained_sq = np.zeros(draws)
+            exact_mean = 0.0
+            for coeff, w, survive in members(h, axes_draws):
+                retained_sq += (coeff * coeff) * survive
+                exact_mean += coeff * coeff * 3.0 ** (-w)
+            sigma_mean = float(retained_sq.std(ddof=1)) / math.sqrt(draws)
+            if abs(float(retained_sq.mean()) - exact_mean) > 3.0 * sigma_mean:
+                result.fail(f"mean retained norm off closed form at k={k}")
+            # Looked up at call time, so that a test can patch the norm.
+            threshold_sq = verification.frobenius_norm(h) ** 2 / (2.0 * 3.0**k)
+            freq = float((retained_sq >= threshold_sq).mean())
+            bound = 1.0 / (4.0 * 3.0**k)
+            sigma_f = math.sqrt(max(freq * (1.0 - freq) / draws, 1e-18))
+            min_margin = min(min_margin, freq - bound)
+            if freq < bound - 3.0 * sigma_f - 1e-12:
+                result.fail(
+                    f"retention probability {freq:.5f} below bound {bound:.5f} at k={k}"
+                )
+    result.details["draws"] = draws
+    result.details["min_retention_margin"] = f"{min_margin:.4f}"
+    return result
 
 
 def reference_gapbound(trials_per_k, seed):
@@ -127,7 +248,8 @@ def reference_droptime(reps, seed):
             result.fail(f"degenerate case: pair fraction 0 at eps={eps}")
             continue
         target = 1.0 - d / 4.0
-        ivals = identity_probs_spectral(spec, np.linspace(0.0, 2.0 / eps, grid_points))
+        # Through the module, so that a test can patch the dip route.
+        ivals = bell.identity_probs_spectral(spec, np.linspace(0.0, 2.0 / eps, grid_points))
         measure = int((ivals <= target).sum()) / grid_points
         min_measure = min(min_measure, measure)
         if measure < 1.0 / 3.0 - 1e-3:
@@ -145,6 +267,8 @@ def reference_droptime(reps, seed):
 
 
 REFERENCES = {
+    "bell": reference_bell,
+    "basis": reference_basis,
     "gapbound": reference_gapbound,
     "stability": reference_stability,
     "bonami": reference_bonami,
@@ -172,8 +296,15 @@ def test_reduced_trials_equal_the_loop(name, trials, seed):
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 @pytest.mark.parametrize("seed", [0, 5])
 def test_one_trial_equals_the_loop(name, seed):
-    # One instance per size group, and most sizes never occur.
-    _assert_same(name, 1, seed)
+    # The least trial count a suite takes (one, except basis): one instance
+    # per size group, and most sizes never occur.
+    _assert_same(name, SUITES[name][2], seed)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("name, trials", [("bell", 9), ("basis", 3000), ("droptime", 1500)])
+def test_counted_suites_equal_the_loop(name, trials, seed):
+    _assert_same(name, trials, seed)
 
 
 def test_droptime_equals_the_loop_at_other_seeds():
@@ -188,14 +319,32 @@ def test_stacks_cut_into_windows_equal_the_loop(monkeypatch):
         _assert_same(name, trials, 4)
 
 
+def _never_dips(spectrum, times):
+    return np.ones(len(times))
+
+
 def _forced(monkeypatch, name):
     """Make every instance of ``name`` violate its bound, in both routes."""
     if name == "gapbound":
-        monkeypatch.setattr(moments, "lambda_stat", lambda spectrum, eps: 0.0)
+        monkeypatch.setattr(moments, "lambda_stat_stack",
+                            lambda spectra, epsilons: np.zeros(len(spectra)))
     elif name == "stability":
         # Both parts: the displacement bound and the stability bound.
         monkeypatch.setattr(verification, "normalized_frobenius", lambda m: 0.0)
         monkeypatch.setattr(gaps, "stability_bound", lambda p, q: 2.0)
+    elif name == "bell":
+        # Every part: the route deviation, the frequency and the chi-square.
+        monkeypatch.setattr(verification, "identity_prob_trace", lambda u: -1.0)
+        monkeypatch.setattr(verification, "chi_square_pvalue", lambda obs, exp: 0.0)
+    elif name == "basis":
+        # Every retention check; the survival and mean checks stay exact.
+        monkeypatch.setattr(verification, "frobenius_norm", lambda h: 1e3)
+    elif name == "droptime":
+        # Both parts: the dip measure (grid and loop routes) and the finder.
+        monkeypatch.setattr(bell, "identity_probs_spectral", _never_dips)
+        monkeypatch.setattr(gaps, "identity_probs_spectral", _never_dips)
+        monkeypatch.setattr(verification, "identity_probs_grid",
+                            lambda spectrum, stop, points: np.ones(points))
     else:
         stacked = moments.function_moments_stack
 
@@ -207,7 +356,10 @@ def _forced(monkeypatch, name):
         monkeypatch.setattr(verification, "function_moments_stack", inflated)
 
 
-@pytest.mark.parametrize("name, trials", [("gapbound", 8), ("stability", 12), ("bonami", 30)])
+@pytest.mark.parametrize("name, trials", [
+    ("gapbound", 8), ("stability", 12), ("bonami", 30),
+    ("bell", 20), ("basis", 100), ("droptime", 50),
+])
 def test_forced_failures_come_in_loop_order(monkeypatch, name, trials):
     _forced(monkeypatch, name)
     got = _assert_same(name, trials, 2)
@@ -222,3 +374,17 @@ def test_forced_stability_failures_cover_every_part(monkeypatch):
     got = _assert_same("stability", 3, 6)
     assert sum(f.startswith("displacement") for f in got.failures) == 3
     assert any("at n=" in f and f.startswith("stability") for f in got.failures)
+
+
+def test_forced_bell_failures_cover_every_part(monkeypatch):
+    # Few instances, so the recorded failures reach the sampled parts too.
+    _forced(monkeypatch, "bell")
+    got = _assert_same("bell", 3, 6)
+    assert [f.split()[0] for f in got.failures] == ["spectral/trace"] * 3 + [
+        "identity"] * 3 + ["chi-square"]
+
+
+def test_forced_droptime_failures_cover_both_parts(monkeypatch):
+    _forced(monkeypatch, "droptime")
+    got = _assert_same("droptime", 20, 1)
+    assert [f.split()[0] for f in got.failures] == ["dip", "finder"] * 5

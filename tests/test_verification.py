@@ -1,6 +1,7 @@
 """Tests for the verification-suite plumbing itself."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,21 @@ class TestRunSuite:
             run_suite("twirl", trials=5)
         with pytest.raises(ValueError, match="at least 100"):
             run_suite("basis", trials=5)
+
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 100.0, "5", np.int64(5)])
+    def test_a_trial_count_that_is_not_an_integer_is_refused(self, monkeypatch, trials):
+        calls = []
+        monkeypatch.setitem(SUITES, "bell", (lambda **kw: calls.append(kw), "instances", 1))
+        message = f"Trial count must be an integer, got {trials!r}."
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_suite("bell", trials=trials)
+        assert calls == []
+
+    def test_a_boolean_trial_count_is_not_one_repeat(self):
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            run_suite("heisenberg", trials=True)
+        with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+            run_suite("heisenberg", trials=2.5)
 
     def test_trials_floor_maps_to_usage_error_in_cli(self, capsys):
         assert main(["verify", "--suite", "twirl", "--trials", "5"]) == 2
