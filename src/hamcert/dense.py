@@ -209,7 +209,7 @@ def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 def evolve(h: PauliSum, t: float) -> np.ndarray:
     """Unitary ``exp(-i t H)`` for a Pauli sum, via eigendecomposition.
 
-    ``t`` may be any real number here; forward-only restrictions are
+    ``t`` may be any real number here; the forward-only rule is
     enforced at the oracle boundary, not by this raw primitive.
     """
     return propagator(*eig_decompose(to_dense(h)), float(t))

@@ -26,13 +26,15 @@ def all_k_local_labels(n: int, k: int, letters: str = "XYZ") -> tuple[str, ...]:
     label in a pool is valid and :func:`random_pauli_sum` trusts them.
 
     Raises:
-        ValueError: If ``k`` is outside ``1..n``, ``letters`` is empty, or
-            a letter is not one of ``X``, ``Y``, ``Z``.
+        ValueError: If ``k`` is outside ``1..n``, ``letters`` is empty, a
+            letter is not one of ``X``, ``Y``, ``Z``, or a letter repeats.
     """
     if k < 1 or k > n:
         raise ValueError(f"Need 1 <= k <= n, got k={k}, n={n}.")
     if not letters or not set(letters) <= set("XYZ"):
         raise ValueError(f"Letters must be drawn from 'XYZ', got {letters!r}.")
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"Letters must be drawn from 'XYZ' once each, got {letters!r}.")
     labels = []
     for w in range(1, k + 1):
         for sites in itertools.combinations(range(n), w):
@@ -53,11 +55,11 @@ def random_pauli_sum(
 ) -> PauliSum:
     """A k-local sum with standard-normal coefficients on distinct labels.
 
-    The labels come from :func:`all_k_local_labels`, which checked them.
-    Distinct picks give distinct labels unless ``letters`` repeats a
-    letter, so the label-sorted term map is built directly, dropping
-    coefficients below :data:`~hamcert.pauli.COEFF_DROP_TOL` as the
-    constructor does, without checking or summing again.
+    The labels come from :func:`all_k_local_labels`, which checked them
+    and holds each once, so distinct picks give distinct labels: the
+    label-sorted term map is built directly, dropping coefficients below
+    :data:`~hamcert.pauli.COEFF_DROP_TOL` as the constructor does, without
+    checking or summing again.
     """
     pool = all_k_local_labels(n, k, letters)
     if num_terms is None:
@@ -71,11 +73,7 @@ def random_pauli_sum(
     # Retry degenerate draws: the zero sum has no norm to certify against.
     while not any(abs(c) >= 1e-12 for c in coeffs):
         coeffs = rng.normal(size=num_terms).tolist()
-    labels = [pool[i] for i in picks.tolist()]
-    terms = dict(zip(labels, coeffs))
-    if len(terms) < num_terms:
-        # A letter repeated in ``letters`` repeats pool labels: sum them.
-        return PauliSum._from_pairs(n, zip(labels, coeffs))
+    terms = dict(zip([pool[i] for i in picks.tolist()], coeffs))
     return PauliSum._from_valid(
         n, {p: terms[p] for p in sorted(terms) if abs(terms[p]) >= COEFF_DROP_TOL}
     )

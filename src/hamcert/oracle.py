@@ -27,17 +27,17 @@ Two oracle modes exist:
   block of it is held to the dense cap.
 
 Both modes factor a round over the *blocks* of its support graph (see
-:func:`hamcert.pauli.support_blocks`): when no term links two sets of
-sites, the round's unitary is a tensor product ``U = (x)_J U_J``, and
+:func:`hamcert.pauli.partition`): when no term links two sets of sites,
+the round's unitary is a tensor product ``U = (x)_J U_J``, and
 ``|Tr U|^2 / N^2`` is the product of the blocks' ``|Tr U_J|^2 / N_J^2``.
 Sites no term touches contribute a factor of 1.  The size limits apply
 per block, not to ``n``.
 
 In ``TROTTERIZED`` mode the blocks are those of the hidden Hamiltonian
 and the reference together (:meth:`EvolutionOracle.query_forward_blocks`).
-A block factor of ``exp(-i t H)`` is ``exp(-i t H)`` restricted to the
-block's sites, and the dense matrix is their Kronecker product, so the
-factors reveal nothing that the dense forward query does not.  Blocks of
+A block factor of ``exp(-i t H)`` is the evolution under the terms on
+the block's sites, and the dense matrix is their Kronecker product, so
+the factors reveal nothing that the dense forward query does not.  Blocks of
 one size form a group, whose forward and compiled factors are computed
 and returned as one ``(2, B, d, d)`` stack, so a round costs a few numpy
 calls per block size, not per block.  Each block is at most
@@ -73,7 +73,7 @@ from .bell import identity_prob_spectral
 from .dense import (_CHUNK_ENTRIES, QUBIT_CAP, _check_cap, _letter_phases, eig_decompose,
                     evolve, to_dense_stack)
 from .moments import walsh_table, walsh_transform
-from .pauli import PauliSum, restrict, subtract, support_blocks
+from .pauli import PauliSum, partition, subtract
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
 
 __all__ = [
@@ -179,10 +179,9 @@ def _twirled_blocks(tr: TwirlTranscript) -> list[tuple[PauliSum, list, list[int]
     whose coset blocks would exceed ``2^23`` entries.
     """
     blocks = []
-    for sites in support_blocks(tr.effective, tr.residual):
+    for sites, (effective, residual) in partition(tr.effective, tr.residual):
         axes = [tr.subspace.axes[i] for i in sites]
-        residual = _z_frame_residual(axes, restrict(tr.residual, sites))
-        blocks.append((restrict(tr.effective, sites), *residual))
+        blocks.append((effective, *_z_frame_residual(axes, residual)))
     return blocks
 
 
@@ -243,11 +242,11 @@ class BlockPropagators(NamedTuple):
     factors: np.ndarray
 
 
-def _capped_blocks(subject: str, *sums: PauliSum) -> list[tuple[int, ...]]:
-    """The blocks of ``sums`` together; ValueError, opening with ``subject``,
-    for a block above the trotter-mode cap."""
-    blocks = support_blocks(*sums)
-    largest = max(map(len, blocks), default=0)
+def _capped_blocks(subject: str, *sums: PauliSum) -> list[tuple[tuple, list[PauliSum]]]:
+    """:func:`~hamcert.pauli.partition` of ``sums``; ValueError, opening
+    with ``subject``, for a block above the trotter-mode cap."""
+    blocks = partition(*sums)
+    largest = max((len(sites) for sites, _ in blocks), default=0)
     if largest > QUBIT_CAP:
         raise ValueError(
             f"{subject} {largest} sites, above the trotter-mode cap of "
@@ -367,17 +366,18 @@ class EvolutionOracle:
         """Per group of equal-size blocks of ``hidden + h0``: the blocks'
         sites and the ``(w, v)`` of the hidden sum cut to each block, then
         of ``h0``, stacked ``(2, B, ...)``."""
-        groups: dict[int, list[tuple[int, ...]]] = {}
+        groups: dict[int, list[tuple[tuple, list[PauliSum]]]] = {}
         subject = "The hidden Hamiltonian and the reference link"
-        for sites in _capped_blocks(subject, self._hidden, h0):
-            groups.setdefault(len(sites), []).append(sites)
+        for sites, parts in _capped_blocks(subject, self._hidden, h0):
+            groups.setdefault(len(sites), []).append((sites, parts))
 
-        def stacked(group: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-            m = to_dense_stack([restrict(h, sites) for h in (self._hidden, h0)
-                                for sites in group])
-            return eig_decompose(m.reshape(2, len(group), *m.shape[1:]))
+        def stacked(group: list[tuple[tuple, list[PauliSum]]]) -> tuple[tuple, tuple]:
+            sites, parts = zip(*group)
+            hidden, reference = zip(*parts)
+            m = to_dense_stack(hidden + reference)
+            return sites, eig_decompose(m.reshape(2, len(group), *m.shape[1:]))
 
-        return [(tuple(group), stacked(group)) for group in groups.values()]
+        return [stacked(group) for group in groups.values()]
 
     def _check_reference(self, h0: PauliSum) -> None:
         if h0.n != self.n_qubits:

@@ -37,10 +37,9 @@ __all__ = [
     "frobenius_norm",
     "is_k_local",
     "parse_hamiltonian",
-    "restrict",
+    "partition",
     "scale",
     "subtract",
-    "support_blocks",
     "validate_label",
     "weight",
 ]
@@ -346,19 +345,25 @@ def scale(h: PauliSum, factor: float) -> PauliSum:
     return PauliSum._from_pairs(h.n, [(p, c * value) for p, c in h._terms.items()])
 
 
-def support_blocks(*sums: PauliSum) -> list[tuple[int, ...]]:
-    """Connected components of the support graph of ``sums``.
+def partition(*sums: PauliSum) -> list[tuple[tuple[int, ...], list[PauliSum]]]:
+    """The blocks of the support graph of ``sums``, each with every sum cut to it.
 
     Two sites are linked when some term of one of the sums acts on both.
     Only components that hold a term are returned: a site no term touches
     belongs to none.  Each block lists its sites in increasing order, and
-    the blocks are ordered by their first site.
+    the blocks are ordered by their first site.  A block's parts are the
+    sums in order, each holding its terms on the block with their labels
+    cut to its sites.  Two terms of one block first differ inside it, so
+    the cut labels keep the order of their sum, and the parts are built
+    without checking them again; a block over all ``n`` sites gives back
+    the sums themselves.
 
     Examples:
-        >>> support_blocks(PauliSum(5, {"XIIZI": 1.0}), PauliSum(5, {"IIIZZ": 0.5}))
-        [(0, 3, 4)]
-        >>> support_blocks(PauliSum(4, {"XIII": 1.0, "IIYZ": 0.5}))
-        [(0,), (2, 3)]
+        >>> h = PauliSum(5, {"XIIZI": 1.0, "IYIII": 0.5})
+        >>> for sites, parts in partition(h, PauliSum(5, {"IIIZZ": -2.0})):
+        ...     print(sites, parts)
+        (0, 3, 4) [PauliSum(n=3, +1*XZI), PauliSum(n=3, -2*IZZ)]
+        (1,) [PauliSum(n=1, +0.5*Y), PauliSum(n=1, 0)]
     """
     parent: dict[int, int] = {}
 
@@ -367,41 +372,31 @@ def support_blocks(*sums: PauliSum) -> list[tuple[int, ...]]:
             parent[site] = site = parent[parent[site]]
         return site
 
-    for h in sums:
-        for label in h._terms:
+    # One scan of each label: link its sites and keep its first one.
+    records = []
+    for j, h in enumerate(sums):
+        for label, coeff in h._terms.items():
             sites = [i for i, ch in enumerate(label) if ch != "I"]
             for site in sites:
                 parent.setdefault(site, site)
             first = root(sites[0])
             for site in sites[1:]:
                 parent[root(site)] = first = root(first)
+            records.append((j, label, coeff, sites[0]))
+    # Taken in increasing order, the sites meet the roots by first site.
     blocks: dict[int, list[int]] = {}
     for site in sorted(parent):
         blocks.setdefault(root(site), []).append(site)
-    return sorted(map(tuple, blocks.values()))
-
-
-def restrict(h: PauliSum, sites: tuple[int, ...]) -> PauliSum:
-    """The terms of ``h`` that act only on ``sites``, each cut to those sites.
-
-    ``sites`` must be increasing and lie in ``range(h.n)``; all ``n`` of
-    them give back ``h`` itself.  Two such terms first differ inside
-    ``sites``, so the cut labels keep the order of ``h``, and the result
-    is built without checking them again.
-
-    Examples:
-        >>> restrict(PauliSum(4, {"XIIZ": 1.0, "IYII": 0.5}), (0, 3))
-        PauliSum(n=2, +1*XZ)
-    """
-    if len(sites) == h.n:
-        return h
-    terms: dict[str, float] = {}
-    for label, coeff in h._terms.items():
-        cut = "".join([label[i] for i in sites])
-        # The term lies in the block when the cut keeps all its letters.
-        if len(sites) - cut.count("I") == len(label) - label.count("I"):
-            terms[cut] = coeff
-    return PauliSum._from_valid(len(sites), terms)
+    cuts = [tuple(sites) for sites in blocks.values()]
+    if len(cuts) == 1 and len(cuts[0]) == sums[0].n:
+        return [(cuts[0], list(sums))]
+    block_of = {site: b for b, sites in enumerate(cuts) for site in sites}
+    terms: list[list[dict[str, float]]] = [[{} for _ in sums] for _ in cuts]
+    for j, label, coeff, first in records:
+        b = block_of[first]
+        terms[b][j]["".join([label[i] for i in cuts[b]])] = coeff
+    return [(sites, [PauliSum._from_valid(len(sites), part) for part in parts])
+            for sites, parts in zip(cuts, terms)]
 
 
 def is_k_local(h: PauliSum, k: int) -> bool:

@@ -29,15 +29,15 @@ depth.
 
 The draws are tensor products of single-site Paulis, so the step operator
 factors over the blocks of the support graph of the hidden Hamiltonian
-and the reference (see :meth:`hamcert.oracle.EvolutionOracle.
-query_forward_blocks`): :func:`trotter_blocks` runs the product formula
-on each block's sites alone, with the draws cut to them.  Blocks of one
-size are stacked, and each group's forward and compiled factors come as
-one ``(2, B, d, d)`` stack, which stays one stack through the Strang
-step: per draw, one gather and one phase product conjugate both halves
-and one matrix product doubles them.  The doubling and the squaring thus
-run once per block size, each block's result bit-identical to a run on
-that block alone.
+and the reference (see :func:`hamcert.pauli.partition`):
+:func:`trotter_blocks` runs the product formula on each block's sites
+alone, with the draws cut to them.  Blocks of one size are stacked, and
+each group's forward and compiled factors come as one ``(2, B, d, d)``
+stack, which stays one stack through the Strang step: per draw, one
+gather and one phase product conjugate both halves and one matrix
+product doubles them.  The doubling and the squaring thus run once per
+block size, each block's result bit-identical to a run on that block
+alone.
 A block holds at most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever
 the system size; :func:`trotter_evolve` assembles the dense unitary and
 so keeps that cap on ``n``.
@@ -53,7 +53,7 @@ import numpy as np
 
 from .dense import _CHUNK_ENTRIES, _check_cap, _letter_phases, evolve, operator_norm
 from .oracle import EvolutionOracle, OracleMode, OracleModeError
-from .pauli import PauliSum, validate_label
+from .pauli import PAULI_LETTERS, PauliSum, validate_label
 from .twirl import DiagonalSubspace, _member_bits
 
 __all__ = [
@@ -224,16 +224,19 @@ def trotter_blocks(
         raise OracleModeError("The product formula requires TROTTERIZED mode.")
     if shots < 1:
         raise ValueError(f"Shot count must be positive, got {shots}.")
-    for p in plan.draws:
-        if len(validate_label(p)) != oracle.n_qubits:
-            raise ValueError(f"Draw {p!r} does not act on {oracle.n_qubits} qubits.")
+    n = oracle.n_qubits
+    # All draws at once; only a bad one pays for the loop that names it.
+    joined = "".join([p for p in plan.draws if isinstance(p, str) and len(p) == n])
+    if len(joined) != n * len(plan.draws) or joined.strip(PAULI_LETTERS):
+        for p in plan.draws:
+            if len(validate_label(p)) != n:
+                raise ValueError(f"Draw {p!r} does not act on {n} qubits.")
     half_dur = plan.total_time * plan.sector_weight / (2 * plan.steps)
     # One forward query per sector per half-step per shot.
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
     groups = oracle.query_forward_blocks(h0, half_dur, count=queries)
     # Draw j's ASCII codes in row j; a group's blocks take them at their sites.
-    codes = np.frombuffer("".join(plan.draws).encode("ascii"), dtype=np.uint8)
-    codes = codes.reshape(len(plan.draws), oracle.n_qubits)
+    codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, n)
     return [(sites, _strang_power(factors, codes[:, sites], plan.steps))
             for sites, factors in groups]
 

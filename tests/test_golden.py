@@ -36,6 +36,9 @@ CASES = {
     # Separated by 1e-4 only: rounds with identity fractions below 1 that
     # still pass, so the binomial draws see identity probabilities below 1.
     "k2n6-near-seed3": ("k2n6.h0", "k2n6-near.h", dict(_K2, seed=3)),
+    # 64 sites near the chain: 18 to 31 blocks per round, each with its
+    # own cut labels, and two identity fractions below 1.
+    "chain-n64-near-seed1": ("chain-n64.h0", "chain-n64-near.h", dict(_K2, seed=1)),
     "endtoend-same-seed0": ("n1.h0", "n1.h0", dict(_N1, seed=0)),
     "endtoend-far-seed10000": ("n1.h0", "n1-far.h", dict(_N1, seed=10_000)),
     "trotter-n4-equal-seed3": ("n4.h0", "n4.h0", dict(_TROTTER, seed=3)),

@@ -298,7 +298,7 @@ class TestGeneratorsTrustTheirPool:
         k = data.draw(st.integers(1, n))
         seed = data.draw(st.integers(0, 2**32 - 1))
         num_terms = data.draw(st.one_of(st.none(), st.integers(1, 40)))
-        letters = data.draw(st.sampled_from(["XYZ", "Z", "XY", "ZZ"]))
+        letters = data.draw(st.sampled_from(["XYZ", "Z", "XY"]))
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         got = _outcome(random_pauli_sum, n, k, rngs[0], num_terms, letters)
         assert got == _outcome(_reference_random_pauli_sum, n, k, rngs[1], num_terms, letters)
@@ -351,7 +351,8 @@ class TestGeneratorsTrustTheirPool:
         assert rng.bit_generator.state == loop.bit_generator.state
         assert rng.normal() == loop.normal()
 
-    @pytest.mark.parametrize("letters", ["Q", "XI", "I", "xy", "Xé", ("XY",), ""])
+    # A repeated letter would repeat pool labels and weight their draws.
+    @pytest.mark.parametrize("letters", ["Q", "XI", "I", "xy", "Xé", ("XY",), "", "ZZ", "XYX"])
     def test_letters_outside_xyz_rejected(self, letters):
         with pytest.raises(ValueError, match="Letters must be drawn from 'XYZ'"):
             all_k_local_labels(3, 2, letters)

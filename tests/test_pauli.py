@@ -18,10 +18,9 @@ from hamcert.pauli import (
     frobenius_norm,
     is_k_local,
     parse_hamiltonian,
-    restrict,
+    partition,
     scale,
     subtract,
-    support_blocks,
     weight,
 )
 
@@ -295,29 +294,52 @@ class TestTextFormat:
         assert parse_hamiltonian(h.to_text()) == h
 
 
-class TestSupportBlocks:
+def _cut(h, sites):
+    """The terms of ``h`` that act only on ``sites``, each label cut to them."""
+    outside = set(range(h.n)) - set(sites)
+    inside = [(p, c) for p, c in h.items() if all(p[i] == "I" for i in outside)]
+    return PauliSum(len(sites), [("".join(p[i] for i in sites), c) for p, c in inside])
+
+
+class TestPartition:
     def test_blocks_of_two_sums_and_idle_sites(self):
         h = PauliSum(6, {"XIIIIZ": 1.0, "IIYIII": 0.5})
         h0 = PauliSum(6, {"IIIIZZ": 0.2})
-        assert support_blocks(h) == [(0, 5), (2,)]
-        assert support_blocks(h, h0) == [(0, 4, 5), (2,)]
-        assert support_blocks(PauliSum(3)) == []
+        assert [sites for sites, _ in partition(h)] == [(0, 5), (2,)]
+        assert [sites for sites, _ in partition(h, h0)] == [(0, 4, 5), (2,)]
 
-    def test_restrict_cuts_each_block_and_keeps_the_order(self):
+    def test_sums_with_no_terms_have_no_blocks(self):
+        assert partition(PauliSum(3)) == []
+        assert partition(PauliSum(3), PauliSum(3)) == []
+
+    def test_each_block_is_cut_and_keeps_the_order(self):
         h = PauliSum(5, {"XIIIZ": 1.0, "IYIII": 0.5, "IIZIX": -0.25, "ZIIII": 2.0})
-        assert support_blocks(h) == [(0, 2, 4), (1,)]
-        assert restrict(h, (0, 2, 4)) == PauliSum(3, {"XIZ": 1.0, "IZX": -0.25, "ZII": 2.0})
-        assert list(restrict(h, (0, 2, 4)).labels()) == ["IZX", "XIZ", "ZII"]
-        assert restrict(h, (1,)) == PauliSum(1, {"Y": 0.5})
-        assert restrict(h, tuple(range(5))) is h
+        [(sites, [part]), (idle, [other])] = partition(h)
+        assert sites == (0, 2, 4) and idle == (1,)
+        assert part == PauliSum(3, {"XIZ": 1.0, "IZX": -0.25, "ZII": 2.0})
+        assert list(part.labels()) == ["IZX", "XIZ", "ZII"]
+        assert other == PauliSum(1, {"Y": 0.5})
+
+    def test_a_block_over_every_site_gives_back_the_sums(self):
+        h = PauliSum(5, {"XIIIZ": 1.0, "IYIZI": 0.5, "IIZIX": -0.25, "ZYIII": 2.0})
+        h0, empty = PauliSum(5, {"IIIZZ": 0.3}), PauliSum(5)
+        [(sites, parts)] = partition(h, h0, empty)
+        assert sites == tuple(range(5))
+        assert len(parts) == 3 and all(a is b for a, b in zip(parts, (h, h0, empty)))
+
+    def test_three_sums_are_cut_as_each_would_be_alone(self):
+        h = PauliSum(6, {"XIIIIZ": 1.0, "IIYIII": 0.5})
+        [(sites, [alone]), _] = partition(h)
+        assert partition(h, h, h)[0] == (sites, [alone, alone, alone])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 8))
     def test_blocks_are_the_connected_components(self, data, n):
         label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: set(s) != {"I"})
         sums = [PauliSum(n, data.draw(st.dictionaries(label, st.just(1.0), max_size=4)))
-                for _ in range(2)]
-        blocks = support_blocks(*sums)
+                for _ in range(3)]
+        blocks = partition(*sums)
+        assert all(len(parts) == len(sums) for _, parts in blocks)
         # Breadth-first search over the sites, linked by shared terms.
         supports = [{i for i, ch in enumerate(p) if ch != "I"}
                     for h in sums for p in h.labels()]
@@ -334,12 +356,15 @@ class TestSupportBlocks:
                         component |= support
             seen |= component
             components.append(tuple(sorted(component)))
-        assert blocks == components
-        # Every term lands in exactly one block, cut back to its letters.
-        for h in sums:
-            parts = [restrict(h, sites) for sites in blocks]
-            assert sum(map(len, parts)) == len(h)
-            for sites, part in zip(blocks, parts):
+        assert [sites for sites, _ in blocks] == components
+        # Every term lands in exactly one block, cut back to its letters,
+        # and each sum's parts are its cuts alone.
+        for j, h in enumerate(sums):
+            assert sum(len(parts[j]) for _, parts in blocks) == len(h)
+            for sites, parts in blocks:
+                part = parts[j]
+                assert part == _cut(h, sites)
+                assert list(part.labels()) == sorted(part.labels())
                 for cut, coeff in part.items():
                     full = ["I"] * n
                     for site, ch in zip(sites, cut):

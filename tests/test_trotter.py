@@ -12,7 +12,7 @@ from hamcert.certifier import CertificationConfig, _trotter_identity_prob
 from hamcert.dense import _letter_phases, eig_decompose, evolve, pauli_matrix, to_dense
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
-from hamcert.pauli import PauliSum, conjugate, restrict, scale, subtract, support_blocks
+from hamcert.pauli import PauliSum, conjugate, partition, scale, subtract
 from hamcert.trotter import (
     TROTTER_STEP_CAP,
     TrotterPlan,
@@ -28,6 +28,13 @@ from hamcert.twirl import (
     sample_subspace,
     sample_twirl_paulis,
 )
+
+
+def _cut(h, sites):
+    """The terms of ``h`` that act only on ``sites``, each label cut to them."""
+    outside = set(range(h.n)) - set(sites)
+    inside = [(p, c) for p, c in h.items() if all(p[i] == "I" for i in outside)]
+    return PauliSum(len(sites), [("".join(p[i] for i in sites), c) for p, c in inside])
 
 
 def _member(subspace, bits):
@@ -472,12 +479,12 @@ def _per_block_round(hidden, h0, plan):
     Returns ``([(sites, u)], probability, bound)``.
     """
     half = plan.total_time * plan.sector_weight / (2 * plan.steps)
-    in_site_order = support_blocks(hidden, h0)
+    in_site_order = [sites for sites, _ in partition(hidden, h0)]
     sizes = list(dict.fromkeys(map(len, in_site_order)))
     blocks = []
     for sites in sorted(in_site_order, key=lambda sites: sizes.index(len(sites))):
-        forward = _expm1_deviation(restrict(hidden, sites), half)
-        compiled = _expm1_deviation(restrict(h0, sites), -half)
+        forward = _expm1_deviation(_cut(hidden, sites), half)
+        compiled = _expm1_deviation(_cut(h0, sites), -half)
         first_half, second_half = _compose(forward, compiled), _compose(compiled, forward)
         for p in plan.draws:
             cut = "".join([p[i] for i in sites])
