@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .pauli import PauliSum, validate_label
+from .pauli import PauliSum, _codes, validate_label
 
 __all__ = [
     "QUBIT_CAP",
@@ -144,8 +144,7 @@ def to_dense_stack(sums: Sequence[PauliSum]) -> np.ndarray:
     out = np.zeros((len(sums), dim, dim), dtype=complex)
     labels = [label for h in sums for label in h.labels()]
     if labels:
-        letters = np.frombuffer("".join(labels).encode("ascii"), dtype=np.uint8)
-        flip, phase = _letter_phases(letters.reshape(-1, n))
+        flip, phase = _letter_phases(_codes(labels, n))
         coeffs = np.array([coeff for h in sums for _, coeff in h.items()])
         base = np.array([b * dim * dim for b, h in enumerate(sums) for _ in range(len(h))])
         cols = np.arange(dim)

@@ -73,7 +73,7 @@ from .bell import identity_prob_spectral
 from .dense import (_CHUNK_ENTRIES, QUBIT_CAP, _check_cap, _letter_phases, eig_decompose,
                     evolve, to_dense_stack)
 from .moments import walsh_table, walsh_transform
-from .pauli import PauliSum, partition, subtract
+from .pauli import PauliSum, _codes, partition, subtract
 from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
 
 __all__ = [
@@ -208,9 +208,7 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     span = max(1, _CHUNK_ENTRIES // diagonal.size)
     for start in range(0, len(terms), span):
         chunk = terms[start : start + span]
-        letters = np.frombuffer("".join(label for label, _ in chunk).encode("ascii"),
-                                dtype=np.uint8)
-        flips, phases = _letter_phases(letters.reshape(len(chunk), -1))
+        flips, phases = _letter_phases(_codes((label for label, _ in chunk), effective.n))
         for (_, coeff), flip, phase in zip(chunk, flips.tolist(), phases):
             shift = sum((flip >> p & 1) << i for i, p in enumerate(pivots))
             blocks[:, inner ^ shift, inner] += coeff * phase[grid]

@@ -19,12 +19,19 @@ A text format is supported for file interchange, one term per line::
 
 The label length of the first term fixes the system size; duplicate labels
 are summed.
+
+Array code reads labels in one form: :func:`_codes` alone turns labels
+into bytes, and :meth:`PauliSum._support`, built from them on first use
+and kept (a sum never changes), lists each term's non-identity sites and
+letters.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 __all__ = [
     "COEFF_DROP_TOL",
@@ -49,6 +56,11 @@ PAULI_LETTERS = "IXYZ"
 #: Coefficients whose magnitude falls below this after arithmetic are dropped.
 #: Keeps sparsity honest without touching any physically relevant scale.
 COEFF_DROP_TOL = 1e-14
+
+
+def _codes(labels: Iterable[str], n: int) -> np.ndarray:
+    """One ``(m, n)`` uint8 row of ASCII codes per label of length ``n``."""
+    return np.frombuffer("".join(labels).encode("ascii"), dtype=np.uint8).reshape(-1, n)
 
 
 class HamiltonianFormatError(ValueError):
@@ -198,7 +210,7 @@ class PauliSum:
             Duplicate labels are summed.
     """
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ("_n", "_terms", "_form")
 
     def __init__(
         self,
@@ -210,6 +222,7 @@ class PauliSum:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self._n = n
         self._terms = _summed(_checked(n, items))
+        self._form = None
 
     @classmethod
     def _from_pairs(cls, n: int, pairs: Iterable[tuple[str, float]]) -> "PauliSum":
@@ -231,6 +244,7 @@ class PauliSum:
         h = cls.__new__(cls)
         h._n = n
         h._terms = terms
+        h._form = None
         return h
 
     @property
@@ -290,6 +304,16 @@ class PauliSum:
         """Largest term weight present (0 for the empty sum)."""
         # Stored labels are valid: count their letters without checking again.
         return max((len(p) - p.count("I") for p in self._terms), default=0)
+
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, sites, letters)``: the site and ASCII code of each non-identity
+        letter, term by term in site order; term ``j``'s entries begin at ``starts[j]``."""
+        if self._form is None:
+            codes = _codes(self._terms, self._n)
+            terms, sites = np.nonzero(codes != ord("I"))
+            starts = np.searchsorted(terms, np.arange(len(codes)))
+            self._form = starts, sites, codes[terms, sites]
+        return self._form
 
     def to_text(self) -> str:
         """Render in the text format, one term per line, sorted by label."""
@@ -372,17 +396,16 @@ def partition(*sums: PauliSum) -> list[tuple[tuple[int, ...], list[PauliSum]]]:
             parent[site] = site = parent[parent[site]]
         return site
 
-    # One scan of each label: link its sites and keep its first one.
+    # From each sum's support: link every site of a term to its first one.
     records = []
     for j, h in enumerate(sums):
-        for label, coeff in h._terms.items():
-            sites = [i for i, ch in enumerate(label) if ch != "I"]
-            for site in sites:
+        starts, sites, _ = h._support()
+        flat, bounds = sites.tolist(), [*starts.tolist(), sites.size]
+        for term, start, end in zip(h._terms.items(), bounds, bounds[1:]):
+            for site in flat[start:end]:
                 parent.setdefault(site, site)
-            first = root(sites[0])
-            for site in sites[1:]:
-                parent[root(site)] = first = root(first)
-            records.append((j, label, coeff, sites[0]))
+                parent[root(site)] = root(flat[start])
+            records.append((j, *term, flat[start]))
     # Taken in increasing order, the sites meet the roots by first site.
     blocks: dict[int, list[int]] = {}
     for site in sorted(parent):

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dense import _CHUNK_ENTRIES, _check_cap, _letter_phases, evolve, operator_norm
 from .oracle import EvolutionOracle, OracleMode, OracleModeError
-from .pauli import PAULI_LETTERS, PauliSum, validate_label
+from .pauli import PAULI_LETTERS, PauliSum, _codes, validate_label
 from .twirl import DiagonalSubspace, _member_bits
 
 __all__ = [
@@ -236,7 +236,7 @@ def trotter_blocks(
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
     groups = oracle.query_forward_blocks(h0, half_dur, count=queries)
     # Draw j's ASCII codes in row j; a group's blocks take them at their sites.
-    codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, n)
+    codes = _codes((joined,), n)
     return [(sites, _strang_power(factors, codes[:, sites], plan.steps))
             for sites, factors in groups]
 

@@ -14,14 +14,14 @@ subspace, so it survives one step with probability 1/2 and ``steps``
 independent steps with probability ``2**-steps``.
 
 The twirl runs on GF(2) masks.  A draw is its row of inclusion bits (the
-site's axis where the bit is set, ``I`` elsewhere).  A term's *mismatch
-mask* marks the sites where its letter is neither ``I`` nor the site's
-axis, so it is zero exactly for in-subspace terms.  A term anticommutes
-with a draw exactly when the two masks overlap in an odd number of sites,
-so it survives exactly when its mask has even overlap with every draw:
-one ``(bits @ mismatch.T) & 1`` product filters all terms against all
-draws (:func:`_survives`, which the ``twirl`` verify suite measures
-too), and the zero masks among the survivors are the effective part.
+site's axis where the bit is set, ``I`` elsewhere).  A term's *off*
+letters, read from its sum's kept support, differ from their site's axis;
+a term with none lies in the subspace.  A term anticommutes with a draw
+exactly when an odd number of its off sites are in the draw.  The ``T``
+draw bits of a site, packed, are its *syndrome*, so a term survives every
+draw exactly when the syndromes of its off sites XOR to zero
+(:func:`_survives`, which the ``twirl`` verify suite measures too), and
+the survivors without an off letter are the effective part.
 
 A round's ``T`` draws are one ``(T, n)`` array of fair bits, and their
 labels are cut from one byte row: draw ``j`` holds ``3 * bit + axis`` at
@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, _codes
 
 __all__ = [
     "DiagonalSubspace",
@@ -89,8 +89,7 @@ class DiagonalSubspace:
     @cached_property
     def _index(self) -> np.ndarray:
         """Each site's axis as an int64 0, 1 or 2 for X, Y or Z."""
-        codes = np.frombuffer(str(self).encode("ascii"), dtype=np.uint8)
-        return codes.astype(np.int64) - _X
+        return _codes((str(self),), self.n)[0].astype(np.int64) - _X
 
     @property
     def n(self) -> int:
@@ -154,16 +153,14 @@ def _member_bits(subspace: DiagonalSubspace, paulis: tuple[str, ...]) -> np.ndar
         if joined[i::n].strip("I" + ax):
             bad = next(p for p in paulis if p[i] not in ("I", ax))
             raise ValueError(f"Draw {bad!r} is not in the subspace.")
-    letters = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    return (letters.reshape(len(paulis), n) != _I).astype(np.int64)
+    return _codes((joined,), n) != _I
 
 
-def _mismatch(h: PauliSum, subspace: DiagonalSubspace) -> np.ndarray:
-    """Mismatch masks: row ``j`` marks the sites where term ``j`` of ``h``
-    holds neither ``I`` nor the site's axis."""
-    letters = np.frombuffer("".join(h.labels()).encode("ascii"), dtype=np.uint8)
-    letters = letters.reshape(-1, subspace.n)
-    return (letters != _I) & (letters != _X + subspace._index)
+def _mismatch(h: PauliSum, subspace: DiagonalSubspace) -> tuple[np.ndarray, ...]:
+    """``(starts, sites, off)``: the support of ``h``, with ``off`` marking
+    each letter that differs from its site's axis."""
+    starts, sites, letters = h._support()
+    return starts, sites, letters != _X + subspace._index[sites]
 
 
 def _draw(
@@ -186,17 +183,14 @@ def _draw(
     return bits, tuple(text[:-1].split(","))
 
 
-def _survives(bits: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
-    """``(..., terms)``: whether mask ``j`` of ``mismatch`` ``(terms, n)`` has
-    even overlap with each of the draws ``bits`` ``(..., T, n)``.
-
-    The overlap counts come from one float64 product, which runs through
-    BLAS and is exact: each count is at most ``n``.
-    """
-    *lead, n = bits.shape
-    overlaps = bits.reshape(-1, n).astype(np.float64) @ mismatch.T
-    odd = (overlaps.astype(np.int64) & 1).reshape(*lead, len(mismatch))
-    return ~odd.any(axis=-2)
+def _survives(bits: np.ndarray, starts: np.ndarray, sites: np.ndarray,
+              off: np.ndarray) -> np.ndarray:
+    """``(..., terms)``: whether each term of a :func:`_mismatch` triple
+    commutes with all of the draws ``bits`` ``(..., T, n)``, that is, whether
+    the syndromes (packed draw bits) of its off sites XOR to zero."""
+    syndromes = np.packbits(bits.astype(bool), axis=-2, bitorder="little")
+    picked = np.where(off, syndromes[..., sites], 0)
+    return ~np.bitwise_xor.reduceat(picked, starts, axis=-1).any(axis=-2)
 
 
 def _split(
@@ -207,14 +201,14 @@ def _split(
 ) -> TwirlTranscript:
     """The transcript of ``h1`` twirled by the member draws ``bits`` (``paulis``).
 
-    The survivors of :func:`_survives` with a zero mask are the effective
-    part, the others the residual.
+    The survivors of :func:`_survives` without an off letter are the
+    effective part, the others the residual.
     """
     if not h1:
         return TwirlTranscript._trusted(subspace, paulis, h1, h1)
-    mismatch = _mismatch(h1, subspace)
-    kept = _survives(bits, mismatch).tolist()
-    inside = (~mismatch.any(axis=1)).tolist()
+    starts, sites, off = _mismatch(h1, subspace)
+    kept = _survives(bits, starts, sites, off).tolist()
+    inside = (~np.logical_or.reduceat(off, starts)).tolist()
     effective: dict[str, float] = {}
     residual: dict[str, float] = {}
     for (label, coeff), keep, fixed in zip(h1.items(), kept, inside):
@@ -257,7 +251,7 @@ def project_effective(
     """Split ``h`` into its in-subspace and off-subspace parts.
 
     Returns ``(effective, off)`` with ``effective + off == h`` exactly:
-    ``effective`` holds the terms with a zero mismatch mask.  This is the
+    ``effective`` holds the terms without an off letter.  This is the
     twirl by no draws, which keeps every term, so both parts are those
     of ``apply_twirl(h, subspace, ())``, in the order of ``h``.
     """

@@ -58,7 +58,7 @@ from .moments import function_moments_stack, verify_gap_bound_stack, walsh_eigen
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, frobenius_norm, scale, subtract
 from .trotter import TrotterPlan, trotter_error, trotter_evolve, twirl_conjugators
-from .twirl import _AXES, apply_twirl, project_effective, sample_subspace, sample_twirl_paulis
+from .twirl import apply_twirl, project_effective, sample_subspace, sample_twirl_paulis
 
 __all__ = ["SUITES", "SuiteResult", "check_trials", "run_suite", "suite_names"]
 
@@ -318,11 +318,11 @@ def suite_basis(draws: int = 100_000, seed: int = 0) -> SuiteResult:
 
     def members(h: PauliSum) -> Iterator[tuple[float, int, np.ndarray]]:
         # Each term's coefficient, weight, and whether it lies in each of
-        # the 3^n subspaces.
-        for label, coeff in h.items():
-            sites = [i for i, ch in enumerate(label) if ch != "I"]
-            codes = [_AXES.index(label[i]) for i in sites]
-            yield coeff, len(sites), (subspaces[:, sites] == codes).all(axis=1)
+        # the 3^n subspaces, from the sites and axis codes of its support.
+        starts, sites, letters = h._support()
+        terms = zip(np.split(sites, starts[1:]), np.split(letters - ord("X"), starts[1:]))
+        for coeff, (on, codes) in zip(h._terms.values(), terms):
+            yield coeff, len(on), (subspaces[:, on] == codes).all(axis=1)
 
     fixed = PauliSum(n, {"ZIII": 0.5, "XYII": 0.4, "XYZI": 0.3})
     drawn = rng.integers(0, 3, size=(draws, n)) @ weights
@@ -374,7 +374,7 @@ def suite_twirl(transcripts: int = 20_000, seed: int = 0) -> SuiteResult:
     ``2^-T`` times the initial off-subspace squared norm, and stays below
     twice ``2^-T/2`` of the full initial norm with probability >= 3/4.
     Each transcript's survivors come from the twirl's own survival test
-    (:func:`hamcert.twirl._survives`), one off-subspace term at a time.
+    (:func:`hamcert.twirl._survives`), for all off-subspace terms at once.
     """
     rng = np.random.default_rng(seed)
     result = SuiteResult("twirl")
@@ -388,15 +388,14 @@ def suite_twirl(transcripts: int = 20_000, seed: int = 0) -> SuiteResult:
     else:
         result.fail("could not find a subspace with off-subspace terms")
         return result
-    mismatch = twirl._mismatch(off, subspace)
+    support = twirl._mismatch(off, subspace)
     off_norm_sq = frobenius_norm(off) ** 2
     h1_norm_sq = frobenius_norm(h1) ** 2
     max_steps = 6
     for steps in range(1, max_steps + 1):
         bits = rng.integers(0, 2, size=(transcripts, steps, n))
         residual_sq = np.zeros(transcripts)
-        for (_, coeff), row in zip(off.items(), mismatch):
-            survive = twirl._survives(bits, row[None])[:, 0]
+        for coeff, survive in zip(off._terms.values(), twirl._survives(bits, *support).T):
             residual_sq += (coeff * coeff) * survive
         exact = 2.0 ** (-steps) * off_norm_sq
         sigma = float(residual_sq.std(ddof=1)) / math.sqrt(transcripts)

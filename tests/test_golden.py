@@ -2,18 +2,21 @@
 
 Each case names its Hamiltonian files under ``tests/golden/`` and the
 configuration it is certified with; the expected ``render()`` output is
-the file ``<case>.report``.  A change that moves any byte, for example a
+the file ``<case>.report``, or the report named in ``SAME_REPORT``.  A change that moves any byte, for example a
 binomial draw flipped by a last-digit change of an identity probability,
 must be explained where it is made, not re-pinned silently.
 """
 
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hamcert import CertificationConfig, EvolutionOracle, certify, parse_hamiltonian
 from hamcert.cli import main
 from hamcert.oracle import OracleMode
+from hamcert.pauli import PauliSum, frobenius_norm, scale
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,6 +42,9 @@ CASES = {
     # 64 sites near the chain: 18 to 31 blocks per round, each with its
     # own cut labels, and two identity fractions below 1.
     "chain-n64-near-seed1": ("chain-n64.h0", "chain-n64-near.h", dict(_K2, seed=1)),
+    # The same plus a weight-64 term that the twirl filters in every round.
+    "chain-n64-near-heavy-seed1": (
+        "chain-n64.h0", "chain-n64-near-heavy.h", dict(_K2, seed=1)),
     "endtoend-same-seed0": ("n1.h0", "n1.h0", dict(_N1, seed=0)),
     "endtoend-far-seed10000": ("n1.h0", "n1-far.h", dict(_N1, seed=10_000)),
     "trotter-n4-equal-seed3": ("n4.h0", "n4.h0", dict(_TROTTER, seed=3)),
@@ -58,6 +64,9 @@ CASES = {
     "trotter-default-mixed-n9-far-seed1": (
         "mixed-n9.h0", "mixed-n9-far.h", dict(_TROTTER_DEFAULT, k=2, seed=1)),
 }
+
+#: case -> the case whose pinned report it must reproduce
+SAME_REPORT = {"chain-n64-near-heavy-seed1": "chain-n64-near-seed1"}
 
 SWEEP_ARGS = [
     "sweep", "--h0", "sweep.h0", "--direction", "sweep.dir",
@@ -79,7 +88,8 @@ def render_case(case: str) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_certify_report_bytes(case):
-    assert render_case(case) == (GOLDEN / f"{case}.report").read_text()
+    report = SAME_REPORT.get(case, case)
+    assert render_case(case) == (GOLDEN / f"{report}.report").read_text()
 
 
 def test_sweep_csv_bytes(monkeypatch, capsys):
@@ -108,3 +118,41 @@ def test_verify_seeded_output_bytes(capsys):
         assert main(args) == 0
         text += capsys.readouterr().out
     assert text == (GOLDEN / "verify-seeds.txt").read_text()
+
+
+def _chain(n: int) -> PauliSum:
+    """The chain of ``chain-n64.h0`` on ``n`` sites: X 0.5 on each site and
+    ZZ 0.3 on each bond."""
+    fields = [("I" * i + "X" + "I" * (n - 1 - i), 0.5) for i in range(n)]
+    bonds = [("I" * i + "ZZ" + "I" * (n - 2 - i), 0.3) for i in range(n - 1)]
+    return PauliSum(n, fields + bonds)
+
+
+def _ladder_difference(n: int, rng: np.random.Generator) -> PauliSum:
+    """3n terms, each of weight 1 or 2 with equal odds, on distinct uniform
+    sites with uniform letters and a standard-normal coefficient, scaled to
+    Frobenius norm 1e-4."""
+    pairs = []
+    for _ in range(3 * n):
+        w = 1 if rng.random() < 0.5 else 2
+        label = ["I"] * n
+        for site in rng.choice(n, w, replace=False):
+            label[site] = "XYZ"[rng.integers(0, 3)]
+        pairs.append(("".join(label), rng.normal()))
+    d = PauliSum(n, pairs)
+    return scale(d, 1e-4 / frobenius_norm(d))
+
+
+#: sha256 of the report of the 256-site exact-mode ladder rung below.
+LADDER_N256_SHA256 = "608d0ad199983092e16d31e8e20d787d0103184ce1d78afcdddbaee4c00dccaf"
+
+
+def test_the_256_site_ladder_rung_report_is_pinned():
+    # Each round at n=256 cuts a thousand-term sum into many blocks; the
+    # report bytes must not move with how that is done.
+    assert _chain(64) == _load("chain-n64.h0")
+    h0 = _chain(256)
+    hidden = h0 + _ladder_difference(256, np.random.default_rng(7))
+    cfg = CertificationConfig(**dict(_K2, seed=1))
+    report = certify(h0, EvolutionOracle(hidden, cfg.mode), cfg).render()
+    assert hashlib.sha256(report.encode()).hexdigest() == LADDER_N256_SHA256

@@ -294,6 +294,32 @@ class TestTextFormat:
         assert parse_hamiltonian(h.to_text()) == h
 
 
+class TestSupport:
+    def test_the_empty_sum_has_no_entries(self):
+        starts, sites, letters = PauliSum(3)._support()
+        assert starts.size == sites.size == letters.size == 0
+
+    def test_the_form_is_kept(self):
+        h = PauliSum(3, {"XIZ": 1.0, "IYI": -0.5})
+        assert h._support() is h._support()
+        # A sum built by arithmetic keeps its own.
+        doubled = h + h
+        assert doubled._support() is doubled._support()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_agrees_with_a_scan_of_each_label(self, data, n):
+        label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: set(s) != {"I"})
+        h = PauliSum(n, data.draw(st.dictionaries(label, st.just(1.0), max_size=6)))
+        h = h + PauliSum(n, data.draw(st.dictionaries(label, st.just(0.5), max_size=6)))
+        starts, sites, letters = h._support()
+        ends = [*starts[1:].tolist(), sites.size]
+        assert len(starts) == len(h)
+        for p, start, end in zip(h.labels(), starts.tolist(), ends):
+            scan = [(i, ord(ch)) for i, ch in enumerate(p) if ch != "I"]
+            assert list(zip(sites[start:end].tolist(), letters[start:end].tolist())) == scan
+
+
 def _cut(h, sites):
     """The terms of ``h`` that act only on ``sites``, each label cut to them."""
     outside = set(range(h.n)) - set(sites)

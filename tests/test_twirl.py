@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import twirl
 from hamcert.instances import random_pauli_sum
 from hamcert.pauli import PauliSum, commutes, frobenius_norm
 from hamcert.twirl import (
@@ -376,10 +377,20 @@ class TestRunTwirlChecks:
         assert rng.bit_generator.state == before
 
 
+def _reference_survivors(h, subspace, bits):
+    """The survival rule as a dense int64 product: a term survives when its
+    mismatch mask (the sites where it holds neither ``I`` nor the axis) has
+    even overlap with every draw of ``bits`` ``(..., T, n)``."""
+    labels = np.array([list(p) for p in h.labels()], dtype="U1").reshape(len(h), h.n)
+    mismatch = (labels != "I") & (labels != np.array(subspace.axes))
+    odd = (bits.astype(np.int64) @ mismatch.T.astype(np.int64)) & 1
+    return odd.sum(axis=-2) == 0
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_the_float_overlap_product_equals_the_int64_one(seed):
-    """At n=64 and T=34, the survivors of the BLAS product are those of the
-    exact integer product of the draw bits and the mismatch masks."""
+def test_the_syndrome_rule_equals_the_int64_product(seed):
+    """At n=64 and T=34, the survivors of the twirl are those of the dense
+    integer product of the draw bits and the mismatch masks."""
     rng = np.random.default_rng(seed)
     n, steps = 64, 34
     h1 = random_pauli_sum(n, 2, rng, num_terms=190)
@@ -387,11 +398,44 @@ def test_the_float_overlap_product_equals_the_int64_one(seed):
     before = np.random.default_rng(seed + 100)
     tr = run_twirl(h1, subspace, steps, np.random.default_rng(seed + 100))
     bits = before.integers(0, 2, size=(steps, n))
-    labels = np.array([list(p) for p in h1.labels()])
-    axes = np.array(subspace.axes)
-    mismatch = (labels != "I") & (labels != axes)
-    odd = (bits @ mismatch.T.astype(np.int64)) & 1
-    kept = [p for p, keep in zip(h1.labels(), odd.sum(axis=0) == 0) if keep]
+    survivors = _reference_survivors(h1, subspace, bits)
+    kept = [p for p, keep in zip(h1.labels(), survivors) if keep]
     assert list(tr.twirled.labels()) == kept
     # Deep twirls keep few foreign terms; in-subspace ones always survive.
     assert len(kept) >= len(tr.effective) > 0
+
+
+@pytest.mark.parametrize("steps", [0, 1, 8, 9, 100])
+def test_syndromes_of_any_length_and_terms_of_weight_n(steps):
+    """No draws keep every term; one draw packs into a part-filled byte, and
+    100 draws into 13 bytes per site.  Two terms act on all 64 sites: one
+    on the axes only, which always survives, and one off them."""
+    rng = np.random.default_rng(steps)
+    n = 64
+    subspace = sample_subspace(n, rng)
+    off_axes = "".join({"X": "Y", "Y": "Z", "Z": "X"}[ax] for ax in subspace.axes)
+    terms = {str(subspace): 1.0, off_axes: 0.5}
+    h = random_pauli_sum(n, 2, rng, num_terms=40) + PauliSum(n, terms)
+    bits = rng.integers(0, 2, size=(3, steps, n))
+    survives = twirl._survives(bits, *twirl._mismatch(h, subspace))
+    np.testing.assert_array_equal(survives, _reference_survivors(h, subspace, bits))
+    labels = list(h.labels())
+    assert survives[:, labels.index(str(subspace))].all()
+    if steps == 0:
+        assert survives.all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_the_syndrome_rule_equals_the_int64_product_on_any_sum(data, n):
+    label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: set(s) != {"I"})
+    h = PauliSum(n, data.draw(st.dictionaries(label, st.just(1.0), max_size=6)))
+    axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    subspace = DiagonalSubspace(tuple(axes))
+    lead = data.draw(st.lists(st.integers(0, 3), max_size=2))
+    steps = data.draw(st.integers(0, 20))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, size=(*lead, steps, n))
+    survives = twirl._survives(bits, *twirl._mismatch(h, subspace))
+    assert survives.shape == (*lead, len(h))
+    np.testing.assert_array_equal(survives, _reference_survivors(h, subspace, bits))

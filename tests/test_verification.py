@@ -97,8 +97,8 @@ def test_twirl_suite_measures_the_shipped_survival_rule(monkeypatch):
 
     assert run_suite("twirl").passed
 
-    def keep_all(bits, mismatch):
-        return np.ones((*bits.shape[:-2], len(mismatch)), dtype=bool)
+    def keep_all(bits, starts, sites, off):
+        return np.ones((*bits.shape[:-2], len(starts)), dtype=bool)
 
     monkeypatch.setattr(twirl, "_survives", keep_all)
     result = run_suite("twirl")
