@@ -15,8 +15,11 @@ A round consumes its generator in a fixed order: ``integers(0, 3, n)``
 for the axes, ``integers(0, 2, (T, n))`` for the twirl draws, one
 ``random()`` for the time, which it takes as ``time_cap * random()`` (the
 double and the generator state that ``uniform(0.0, time_cap)`` gives), and
-one ``binomial`` for the shots.  It forms the axes string and the round
-record once each.
+one ``binomial`` for the shots.  The twirl draws stay in the draw row of
+:func:`hamcert.twirl._draw`: the round's digest hashes the row as it is,
+and trotter mode reads the draws' letter codes out of it, so no round
+forms their labels.  The configuration's derived constants are worked out
+once and kept.
 
 The default constants make the round count, twirl depth, time cap, shot
 count, and threshold mutually consistent:
@@ -39,6 +42,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,13 +50,8 @@ import numpy as np
 from .bell import identity_prob_factors, sample_identity_shots
 from .oracle import EvolutionOracle, OracleMode
 from .pauli import PauliSum, add, frobenius_norm, is_k_local, scale
-from .trotter import (
-    TROTTER_STEP_CAP,
-    TrotterPlan,
-    steps_from_bound,
-    trotter_blocks,
-)
-from .twirl import sample_subspace, sample_twirl_paulis
+from .trotter import TROTTER_STEP_CAP, _trotter_blocks, steps_from_bound
+from .twirl import _draw, sample_subspace
 
 __all__ = [
     "CertificationConfig",
@@ -112,29 +111,30 @@ class CertificationConfig:
     def __post_init__(self) -> None:
         self.validate()
 
-    # Derived protocol parameters.
+    # Derived protocol parameters.  Those a run reads every round are worked
+    # out on first use and kept: the fields never change.
 
     @property
     def rounds(self) -> int:
         return math.ceil(self.c1 * 3**self.k * math.log(1.0 / self.delta))
 
-    @property
+    @cached_property
     def twirl_steps(self) -> int:
         return math.ceil(self.c2 * self.k)
 
-    @property
+    @cached_property
     def time_cap(self) -> float:
         return self.c3 * 3.0 ** (self.k / 2.0) / self.epsilon
 
-    @property
+    @cached_property
     def shots_per_round(self) -> int:
         return math.ceil(self.c4 * 9**self.k)
 
-    @property
+    @cached_property
     def accept_threshold(self) -> float:
         return 1.0 - self.c0 / 9**self.k
 
-    @property
+    @cached_property
     def trotter_tolerance(self) -> float:
         if self.eps_trott is not None:
             return self.eps_trott
@@ -321,19 +321,13 @@ class CertificationReport:
 
 
 def _digest(axes: str, paulis: tuple[str, ...]) -> str:
-    payload = (axes + ":" + ",".join(paulis)).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()[:12]
+    return _row_digest(axes, (",".join(paulis) + ",").encode("ascii"))
 
 
-def _trotter_identity_prob(
-    oracle: EvolutionOracle, h0: PauliSum, plan: TrotterPlan, shots: int
-) -> float:
-    """Bell identity probability of a trotter shot batch (see
-    :func:`trotter_blocks`), its blocks' factors multiplied in group order."""
-    groups = trotter_blocks(oracle, h0, plan, shots=shots)
-    # The unitarity defect of S^steps grows about steps times that of the
-    # step operator S, so the 1e-8 bound holds per step.
-    return identity_prob_factors([u for _, u in groups], atol=1e-8 * plan.steps)
+def _row_digest(axes: str, row: bytes) -> str:
+    """The digest of ``axes``, a colon and the labels of the draw row ``row``
+    (see :func:`hamcert.twirl._draw`) joined by commas."""
+    return hashlib.sha256((axes + ":").encode("ascii") + row[:-1]).hexdigest()[:12]
 
 
 def run_round(
@@ -354,23 +348,26 @@ def run_round(
     """
     subspace = sample_subspace(h0.n, rng)
     axes = str(subspace)
-    shots = cfg.shots_per_round
+    draws, shots = cfg.twirl_steps, cfg.shots_per_round
     if cfg.mode is OracleMode.EXACT_EFFECTIVE:
-        transcript = oracle.sample_twirl(h0, subspace, cfg.twirl_steps, rng)
+        transcript = oracle.sample_twirl(h0, subspace, draws, rng)
         # rng.uniform(0.0, cap) without its wrapper: the same double and
         # the same generator state.
         t = cfg.time_cap * rng.random()
         prob = oracle.effective_identity_prob(transcript, t, shots=shots)
-        paulis = transcript.paulis
+        row = transcript._row
     else:
-        paulis = sample_twirl_paulis(subspace, cfg.twirl_steps, rng)
+        row = _draw(subspace, draws, rng)[1]
         t = cfg.time_cap * rng.random()
-        steps = steps_from_bound(len(paulis), t, cfg.trotter_tolerance)
-        plan = TrotterPlan(paulis, steps, t)
-        prob = _trotter_identity_prob(oracle, h0, plan, shots)
-    count = sample_identity_shots(prob, shots, rng)
-    fraction = count / shots
-    return RoundRecord._trusted(index, axes, _digest(axes, paulis), t, fraction,
+        steps = steps_from_bound(draws, t, cfg.trotter_tolerance)
+        # The row holds each draw's letter codes and then a comma.
+        codes = np.frombuffer(row, dtype=np.uint8).reshape(draws, -1)[:, :-1]
+        groups = _trotter_blocks(oracle, h0, codes, steps, t, shots)
+        # The unitarity defect of S^steps grows about steps times that of
+        # the step operator S, so the 1e-8 bound holds per step.
+        prob = identity_prob_factors([u for _, u in groups], atol=1e-8 * steps)
+    fraction = sample_identity_shots(prob, shots, rng) / shots
+    return RoundRecord._trusted(index, axes, _row_digest(axes, row), t, fraction,
                                 fraction <= cfg.accept_threshold)
 
 

@@ -215,10 +215,10 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     return np.linalg.eigvalsh(blocks).ravel()
 
 
-def _deviation(w: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``exp(-i t H) - I`` from the eigendecomposition of ``H``, stacked
-    as :func:`hamcert.dense.propagator`; ``t`` broadcasts against ``w``,
-    so one call takes each stacked sum at its own time.
+def _deviation(w: np.ndarray, v: np.ndarray, vh: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``exp(-i t H) - I`` from the eigendecomposition ``(w, v)`` of ``H``
+    and ``vh = v^H``, stacked as :func:`hamcert.dense.propagator`; ``t``
+    broadcasts against ``w``, so one call takes each stacked sum at its own time.
 
     Each phase is ``np.expm1(-i theta) = -2 sin^2(theta/2) - i sin theta``,
     so a factor with ``|theta|`` far below 1 keeps ``theta`` to relative
@@ -226,7 +226,7 @@ def _deviation(w: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
     ``ulp / |theta|``.
     """
     phases = np.expm1(-1j * (w * t))
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * phases[..., None, :]) @ vh
 
 
 class BlockPropagators(NamedTuple):
@@ -351,29 +351,35 @@ class EvolutionOracle:
                 a block exceeds the dense cap.  All checks run before any
                 charge.
         """
+        return [BlockPropagators(s, f) for s, _, f in self._forward_groups(h0, t, count)]
+
+    def _forward_groups(self, h0: PauliSum, t: float, count: int) -> list[tuple]:
+        """:meth:`query_forward_blocks` as ``(sites, index, factors)`` per
+        group, ``index`` the blocks' sites as a ``(B, k)`` array."""
         self._check_reference(h0)
         t, count = _forward_request(t, count)
         if not _same_reference(self._groups, h0):
             self._groups = (h0, self._group_spectra(h0))
         self.ledger.charge(count * t, queries=count)
         times = np.array([t, -t])[:, None, None]
-        return [BlockPropagators(sites, _deviation(w, v, times))
-                for sites, (w, v) in self._groups[1]]
+        return [(sites, index, _deviation(w, v, vh, times))
+                for sites, index, w, v, vh in self._groups[1]]
 
-    def _group_spectra(self, h0: PauliSum) -> list[tuple[tuple, tuple]]:
-        """Per group of equal-size blocks of ``hidden + h0``: the blocks'
-        sites and the ``(w, v)`` of the hidden sum cut to each block, then
-        of ``h0``, stacked ``(2, B, ...)``."""
+    def _group_spectra(self, h0: PauliSum) -> list[tuple]:
+        """Per group of equal-size blocks of ``hidden + h0``: the blocks' sites, as
+        tuples and as an ``np.intp`` array, and the ``(w, v, v^H)`` of the hidden
+        sum cut to each block, then of ``h0``, stacked ``(2, B, ...)``."""
         groups: dict[int, list[tuple[tuple, list[PauliSum]]]] = {}
         subject = "The hidden Hamiltonian and the reference link"
         for sites, parts in _capped_blocks(subject, self._hidden, h0):
             groups.setdefault(len(sites), []).append((sites, parts))
 
-        def stacked(group: list[tuple[tuple, list[PauliSum]]]) -> tuple[tuple, tuple]:
+        def stacked(group: list[tuple[tuple, list[PauliSum]]]) -> tuple:
             sites, parts = zip(*group)
             hidden, reference = zip(*parts)
             m = to_dense_stack(hidden + reference)
-            return sites, eig_decompose(m.reshape(2, len(group), *m.shape[1:]))
+            w, v = eig_decompose(m.reshape(2, len(group), *m.shape[1:]))
+            return sites, np.array(sites, dtype=np.intp), w, v, v.conj().swapaxes(-1, -2)
 
         return [stacked(group) for group in groups.values()]
 

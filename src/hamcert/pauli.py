@@ -22,8 +22,8 @@ are summed.
 
 Array code reads labels in one form: :func:`_codes` alone turns labels
 into bytes, and :meth:`PauliSum._support`, built from them on first use
-and kept (a sum never changes), lists each term's non-identity sites and
-letters.
+and kept (a sum never changes; :meth:`PauliSum._subset` cuts a part's from
+its sum's), lists each term's non-identity sites and letters.
 """
 
 from __future__ import annotations
@@ -314,6 +314,21 @@ class PauliSum:
             starts = np.searchsorted(terms, np.arange(len(codes)))
             self._form = starts, sites, codes[terms, sites]
         return self._form
+
+    def _subset(self, keep: np.ndarray) -> "PauliSum":
+        """The terms where the boolean ``keep`` is set, in order, with their
+        segments of this sum's support as the support of the result."""
+        starts, sites, letters = self._support()
+        terms = [item for item, k in zip(self._terms.items(), keep.tolist()) if k]
+        if len(terms) == len(starts):
+            return self
+        part = PauliSum._from_valid(self._n, dict(terms))
+        part._form = starts[:0], sites[:0], letters[:0]
+        if terms:
+            sizes = np.concatenate((starts[1:], [sites.size])) - starts
+            entries, sizes = keep.repeat(sizes), sizes[keep]
+            part._form = sizes.cumsum() - sizes, sites[entries], letters[entries]
+        return part
 
     def to_text(self) -> str:
         """Render in the text format, one term per line, sorted by label."""

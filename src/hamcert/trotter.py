@@ -27,20 +27,22 @@ the identity is added once, to the step operator, before the repeated
 squaring.  The rounding then stays relative to the factors at any twirl
 depth.
 
-The draws are tensor products of single-site Paulis, so the step operator
-factors over the blocks of the support graph of the hidden Hamiltonian
-and the reference (see :func:`hamcert.pauli.partition`):
+The draws are tensor products of single-site Paulis, so the step
+operator factors over the blocks of the support graph of the hidden
+Hamiltonian and the reference (see :func:`hamcert.pauli.partition`):
 :func:`trotter_blocks` runs the product formula on each block's sites
-alone, with the draws cut to them.  Blocks of one size are stacked, and
-each group's forward and compiled factors come as one ``(2, B, d, d)``
-stack, which stays one stack through the Strang step: per draw, one
-gather and one phase product conjugate both halves and one matrix
-product doubles them.  The doubling and the squaring thus run once per
-block size, each block's result bit-identical to a run on that block
-alone.
-A block holds at most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever
-the system size; :func:`trotter_evolve` assembles the dense unitary and
-so keeps that cap on ``n``.
+alone, with the draws cut to them.  It checks draws given as labels; a
+certify round hands the same core the ``(T, n)`` letter codes of its
+draw row (:func:`hamcert.twirl._draw`), which each group cuts with its
+cached site index array.  Blocks of one size are stacked, and each
+group's forward and compiled factors come as one ``(2, B, d, d)`` stack,
+which stays one stack through the Strang step: per draw, one gather and
+one phase product conjugate both halves and one matrix product doubles
+them.  The doubling and the squaring thus run once per block size, each
+block's result bit-identical to a run on that block alone.  A block
+holds at most :data:`~hamcert.dense.QUBIT_CAP` sites, whatever the
+system size; :func:`trotter_evolve` assembles the dense unitary and so
+keeps that cap on ``n``.
 """
 
 from __future__ import annotations
@@ -220,10 +222,6 @@ def trotter_blocks(
             string on the oracle's qubits, a reference of another size, or
             a block above the dense cap; checked before any charge.
     """
-    if oracle.mode is not OracleMode.TROTTERIZED:
-        raise OracleModeError("The product formula requires TROTTERIZED mode.")
-    if shots < 1:
-        raise ValueError(f"Shot count must be positive, got {shots}.")
     n = oracle.n_qubits
     # All draws at once; only a bad one pays for the loop that names it.
     joined = "".join([p for p in plan.draws if isinstance(p, str) and len(p) == n])
@@ -231,14 +229,22 @@ def trotter_blocks(
         for p in plan.draws:
             if len(validate_label(p)) != n:
                 raise ValueError(f"Draw {p!r} does not act on {n} qubits.")
-    half_dur = plan.total_time * plan.sector_weight / (2 * plan.steps)
+    return _trotter_blocks(oracle, h0, _codes((joined,), n), plan.steps, plan.total_time, shots)
+
+
+def _trotter_blocks(oracle: EvolutionOracle, h0: PauliSum, codes: np.ndarray, steps: int,
+                    total_time: float, shots: int) -> list[tuple[tuple, np.ndarray]]:
+    """:func:`trotter_blocks` of ``steps`` steps over ``total_time`` whose draw ``j``
+    has the valid ASCII letter codes ``codes[j]``, as a round reads them from its row."""
+    if oracle.mode is not OracleMode.TROTTERIZED:
+        raise OracleModeError("The product formula requires TROTTERIZED mode.")
+    if shots < 1:
+        raise ValueError(f"Shot count must be positive, got {shots}.")
+    half_dur = total_time * 2.0 ** -len(codes) / (2 * steps)
     # One forward query per sector per half-step per shot.
-    queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
-    groups = oracle.query_forward_blocks(h0, half_dur, count=queries)
-    # Draw j's ASCII codes in row j; a group's blocks take them at their sites.
-    codes = _codes((joined,), n)
-    return [(sites, _strang_power(factors, codes[:, sites], plan.steps))
-            for sites, factors in groups]
+    queries = shots * steps * 2 * 2 ** len(codes)
+    return [(sites, _strang_power(factors, codes[:, index], steps))
+            for sites, index, factors in oracle._forward_groups(h0, half_dur, queries)]
 
 
 def trotter_evolve(

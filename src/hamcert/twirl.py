@@ -20,15 +20,19 @@ a term with none lies in the subspace.  A term anticommutes with a draw
 exactly when an odd number of its off sites are in the draw.  The ``T``
 draw bits of a site, packed, are its *syndrome*, so a term survives every
 draw exactly when the syndromes of its off sites XOR to zero
-(:func:`_survives`, which the ``twirl`` verify suite measures too), and
-the survivors without an off letter are the effective part.
+(:func:`_survives`, which the ``twirl`` verify suite measures too).  The
+survivors without an off letter are the effective part, the others the
+residual, and each part keeps its terms' segments of the kept support.
 
-A round's ``T`` draws are one ``(T, n)`` array of fair bits, and their
-labels are cut from one byte row: draw ``j`` holds ``3 * bit + axis`` at
-each site (axis 0, 1, 2 for X, Y, Z, so bytes 0-2 spell ``I``), then a
-separator byte, and one ``bytes.translate`` turns the row into letters and
-commas.  A subspace from :func:`sample_subspace` keeps the axis indices it
-drew, so no draw re-reads its letters.
+A round's ``T`` draws are one ``(T, n)`` array of fair bits and one *draw
+row*, each draw's letters and then a comma: one addition gives each site
+the little-endian int64 ``bit + 2 * axis + 1`` (axis 0, 1, 2 for X, Y,
+Z), plus ``7 << 8`` at the last site for the comma, and one
+``bytes.translate`` spells these codes and deletes the zero bytes.  The
+certifier hashes the row into the round's digest and reads trotter mode's
+letter codes out of it; a transcript of :func:`run_twirl` cuts its labels
+from it only when :attr:`TwirlTranscript.paulis` is first read.  Every
+subspace keeps its axis indices and offsets from construction.
 
 The public constructors :class:`DiagonalSubspace` and
 :class:`TwirlTranscript`, and :func:`apply_twirl`, check every axis and
@@ -41,7 +45,6 @@ again could never fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +61,10 @@ __all__ = [
 ]
 
 _AXES = ("X", "Y", "Z")
-_I = ord("I")
 _X = ord("X")
-#: Byte ``3 * bit + axis`` of a draw row to its letter: ``I`` for a clear
-#: bit, else the site's axis (0, 1, 2 for X, Y, Z); byte 6 ends a draw.
-_DRAW_LETTERS = bytes.maketrans(bytes(range(7)), b"IIIXYZ,")
+#: Code ``bit + 2 * axis + 1`` of a draw to its letter, and 7 to the comma.
+_DRAW_LETTERS = bytes.maketrans(bytes(range(1, 8)), b"IXIYIZ,")
+_AXIS_CODES = np.array([1, 3, 5])  # 2 * axis + 1
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,21 @@ class DiagonalSubspace:
         for ax in self.axes:
             if ax not in _AXES:
                 raise ValueError(f"Axis letters must be one of X, Y, Z; got {ax!r}.")
+        self._keep(np.array([_AXES.index(ax) for ax in self.axes], dtype=np.int64))
 
     @classmethod
     def _trusted(cls, axes: tuple[str, ...], index: np.ndarray) -> "DiagonalSubspace":
-        """A subspace over a nonempty tuple of letters from ``XYZ`` and their
-        :attr:`_index`, unchecked."""
+        """A subspace over letters from ``XYZ`` and their axis indices, unchecked."""
         subspace = object.__new__(cls)
-        subspace.__dict__.update(axes=axes, _index=index)
+        subspace.__dict__["axes"] = axes
+        subspace._keep(index)
         return subspace
 
-    @cached_property
-    def _index(self) -> np.ndarray:
-        """Each site's axis as an int64 0, 1 or 2 for X, Y or Z."""
-        return _codes((str(self),), self.n)[0].astype(np.int64) - _X
+    def _keep(self, index: np.ndarray) -> None:
+        """Keep the int64 axis indices 0, 1, 2 (X, Y, Z) and the offsets of :func:`_draw`."""
+        offsets = _AXIS_CODES[index]
+        offsets[-1] += 7 << 8
+        self.__dict__.update(_index=index, _offsets=offsets)
 
     @property
     def n(self) -> int:
@@ -117,19 +121,20 @@ class TwirlTranscript:
         _member_bits(self.subspace, self.paulis)
 
     @classmethod
-    def _trusted(
-        cls,
-        subspace: DiagonalSubspace,
-        paulis: tuple[str, ...],
-        effective: PauliSum,
-        residual: PauliSum,
-    ) -> "TwirlTranscript":
-        """A transcript whose draws are known members of ``subspace``, unchecked."""
+    def _trusted(cls, subspace: DiagonalSubspace, effective: PauliSum, residual: PauliSum,
+                 **draws) -> "TwirlTranscript":
+        """A transcript of known member draws, as ``paulis`` or a ``_row``, unchecked."""
         transcript = object.__new__(cls)
-        transcript.__dict__.update(
-            subspace=subspace, paulis=paulis, effective=effective, residual=residual
-        )
+        transcript.__dict__.update(subspace=subspace, effective=effective,
+                                   residual=residual, **draws)
         return transcript
+
+    def __getattr__(self, name: str):
+        # Only a transcript that holds its draw row lacks labels: cut them once.
+        if name != "paulis" or "_row" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        paulis = self.__dict__["paulis"] = _labels(self._row)
+        return paulis
 
     @property
     def twirled(self) -> PauliSum:
@@ -153,7 +158,7 @@ def _member_bits(subspace: DiagonalSubspace, paulis: tuple[str, ...]) -> np.ndar
         if joined[i::n].strip("I" + ax):
             bad = next(p for p in paulis if p[i] not in ("I", ax))
             raise ValueError(f"Draw {bad!r} is not in the subspace.")
-    return _codes((joined,), n) != _I
+    return _codes((joined,), n) != ord("I")
 
 
 def _mismatch(h: PauliSum, subspace: DiagonalSubspace) -> tuple[np.ndarray, ...]:
@@ -163,24 +168,20 @@ def _mismatch(h: PauliSum, subspace: DiagonalSubspace) -> tuple[np.ndarray, ...]
     return starts, sites, letters != _X + subspace._index[sites]
 
 
-def _draw(
-    subspace: DiagonalSubspace, steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``steps`` uniform subspace members: their inclusion bits and labels.
-
-    The labels are cut from one byte row: each draw's bytes ``3 * bit +
-    axis`` (one contiguous int64 product, cast once into the row) and a
-    separator, turned into letters and commas by one ``bytes.translate``.
-    """
+def _draw(subspace: DiagonalSubspace, steps: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, bytes]:
+    """``steps`` uniform subspace members: their inclusion bits and their
+    draw row, each draw's letters followed by a comma."""
     if steps < 1:
         raise ValueError(f"Twirl needs at least one step, got {steps}.")
-    n = subspace.n
-    bits = rng.integers(0, 2, size=(steps, n))
-    row = np.empty((steps, n + 1), dtype=np.uint8)
-    row[:, n] = 6
-    row[:, :n] = bits * 3 + subspace._index
-    text = row.tobytes().translate(_DRAW_LETTERS).decode("ascii")
-    return bits, tuple(text[:-1].split(","))
+    bits = rng.integers(0, 2, size=(steps, subspace.n))
+    codes = (bits + subspace._offsets).astype("<i8", copy=False)
+    return bits, codes.tobytes().translate(_DRAW_LETTERS, b"\0")
+
+
+def _labels(row: bytes) -> tuple[str, ...]:
+    """The labels of the draws of a draw row (see :func:`_draw`)."""
+    return tuple(row[:-1].decode("ascii").split(","))
 
 
 def _survives(bits: np.ndarray, starts: np.ndarray, sites: np.ndarray,
@@ -193,33 +194,17 @@ def _survives(bits: np.ndarray, starts: np.ndarray, sites: np.ndarray,
     return ~np.bitwise_xor.reduceat(picked, starts, axis=-1).any(axis=-2)
 
 
-def _split(
-    h1: PauliSum,
-    subspace: DiagonalSubspace,
-    paulis: tuple[str, ...],
-    bits: np.ndarray,
-) -> TwirlTranscript:
-    """The transcript of ``h1`` twirled by the member draws ``bits`` (``paulis``).
-
-    The survivors of :func:`_survives` without an off letter are the
-    effective part, the others the residual.
-    """
+def _split(h1: PauliSum, subspace: DiagonalSubspace,
+           bits: np.ndarray) -> tuple[PauliSum, PauliSum]:
+    """``(effective, residual)`` of ``h1`` twirled by the member draws ``bits``:
+    the survivors of :func:`_survives` without an off letter, and the others,
+    each holding its terms' segments of ``h1``'s support."""
     if not h1:
-        return TwirlTranscript._trusted(subspace, paulis, h1, h1)
+        return h1, h1
     starts, sites, off = _mismatch(h1, subspace)
-    kept = _survives(bits, starts, sites, off).tolist()
-    inside = (~np.logical_or.reduceat(off, starts)).tolist()
-    effective: dict[str, float] = {}
-    residual: dict[str, float] = {}
-    for (label, coeff), keep, fixed in zip(h1.items(), kept, inside):
-        if keep:
-            (effective if fixed else residual)[label] = coeff
-    return TwirlTranscript._trusted(
-        subspace,
-        paulis,
-        PauliSum._from_valid(h1.n, effective),
-        PauliSum._from_valid(h1.n, residual),
-    )
+    kept = _survives(bits, starts, sites, off)
+    inside = ~np.logical_or.reduceat(off, starts)
+    return h1._subset(kept & inside), h1._subset(kept & ~inside)
 
 
 def sample_subspace(n: int, rng: np.random.Generator) -> DiagonalSubspace:
@@ -230,14 +215,13 @@ def sample_subspace(n: int, rng: np.random.Generator) -> DiagonalSubspace:
     return DiagonalSubspace._trusted(tuple(map(_AXES.__getitem__, picks.tolist())), picks)
 
 
-def sample_twirl_paulis(
-    subspace: DiagonalSubspace, steps: int, rng: np.random.Generator
-) -> tuple[str, ...]:
+def sample_twirl_paulis(subspace: DiagonalSubspace, steps: int,
+                        rng: np.random.Generator) -> tuple[str, ...]:
     """Draw ``steps`` members uniformly from the ``2^n``-element subspace.
 
     Uniformity comes from one independent fair inclusion bit per site.
     """
-    return _draw(subspace, steps, rng)[1]
+    return _labels(_draw(subspace, steps, rng)[1])
 
 
 def _check_sizes(h: PauliSum, subspace: DiagonalSubspace) -> None:
@@ -245,9 +229,7 @@ def _check_sizes(h: PauliSum, subspace: DiagonalSubspace) -> None:
         raise ValueError(f"System sizes differ: {h.n} vs {subspace.n}.")
 
 
-def project_effective(
-    h: PauliSum, subspace: DiagonalSubspace
-) -> tuple[PauliSum, PauliSum]:
+def project_effective(h: PauliSum, subspace: DiagonalSubspace) -> tuple[PauliSum, PauliSum]:
     """Split ``h`` into its in-subspace and off-subspace parts.
 
     Returns ``(effective, off)`` with ``effective + off == h`` exactly:
@@ -256,13 +238,11 @@ def project_effective(
     of ``apply_twirl(h, subspace, ())``, in the order of ``h``.
     """
     _check_sizes(h, subspace)
-    tr = _split(h, subspace, (), np.zeros((0, h.n)))
-    return tr.effective, tr.residual
+    return _split(h, subspace, np.zeros((0, h.n)))
 
 
-def apply_twirl(
-    h1: PauliSum, subspace: DiagonalSubspace, paulis: tuple[str, ...]
-) -> TwirlTranscript:
+def apply_twirl(h1: PauliSum, subspace: DiagonalSubspace,
+                paulis: tuple[str, ...]) -> TwirlTranscript:
     """Filter ``h1`` through a fixed sequence of twirl conjugators.
 
     A term survives exactly when it commutes with every drawn Pauli;
@@ -276,20 +256,16 @@ def apply_twirl(
     _check_sizes(h1, subspace)
     paulis = tuple(paulis)
     bits = _member_bits(subspace, paulis)
-    return _split(h1, subspace, paulis, bits)
+    return TwirlTranscript._trusted(subspace, *_split(h1, subspace, bits), paulis=paulis)
 
 
-def run_twirl(
-    h1: PauliSum,
-    subspace: DiagonalSubspace,
-    steps: int,
-    rng: np.random.Generator,
-) -> TwirlTranscript:
+def run_twirl(h1: PauliSum, subspace: DiagonalSubspace, steps: int,
+              rng: np.random.Generator) -> TwirlTranscript:
     """Draw ``steps`` random subspace Paulis and twirl ``h1`` with them.
 
     Every check runs before the draws, so a rejected call leaves ``rng``
     where it was.
     """
     _check_sizes(h1, subspace)
-    bits, paulis = _draw(subspace, steps, rng)
-    return _split(h1, subspace, paulis, bits)
+    bits, row = _draw(subspace, steps, rng)
+    return TwirlTranscript._trusted(subspace, *_split(h1, subspace, bits), _row=row)

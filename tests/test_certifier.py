@@ -1,5 +1,6 @@
 """Tests for the certification protocol, its config, and the sweep harness."""
 
+import hashlib
 import math
 import re
 import time
@@ -17,6 +18,7 @@ from hamcert.certifier import (
     ConfigError,
     RoundRecord,
     _digest,
+    _row_digest,
     certify,
     run_round,
     sweep_epsilon,
@@ -25,7 +27,7 @@ from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode
 from hamcert.pauli import PauliSum, frobenius_norm, parse_hamiltonian, subtract
 from hamcert.trotter import TROTTER_STEP_CAP, TrotterPlan, steps_from_bound, trotter_blocks
-from hamcert.twirl import DiagonalSubspace, apply_twirl
+from hamcert.twirl import DiagonalSubspace, _draw, _labels, apply_twirl, sample_subspace
 
 
 def make_oracle(hidden, mode=OracleMode.EXACT_EFFECTIVE):
@@ -359,6 +361,32 @@ def test_a_scaled_random_is_the_uniform_draw(cap, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     assert (cap * rng.random()).hex() == float(ref.uniform(0.0, cap)).hex()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 64), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_the_row_digest_is_the_label_digest(n, steps, seed):
+    # A round hashes its draw row as it comes; the digest is the one of the
+    # axes and the labels joined by commas, and the labels cut from the row
+    # are the row's text split at its commas.
+    rng = np.random.default_rng(seed)
+    subspace = sample_subspace(n, rng)
+    row = _draw(subspace, steps, rng)[1]
+    axes = str(subspace)
+    paulis = _labels(row)
+    assert paulis == tuple(row.decode("ascii")[:-1].split(","))
+    want = hashlib.sha256((axes + ":" + ",".join(paulis)).encode("ascii")).hexdigest()[:12]
+    assert _row_digest(axes, row) == _digest(axes, paulis) == want
+
+
+def test_the_derived_constants_are_worked_out_once():
+    cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=2)
+    names = ("twirl_steps", "time_cap", "shots_per_round", "accept_threshold",
+             "trotter_tolerance")
+    values = [getattr(cfg, name) for name in names]
+    # Kept on the first read: a run reads them every round.
+    assert all(name in vars(cfg) for name in names)
+    assert values == [34, cfg.c3 * 3.0 / 0.2, 10368, 1.0 - cfg.c0 / 81, 1.0 / (128.0 * 81)]
 
 
 class TestTrotterizedMode:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from hamcert import CertificationConfig, EvolutionOracle, certify, parse_hamiltonian
+from hamcert import dense, oracle, pauli, trotter, twirl
 from hamcert.cli import main
 from hamcert.oracle import OracleMode
-from hamcert.pauli import PauliSum, frobenius_norm, scale
+from hamcert.pauli import PauliSum, _codes, frobenius_norm, scale
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -156,3 +157,27 @@ def test_the_256_site_ladder_rung_report_is_pinned():
     cfg = CertificationConfig(**dict(_K2, seed=1))
     report = certify(h0, EvolutionOracle(hidden, cfg.mode), cfg).render()
     assert hashlib.sha256(report.encode()).hexdigest() == LADDER_N256_SHA256
+
+
+def test_a_certify_encodes_labels_a_fixed_number_of_times(monkeypatch):
+    # The twirl's parts hold their segments of the difference's support, so
+    # no round encodes labels again: a run of 144 rounds encodes as many
+    # as one of 34.
+    calls = []
+
+    def counted(labels, n):
+        calls.append(n)
+        return _codes(labels, n)
+
+    for module in (pauli, twirl, oracle, trotter, dense):
+        monkeypatch.setattr(module, "_codes", counted)
+    h0 = _chain(64)
+    hidden = h0 + _ladder_difference(64, np.random.default_rng(7))
+    counts = []
+    for delta in (0.5, 0.05):
+        cfg = CertificationConfig(**dict(_K2, delta=delta, seed=1))
+        calls.clear()
+        report = certify(h0, EvolutionOracle(hidden, cfg.mode), cfg)
+        assert report.rounds_run == cfg.rounds
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1

@@ -117,9 +117,11 @@ class TestQueryForward:
         hidden = PauliSum(3, {"XYI": 0.3, "IZZ": -0.4})
         h0 = PauliSum(3, {"ZZI": 0.2, "IXY": 0.7})
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
-        [(sites, (w, v))] = oracle._group_spectra(h0)
+        [(sites, index, w, v, vh)] = oracle._group_spectra(h0)
         assert sites == ((0, 1, 2),)
+        assert index.dtype == np.intp and index.tolist() == [[0, 1, 2]]
         assert w.shape == (2, 1, 8) and v.shape == (2, 1, 8, 8)
+        assert np.array_equal(vh, v.conj().swapaxes(-1, -2))
         for h, row_w, row_v in zip((hidden, h0), w[:, 0], v[:, 0]):
             want_w, want_v = eig_decompose(to_dense(h))
             assert row_w.tobytes() == want_w.tobytes()
@@ -131,8 +133,9 @@ class TestQueryForward:
         h0 = PauliSum(6, {"ZIIIII": 0.2, "IIIIIX": 0.7, "IIIZZI": 0.5})
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
         groups = oracle._group_spectra(h0)
-        assert [sites for sites, _ in groups] == [((0, 1), (3, 4)), ((2,), (5,))]
-        for sites, (w, v) in groups:
+        assert [sites for sites, *_ in groups] == [((0, 1), (3, 4)), ((2,), (5,))]
+        for sites, index, w, v, _ in groups:
+            assert index.tolist() == [list(block) for block in sites]
             for i, h in enumerate((hidden, h0)):
                 for b, block in enumerate(sites):
                     want_w, want_v = eig_decompose(to_dense(_cut(h, block)))

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcert.bell import identity_prob_factors, identity_prob_trace
-from hamcert.certifier import CertificationConfig, _trotter_identity_prob
+from hamcert.certifier import CertificationConfig
 from hamcert.dense import _letter_phases, eig_decompose, evolve, pauli_matrix, to_dense
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
-from hamcert.pauli import PauliSum, conjugate, partition, scale, subtract
+from hamcert.pauli import PauliSum, _codes, conjugate, partition, scale, subtract
 from hamcert.trotter import (
     TROTTER_STEP_CAP,
     TrotterPlan,
+    _trotter_blocks,
     steps_from_bound,
     trotter_blocks,
     trotter_error,
@@ -550,8 +551,9 @@ def _drawn_plan(data, n, draws, steps, t):
 
 
 def _check_stacked(hidden, h0, plan, shots=1):
-    """The stacked round bit for bit against the per-block loop; returns
-    the sites of each group's blocks."""
+    """The stacked round bit for bit against the per-block loop, and the
+    codes core against the label route; returns the sites of each group's
+    blocks."""
     oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
     groups = trotter_blocks(oracle, h0, plan, shots=shots)
     blocks, prob, bound = _per_block_round(hidden, h0, plan)
@@ -562,9 +564,18 @@ def _check_stacked(hidden, h0, plan, shots=1):
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
     half = plan.total_time * plan.sector_weight / (2 * plan.steps)
     assert oracle.ledger == EvolutionLedger(queries * half, queries)
-    oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+    # The core that a round reaches with its draws' letter codes: the same
+    # stacks, bit for bit, and the same charge.
+    codes = _codes(("".join(plan.draws),), hidden.n)
+    core = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+    cored = _trotter_blocks(core, h0, codes, plan.steps, plan.total_time, shots)
+    assert [sites for sites, _ in cored] == [sites for sites, _ in groups]
+    for (_, a), (_, b) in zip(cored, groups):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    assert core.ledger == oracle.ledger
     if bound <= 1e-8 * plan.steps:
-        assert _trotter_identity_prob(oracle, h0, plan, shots) == prob
+        # As a round takes it, with a bound of 1e-8 per step.
+        assert identity_prob_factors([u for _, u in cored], atol=1e-8 * plan.steps) == prob
     # The bound accumulates in group order too: it passes at itself and
     # fails just below.
     stacks = [u for _, u in groups]

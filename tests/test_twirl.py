@@ -15,6 +15,7 @@ from hamcert.twirl import (
     DiagonalSubspace,
     TwirlTranscript,
     _draw,
+    _labels,
     apply_twirl,
     project_effective,
     run_twirl,
@@ -133,12 +134,14 @@ class TestSampleTwirlPaulis:
             axes = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
             s = DiagonalSubspace(tuple(axes))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        bits, labels = _draw(s, steps, rng)
+        bits, row = _draw(s, steps, rng)
         want = ref_rng.integers(0, 2, size=(steps, n))
         assert np.array_equal(bits, want)
-        assert labels == tuple(
-            "".join(axis if bit else "I" for axis, bit in zip(s.axes, row)) for row in want
+        labels = tuple(
+            "".join(axis if bit else "I" for axis, bit in zip(s.axes, draw)) for draw in want
         )
+        assert row == "".join(label + "," for label in labels).encode("ascii")
+        assert _labels(row) == labels
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -189,6 +192,8 @@ class TestProjectEffective:
         tr = apply_twirl(h, s, ())
         eff, off = project_effective(h, s)
         assert (eff, off) == (tr.effective, tr.residual)
+        _check_support(eff)
+        _check_support(off)
         assert list(eff.items()) == list(tr.effective.items())
         assert list(off.items()) == list(tr.residual.items())
 
@@ -313,6 +318,13 @@ def _fields(tr):
             tr.effective.to_text(), tr.residual.to_text())
 
 
+def _check_support(h):
+    """The support a twirl part holds equals the one its labels give."""
+    fresh = PauliSum(h.n, h.terms)._support()
+    for got, want in zip(h._support(), fresh, strict=True):
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+
+
 class TestTwirlRoutes:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_twirl_case(), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -321,9 +333,15 @@ class TestTwirlRoutes:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = run_twirl(h, s, steps, rng)
         want = apply_twirl(h, s, sample_twirl_paulis(s, steps, ref_rng))
+        assert "paulis" not in vars(got)
         assert _fields(got) == _fields(want)
         assert all(type(p) is str for p in got.paulis)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for part in (got.effective, got.residual, want.effective, want.residual):
+            _check_support(part)
+        # The labels cut from the draw row are what the public constructor takes.
+        assert TwirlTranscript(s, got.paulis, got.effective, got.residual) == got
+        assert type(got.paulis) is tuple and got.paulis == want.paulis
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_twirl_case(), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))

@@ -229,6 +229,19 @@ def test_cli_import_leaves_scipy_stats_out():
     assert proc.stdout.decode().splitlines() == ["False False", "[]"]
 
 
+def test_importing_the_suites_loads_only_numpy_and_the_standard_library():
+    # A fresh interpreter compiles every module it loads; the import that
+    # starts the verify suites brings in nothing else.
+    code = (
+        "import sys; before = set(sys.modules); import hamcert.verification; "
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(*sorted(loaded - set(sys.stdlib_module_names)))"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["hamcert", "numpy"]
+
+
 def test_verify_all_runs_with_scipy_blocked():
     """``hamcert verify --suite all`` needs numpy alone at run time."""
     code = (
