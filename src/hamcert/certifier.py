@@ -21,7 +21,7 @@ and trotter mode reads the draws' letter codes out of it, so no round
 forms their labels.  The configuration's derived constants are worked out
 once and kept.
 
-The default constants make the round count, twirl depth, time cap, shot
+The paper's constants make the round count, twirl depth, time cap, shot
 count, and threshold mutually consistent:
 
 * ``rounds = ceil(c1 * 3^k * ln(1/delta))`` amplifies the per-round
@@ -33,7 +33,12 @@ count, and threshold mutually consistent:
   comes from;
 * ``shots_per_round = ceil(c4 * 9^k)`` resolves a dip of size
   ``1/(32 * 9^k)`` against the threshold ``1 - c0 / 9^k`` with the
-  implementation-error budget ``eps_trott <= 1/(128 * 9^k)``.
+  implementation-error budget ``eps_trott = 1/(128 * 9^k)``.
+
+``c1``, ``c3``, ``c0`` and the budget are fixed: another ``c1`` would only
+restate ``delta``, and another ``c3`` ``epsilon``.  A ``c2`` too small for
+the depth bound, or a ``c4`` that gives fewer shots than the default, needs
+``allow_weak_constants``.
 """
 
 from __future__ import annotations
@@ -82,28 +87,25 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CertificationConfig:
-    """Inputs and constants of one certification run.
+    """Inputs of one certification run.
 
-    ``eps_trott`` of ``None`` resolves to the largest admissible
-    implementation-error budget ``1 / (128 * 9^k)``.  Both oracle modes
-    run at the default constants.  Constants may be overridden for
-    experiments, but overrides that break the consistency arithmetic
-    require ``allow_weak_constants=True``.  A shot at twirl depth ``T`` is
-    a circuit of ``steps * 2 * 2^T`` queries, which trotter mode counts and
-    exact mode charges the time of, so in both modes the depth is bounded
-    from above as well: the run's largest count must be a finite float.
-    ``seed`` is a non-negative integer.
+    ``c1``, ``c3``, ``c0`` and the implementation-error budget ``1 / (128 *
+    9^k)`` are the paper's constants (see the module docstring).  Both oracle
+    modes run at the default ``c2`` and ``c4``.  Either may be raised; a
+    ``c2`` whose twirl is shallower than ``2^T >= 2^11 * 27^k``, or a ``c4``
+    that gives fewer shots per round than the default, requires
+    ``allow_weak_constants=True`` and voids the soundness guarantee.  A
+    shot at twirl depth ``T`` is a circuit of ``steps * 2 * 2^T`` queries,
+    which trotter mode counts and exact mode charges the time of, so in
+    both modes the depth is bounded from above as well: the run's largest
+    count must be a finite float.  ``seed`` is a non-negative integer.
     """
 
     epsilon: float
     delta: float
     k: int
-    c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
-    c3: float = DEFAULT_C3
     c4: float = DEFAULT_C4
-    c0: float = DEFAULT_C0
-    eps_trott: Optional[float] = None
     mode: OracleMode = OracleMode.EXACT_EFFECTIVE
     seed: int = 0
     allow_weak_constants: bool = False
@@ -116,7 +118,7 @@ class CertificationConfig:
 
     @property
     def rounds(self) -> int:
-        return math.ceil(self.c1 * 3**self.k * math.log(1.0 / self.delta))
+        return math.ceil(DEFAULT_C1 * 3**self.k * math.log(1.0 / self.delta))
 
     @cached_property
     def twirl_steps(self) -> int:
@@ -124,7 +126,7 @@ class CertificationConfig:
 
     @cached_property
     def time_cap(self) -> float:
-        return self.c3 * 3.0 ** (self.k / 2.0) / self.epsilon
+        return DEFAULT_C3 * 3.0 ** (self.k / 2.0) / self.epsilon
 
     @cached_property
     def shots_per_round(self) -> int:
@@ -132,19 +134,17 @@ class CertificationConfig:
 
     @cached_property
     def accept_threshold(self) -> float:
-        return 1.0 - self.c0 / 9**self.k
+        return 1.0 - DEFAULT_C0 / 9**self.k
 
     @cached_property
     def trotter_tolerance(self) -> float:
-        if self.eps_trott is not None:
-            return self.eps_trott
         return 1.0 / (128.0 * 9**self.k)
 
     def validate(self) -> None:
-        """Range checks always; constants-consistency arithmetic unless waived."""
-        for name in ("epsilon", "delta", "c1", "c2", "c3", "c4", "c0", "eps_trott"):
+        """Range checks always; the default depth and shot count unless waived."""
+        for name in ("epsilon", "delta", "c2", "c4"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}.")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}.")
@@ -154,11 +154,9 @@ class CertificationConfig:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}.")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}.")
-        for name in ("c1", "c2", "c3", "c4"):
+        for name in ("c2", "c4"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive.")
-        if not 0 < self.c0 < 1:
-            raise ConfigError(f"c0 must lie in (0, 1), got {self.c0}.")
         try:
             # The shot count's 9^k stops converting to a float where this
             # float power overflows; checked first, it refuses a huge k
@@ -166,7 +164,6 @@ class CertificationConfig:
             9.0**self.k
             counts = {"rounds": self.rounds, "shots_per_round": self.shots_per_round}
             time_cap = self.time_cap
-            tol = self.trotter_tolerance
         except OverflowError:
             raise ConfigError(
                 "Derived protocol parameters overflow; the constants, k or "
@@ -177,8 +174,6 @@ class CertificationConfig:
                 raise ConfigError(f"{name}={value} does not fit in a 64-bit integer.")
         if not math.isfinite(counts["rounds"] * counts["shots_per_round"] * time_cap):
             raise ConfigError("Ledger ceiling rounds * shots * time_cap overflows.")
-        if tol <= 0:
-            raise ConfigError(f"eps_trott must be positive, got {tol}.")
         # A run counts up to rounds * shots * 2 * TROTTER_STEP_CAP * 2^T
         # queries of weight 2^-T in either mode.  A finite count keeps 2^-T
         # a normal float, and a round's charge, its count times at most
@@ -203,17 +198,12 @@ class CertificationConfig:
                 f"Twirl depth {steps} is too shallow: need 2^steps >= "
                 f"2^11 * 27^k = {2**11 * 27**self.k}."
             )
-        if tol > 1.0 / (128.0 * 9**self.k) * (1 + 1e-12):
+        # The rounds check above keeps k small enough for this product.
+        need = math.ceil(DEFAULT_C4 * 9**self.k)
+        if counts["shots_per_round"] < need:
             raise ConfigError(
-                f"eps_trott={tol:.3e} exceeds the admissible budget "
-                f"1/(128*9^k)={1.0 / (128.0 * 9 ** self.k):.3e}."
-            )
-        dip = 1.0 / (32.0 * 9**self.k)
-        margin = self.c0 / 9**self.k
-        if dip - 2.0 * tol < margin * (1 - 1e-12):
-            raise ConfigError(
-                f"Threshold margin violated: dip {dip:.3e} minus twice "
-                f"eps_trott {tol:.3e} falls below c0/9^k = {margin:.3e}."
+                f"Shot count ceil(c4 * 9^k) = {counts['shots_per_round']} with "
+                f"c4={self.c4!r} is below the {need} of the default c4={DEFAULT_C4!r}."
             )
 
 
@@ -296,11 +286,11 @@ class CertificationReport:
             f"epsilon: {cfg.epsilon!r}",
             f"delta: {cfg.delta!r}",
             f"k: {cfg.k}",
-            f"c1: {cfg.c1!r}",
+            f"c1: {DEFAULT_C1!r}",
             f"c2: {cfg.c2!r}",
-            f"c3: {cfg.c3!r}",
+            f"c3: {DEFAULT_C3!r}",
             f"c4: {cfg.c4!r}",
-            f"c0: {cfg.c0!r}",
+            f"c0: {DEFAULT_C0!r}",
             f"eps_trott: {cfg.trotter_tolerance!r}",
             f"allow_weak_constants: {cfg.allow_weak_constants}",
             f"rounds_cap: {cfg.rounds}",

@@ -13,6 +13,9 @@ import sys
 from pathlib import Path
 
 from .certifier import (
+    DEFAULT_C0,
+    DEFAULT_C1,
+    DEFAULT_C3,
     CertificationConfig,
     ConfigError,
     certify,
@@ -58,16 +61,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="oracle mode (default: exact)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master RNG seed (default: $HAMCERT_SEED or 0)")
-    parser.add_argument("--c1", type=float, default=None, help="round-count constant")
-    parser.add_argument("--c2", type=float, default=None, help="twirl-depth constant")
-    parser.add_argument("--c3", type=float, default=None, help="time-cap constant")
-    parser.add_argument("--c4", type=float, default=None, help="shot-count constant")
-    parser.add_argument("--c0", type=float, default=None, help="threshold constant")
-    parser.add_argument("--eps-trott", type=float, default=None,
-                        help="implementation-error budget per shot")
+    parser.add_argument("--c2", type=float, default=None,
+                        help="twirl-depth constant (default: 17)")
+    parser.add_argument("--c4", type=float, default=None,
+                        help="shot-count constant (default: 128)")
     parser.add_argument("--allow-weak-constants", action="store_true",
-                        help="skip the constants-consistency checks "
-                             "(needed only below the default constants)")
+                        help="allow a --c2 too small for the twirl-depth bound, "
+                             "or a --c4 that gives fewer shots than the default")
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -82,7 +82,7 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 def _config_from_args(args: argparse.Namespace) -> CertificationConfig:
     overrides = {}
-    for name in ("c1", "c2", "c3", "c4", "c0"):
+    for name in ("c2", "c4"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
@@ -90,7 +90,6 @@ def _config_from_args(args: argparse.Namespace) -> CertificationConfig:
         epsilon=args.epsilon,
         delta=args.delta,
         k=args.k,
-        eps_trott=args.eps_trott,
         mode=_MODES[args.mode],
         seed=_resolve_seed(args.seed),
         allow_weak_constants=args.allow_weak_constants,
@@ -135,11 +134,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"# delta = {cfg.delta!r}",
         f"# k = {cfg.k}",
         f"# mode = {cfg.mode.value}",
-        f"# c1 = {cfg.c1!r}",
+        f"# c1 = {DEFAULT_C1!r}",
         f"# c2 = {cfg.c2!r}",
-        f"# c3 = {cfg.c3!r}",
+        f"# c3 = {DEFAULT_C3!r}",
         f"# c4 = {cfg.c4!r}",
-        f"# c0 = {cfg.c0!r}",
+        f"# c0 = {DEFAULT_C0!r}",
         f"# eps_trott = {cfg.trotter_tolerance!r}",
         f"# seed = {cfg.seed}",
         "epsilon,total_time,queries,verdict,seed",

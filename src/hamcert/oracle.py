@@ -65,7 +65,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +77,6 @@ from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
 
 __all__ = [
     "AccessModelError",
-    "BlockPropagators",
     "EvolutionLedger",
     "EvolutionOracle",
     "OracleMode",
@@ -229,17 +227,6 @@ def _deviation(w: np.ndarray, v: np.ndarray, vh: np.ndarray, t: np.ndarray) -> n
     return (v * phases[..., None, :]) @ vh
 
 
-class BlockPropagators(NamedTuple):
-    """One group of equal-size blocks of a forward batch (see
-    :meth:`EvolutionOracle.query_forward_blocks`): ``sites`` lists each
-    block's sites, and ``factors`` is the ``(2, B, d, d)`` stack of
-    ``exp(-i t H) - I`` and the free reference evolution ``exp(+i t H0)
-    - I`` on them, block ``b`` at ``factors[:, b]``."""
-
-    sites: tuple[tuple[int, ...], ...]
-    factors: np.ndarray
-
-
 def _capped_blocks(subject: str, *sums: PauliSum) -> list[tuple[tuple, list[PauliSum]]]:
     """:func:`~hamcert.pauli.partition` of ``sums``; ValueError, opening
     with ``subject``, for a block above the trotter-mode cap."""
@@ -320,28 +307,30 @@ class EvolutionOracle:
 
     def query_forward_blocks(
         self, h0: PauliSum, t: float, count: int = 1
-    ) -> list[BlockPropagators]:
+    ) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
         """Forward query ``exp(-i t H)``, one factor per block of ``H`` and ``h0``.
 
         The blocks are those of the support graph of the hidden Hamiltonian
         and the reference together, so ``exp(-i t H)`` is the Kronecker
-        product of the returned ``forward`` factors, each plus the
-        identity, and the identity on the sites no term touches; the
-        factors reveal nothing that the dense matrix does not.  Each block
-        also carries the reference's compiled evolution ``exp(+i t H0)`` on
-        it, which is free.  Both come as their differences from the
-        identity (see :class:`BlockPropagators`).  Makes the same single
-        charge as :meth:`query_forward`: ``count * t`` and ``count``
-        queries.
+        product of the returned forward factors, each plus the identity,
+        and the identity on the sites no term touches; the factors reveal
+        nothing that the dense matrix does not.  Each block also carries
+        the reference's compiled evolution ``exp(+i t H0)`` on it, which is
+        free.  Makes the same single charge as :meth:`query_forward`:
+        ``count * t`` and ``count`` queries.
 
-        The blocks are grouped by size, groups in the order their size
-        first occurs and blocks in site order within a group; this group
-        order is the one every later step of a round keeps.  Each group's
-        forward and compiled factors come from one stacked product, taken
-        as :func:`hamcert.dense.propagator` takes it, at times ``(t,
-        -t)``.  The groups, and the eigendecompositions of both sums cut
-        to each block, are kept for the most recent reference; each
-        group's come from one :func:`hamcert.dense.to_dense_stack` and one
+        Returns ``(sites, index, factors)`` per group of equal-size blocks:
+        ``sites`` lists each block's sites, ``index`` holds them as a ``(B,
+        k)`` ``np.intp`` array, and ``factors`` is the ``(2, B, d, d)``
+        stack of ``exp(-i t H) - I`` and ``exp(+i t H0) - I`` on them,
+        block ``b`` at ``factors[:, b]``.  Groups come in the order their
+        size first occurs and blocks in site order within a group; this
+        group order is the one every later step of a round keeps.  Each
+        group's forward and compiled factors come from one stacked product,
+        taken as :func:`hamcert.dense.propagator` takes it, at times ``(t,
+        -t)``.  The groups, and the eigendecompositions of both sums cut to
+        each block, are kept for the most recent reference; each group's
+        come from one :func:`hamcert.dense.to_dense_stack` and one
         eigendecomposition of its ``2B`` sums, a block over every site
         included.
 
@@ -351,11 +340,6 @@ class EvolutionOracle:
                 a block exceeds the dense cap.  All checks run before any
                 charge.
         """
-        return [BlockPropagators(s, f) for s, _, f in self._forward_groups(h0, t, count)]
-
-    def _forward_groups(self, h0: PauliSum, t: float, count: int) -> list[tuple]:
-        """:meth:`query_forward_blocks` as ``(sites, index, factors)`` per
-        group, ``index`` the blocks' sites as a ``(B, k)`` array."""
         self._check_reference(h0)
         t, count = _forward_request(t, count)
         if not _same_reference(self._groups, h0):

@@ -151,18 +151,19 @@ def _strang_power(factors: np.ndarray, draws: np.ndarray, steps: int) -> np.ndar
 
     ``factors`` is the ``(2, B, d, d)`` stack of forward and compiled
     half-factors less the identity (see
-    :class:`hamcert.oracle.BlockPropagators`), and ``draws`` the ``(T, B,
-    k)`` ASCII codes of each draw cut to each block.  Sector ``m + 2^j`` is
-    sector ``m`` conjugated by draw ``P_j``, so both halves of the step
-    operator double together once per draw, the first half ``F`` to ``F P
-    F P`` and the second ``S`` to ``P S P S``; repeated squaring then
-    raises the step operator to the step count.  Every product before the
-    squaring is carried as its difference from the identity (see the
-    module docstring).  A Pauli string is a signed permutation, ``P|j> =
-    ph[j] |j ^ x>``, so entry ``(i, j)`` of ``P M P`` is ``M[i ^ x, j ^ x]
-    * (ph[i ^ x] * ph[j])``: one gather of the flat index ``(i d + j) ^ (x
-    (d + 1))`` and one product with the draw's multiplier, exact since
-    every phase and every product of two is ``+-1`` or ``+-i``.
+    :meth:`hamcert.oracle.EvolutionOracle.query_forward_blocks`), and
+    ``draws`` the ``(T, B, k)`` ASCII codes of each draw cut to each block.
+    Sector ``m + 2^j`` is sector ``m`` conjugated by draw ``P_j``, so both
+    halves of the step operator double together once per draw, the first
+    half ``F`` to ``F P F P`` and the second ``S`` to ``P S P S``; repeated
+    squaring then raises the step operator to the step count.  Every
+    product before the squaring is carried as its difference from the
+    identity (see the module docstring).  A Pauli string is a signed
+    permutation, ``P|j> = ph[j] |j ^ x>``, so entry ``(i, j)`` of ``P M
+    P`` is ``M[i ^ x, j ^ x] * (ph[i ^ x] * ph[j])``: one gather of the
+    flat index ``(i d + j) ^ (x (d + 1))`` and one product with the draw's
+    multiplier, exact since every phase and every product of two is
+    ``+-1`` or ``+-i``.
     """
     count, dim = factors.shape[1], factors.shape[-1]
     flips, phases = _letter_phases(draws.reshape(-1, draws.shape[-1]))
@@ -244,7 +245,7 @@ def _trotter_blocks(oracle: EvolutionOracle, h0: PauliSum, codes: np.ndarray, st
     # One forward query per sector per half-step per shot.
     queries = shots * steps * 2 * 2 ** len(codes)
     return [(sites, _strang_power(factors, codes[:, index], steps))
-            for sites, index, factors in oracle._forward_groups(h0, half_dur, queries)]
+            for sites, index, factors in oracle.query_forward_blocks(h0, half_dur, queries)]
 
 
 def trotter_evolve(

@@ -1,6 +1,7 @@
 """Tests for the certification protocol, its config, and the sweep harness."""
 
 import hashlib
+import itertools
 import math
 import re
 import time
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 from hamcert import trotter
 from hamcert.bell import identity_prob_factors, identity_prob_trace
 from hamcert.certifier import (
+    DEFAULT_C0,
+    DEFAULT_C1,
+    DEFAULT_C3,
     CertificationConfig,
     ConfigError,
     RoundRecord,
@@ -37,11 +41,11 @@ def make_oracle(hidden, mode=OracleMode.EXACT_EFFECTIVE):
 class TestConfigDerivation:
     def test_default_constants(self):
         cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1)
-        assert cfg.c1 == pytest.approx(16 / 3)
+        assert DEFAULT_C1 == pytest.approx(16 / 3)
         assert cfg.c2 == 17.0
-        assert cfg.c3 == pytest.approx(4 * math.sqrt(2))
+        assert DEFAULT_C3 == pytest.approx(4 * math.sqrt(2))
         assert cfg.c4 == 128.0
-        assert cfg.c0 == pytest.approx(1 / 64)
+        assert DEFAULT_C0 == pytest.approx(1 / 64)
 
     def test_derived_quantities_at_k1(self):
         cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1)
@@ -109,9 +113,38 @@ class TestConfigDerivation:
         )
         assert cfg.twirl_steps == 3
 
-    def test_oversized_error_budget_rejected(self):
-        with pytest.raises(ConfigError, match="budget"):
-            CertificationConfig(epsilon=0.2, delta=0.2, k=1, eps_trott=1e-2)
+    @pytest.mark.parametrize("k, c4, enough", [
+        # The default shot counts are 128 * 9 = 1152 and 128 * 81 = 10368;
+        # the count is ceil(c4 * 9^k), so a c4 a little below 128 reaches them.
+        (1, 0.001, False), (1, 127.88, False), (1, 127.89, True),
+        (2, 127.98, False), (2, 127.99, True), (1, 1e3, True),
+    ])
+    def test_fewer_shots_than_the_default_need_the_waiver(self, k, c4, enough):
+        kwargs = dict(epsilon=0.2, delta=0.2, k=k, c4=c4)
+        if enough:
+            assert CertificationConfig(**kwargs).shots_per_round >= 128 * 9**k
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"c4={c4!r}")):
+                CertificationConfig(**kwargs)
+            cfg = CertificationConfig(**kwargs, allow_weak_constants=True)
+            assert cfg.shots_per_round == math.ceil(c4 * 9**k) < 128 * 9**k
+
+    def test_the_fixed_constants_pass_the_consistency_arithmetic(self):
+        # At every k a default config admits: the error budget, the margin
+        # of the dip 1/(32 * 9^k) less twice the budget over c0 / 9^k
+        # (equal, up to rounding), and the twirl-depth bound.
+        ks = []
+        for k in itertools.count(1):
+            try:
+                cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=k)
+            except ConfigError:
+                break
+            tol = cfg.trotter_tolerance
+            assert tol == 1.0 / (128.0 * 9**k)
+            assert 1.0 / (32.0 * 9**k) - 2.0 * tol >= DEFAULT_C0 / 9**k * (1 - 1e-12)
+            assert cfg.twirl_steps == 17 * k >= (2**11 * 27**k - 1).bit_length()
+            ks.append(k)
+        assert ks == list(range(1, 18))
 
     def test_trotter_mode_takes_the_default_depth(self):
         for k in (1, 2):
@@ -174,10 +207,7 @@ class TestConfigDerivation:
             {"epsilon": math.nan},
             {"epsilon": math.inf},
             {"delta": math.nan},
-            {"c1": math.inf},
-            {"c3": math.nan},
-            {"c0": math.nan},
-            {"eps_trott": math.nan},
+            {"c2": math.nan},
             {"c4": math.inf, "allow_weak_constants": True},
         ],
     )
@@ -386,19 +416,19 @@ def test_the_derived_constants_are_worked_out_once():
     values = [getattr(cfg, name) for name in names]
     # Kept on the first read: a run reads them every round.
     assert all(name in vars(cfg) for name in names)
-    assert values == [34, cfg.c3 * 3.0 / 0.2, 10368, 1.0 - cfg.c0 / 81, 1.0 / (128.0 * 81)]
+    assert values == [34, DEFAULT_C3 * 3.0 / 0.2, 10368, 1.0 - DEFAULT_C0 / 81,
+                      1.0 / (128.0 * 81)]
 
 
 class TestTrotterizedMode:
     def _cfg(self, seed):
+        # delta=0.8 keeps a run to 4 rounds.
         return CertificationConfig(
             epsilon=2.0,
-            delta=0.3,
+            delta=0.8,
             k=1,
-            c1=1.0,
             c2=2.0,
             c4=2.0,
-            eps_trott=5e-3,
             mode=OracleMode.TROTTERIZED,
             seed=seed,
             allow_weak_constants=True,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hamcert.cli import entrypoint, main
 from hamcert.oracle import EvolutionOracle
+from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound
 from hamcert.verification import suite_names
 
 
@@ -159,13 +160,13 @@ class TestOutOfRangeNumbers:
             {"epsilon": "nan"},
             {"epsilon": "1e-320"},
             {"epsilon": "1", "c4": "inf", "allow-weak-constants": None},
-            {"eps-trott": "nan"},
+            {"c2": "nan"},
             {"delta": "5e-324"},
             {"k": "400"},
             {"k": "100000000"},
             {"c2": "1e300"},
         ],
-        ids=["epsilon-nan", "epsilon-subnormal", "c4-inf", "eps-trott-nan",
+        ids=["epsilon-nan", "epsilon-subnormal", "c4-inf", "c2-nan",
              "delta-subnormal", "k-400", "k-1e8", "c2-1e300"],
     )
     def test_exit_2_without_traceback(self, files, capsys, extra):
@@ -181,6 +182,21 @@ class TestOutOfRangeNumbers:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "unexpected" not in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--c1", "--c3", "--c0", "--eps-trott"])
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_a_fixed_constant_has_no_flag(self, files, capsys, command, flag):
+        # c1, c3, c0 and the error budget are the paper's constants; a
+        # lower c1 or c3 would accept a pair epsilon apart.
+        if command == "certify":
+            args = certify_args(files, "h_far.txt")
+        else:
+            args = TestSweepCommand().sweep_args(files)
+        assert main(args + [flag, "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 0.01" in captured.err
         assert "Traceback" not in captured.err
 
     def test_unexpected_exception_is_an_error_not_a_reject(
@@ -202,10 +218,9 @@ class TestTrotterModeCommand:
             "certify",
             "--h0", str(files / "h0.txt"),
             "--h", str(files / "h_same.txt"),
-            "--epsilon", "2.0", "--delta", "0.3", "--k", "1",
+            "--epsilon", "2.0", "--delta", "0.8", "--k", "1",
             "--mode", "trotter",
-            "--c1", "1", "--c2", "2", "--c4", "2",
-            "--eps-trott", "5e-3",
+            "--c2", "2", "--c4", "2",
             "--allow-weak-constants",
             "--seed", "0",
         ])
@@ -215,13 +230,18 @@ class TestTrotterModeCommand:
         assert "verdict: ACCEPT" in out
 
     @pytest.mark.parametrize("h,code", [("h_same.txt", 0), ("h_far.txt", 1)])
-    def test_tiny_error_budget_runs_at_the_step_cap(self, files, capsys, h, code):
-        args = certify_args(files, h, mode="trotter", c2=2, c4=2,
-                            **{"eps-trott": "5e-324"})
+    def test_the_default_depth_runs_at_the_step_cap(self, files, capsys, h, code):
+        # Twirl depth 17 and the budget 1/1152 saturate the step count
+        # whenever t >= 0.061; fewer shots keep the run short.
+        args = certify_args(files, h, mode="trotter", c4=2)
         assert main(args + ["--allow-weak-constants"]) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert f"verdict: {('ACCEPT', 'REJECT')[code]}" in captured.out
+        times = [float(line.split(",")[3]) for line in captured.out.splitlines()
+                 if line[:1].isdigit()]
+        assert times
+        assert all(steps_from_bound(17, t, 1 / 1152) == TROTTER_STEP_CAP for t in times)
 
     @pytest.mark.parametrize("h,code", [("h_same.txt", 0), ("h_far.txt", 1)])
     def test_default_constants_run_in_trotter_mode(self, files, capsys, h, code):
@@ -356,12 +376,8 @@ class TestLedgerCeiling:
 _FLAG_RANGES = {
     "epsilon": (1e-300, 1e3),
     "delta": (0.01, 0.99),
-    "c1": (1e-3, 6.0),
     "c2": (1e-3, 64.0),
-    "c3": (1e-3, 1e6),
     "c4": (1e-3, 1e15),
-    "c0": (1e-6, 0.999),
-    "eps-trott": (1e-12, 1.0),
 }
 _BAD_VALUES = [0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf"), 1e308]
 

@@ -468,7 +468,11 @@ class TestSizeLimits:
         h0 = PauliSum(n, {"I" * j + "ZZ" + "I" * (n - 2 - j): 0.1
                           for j in range(1, n - 1, 2)})
         oracle = _trotter(hidden)
-        oracle.query_forward_blocks(hidden, 0.5, count=2)
+        # Against itself, the hidden sum splits into six blocks of two sites.
+        [(sites, index, factors)] = oracle.query_forward_blocks(hidden, 0.5, count=2)
+        assert sites == tuple((j, j + 1) for j in range(0, n - 1, 2))
+        assert index.tolist() == [list(s) for s in sites]
+        assert factors.shape == (2, 6, 4, 4)
         with pytest.raises(ValueError, match="link 12 sites"):
             oracle.query_forward_blocks(h0, 0.5, count=3)
         assert oracle.ledger == EvolutionLedger(2 * 0.5, 2)
