@@ -15,11 +15,11 @@ A round consumes its generator in a fixed order: ``integers(0, 3, n)``
 for the axes, ``integers(0, 2, (T, n))`` for the twirl draws, one
 ``random()`` for the time, which it takes as ``time_cap * random()`` (the
 double and the generator state that ``uniform(0.0, time_cap)`` gives), and
-one ``binomial`` for the shots.  The twirl draws stay in the draw row of
-:func:`hamcert.twirl._draw`: the round's digest hashes the row as it is,
-and trotter mode reads the draws' letter codes out of it, so no round
-forms their labels.  The configuration's derived constants are worked out
-once and kept.
+one ``binomial`` for the shots; :func:`_draw_round` makes all but the last.
+The twirl draws stay in the draw row of :func:`hamcert.twirl._draw`: the
+round's digest hashes the row as it is, and trotter mode reads the draws'
+letter codes out of it, so no round forms their labels.  The
+configuration's derived constants are worked out once and kept.
 
 The paper's constants make the round count, twirl depth, time cap, shot
 count, and threshold mutually consistent:
@@ -320,6 +320,31 @@ def _row_digest(axes: str, row: bytes) -> str:
     return hashlib.sha256((axes + ":").encode("ascii") + row[:-1]).hexdigest()[:12]
 
 
+def _draw_round(n: int, cfg: CertificationConfig, rng: np.random.Generator) -> tuple:
+    """A round's draws on ``n`` sites: ``(subspace, bits, row, t)``, the twirl
+    bits and row of :func:`hamcert.twirl._draw` between the subspace and the time."""
+    subspace = sample_subspace(n, rng)
+    # rng.uniform(0.0, cap) without its wrapper: the same double and state.
+    return (subspace, *_draw(subspace, cfg.twirl_steps, rng), cfg.time_cap * rng.random())
+
+
+def _round_probability(h0: PauliSum, oracle: EvolutionOracle, cfg: CertificationConfig,
+                       draws: tuple) -> float:
+    """The identity probability of a shot batch of the round ``draws`` in the
+    oracle's mode, charged to its ledger: exact, or the product formula's."""
+    subspace, bits, row, t = draws
+    if oracle.mode is OracleMode.EXACT_EFFECTIVE:
+        transcript = oracle._twirl_drawn(h0, subspace, bits, row)
+        return oracle.effective_identity_prob(transcript, t, shots=cfg.shots_per_round)
+    steps = steps_from_bound(len(bits), t, cfg.trotter_tolerance)
+    # The row holds each draw's letter codes and then a comma.
+    codes = np.frombuffer(row, dtype=np.uint8).reshape(len(bits), -1)[:, :-1]
+    groups = _trotter_blocks(oracle, h0, codes, steps, t, cfg.shots_per_round)
+    # The unitarity defect of S^steps grows about steps times that of the
+    # step operator S, so the 1e-8 bound holds per step.
+    return identity_prob_factors([u for _, u in groups], atol=1e-8 * steps)
+
+
 def run_round(
     h0: PauliSum,
     oracle: EvolutionOracle,
@@ -329,34 +354,14 @@ def run_round(
 ) -> RoundRecord:
     """Execute one protocol round and report its empirical identity fraction.
 
-    Draws the subspace, the twirl, and the evolution time from ``rng``,
-    obtains the identity probability of the shot batch through the
-    channel matching the configured mode (the oracle's effective channel
-    in exact mode, the product formula in trotter mode), samples the
-    shots, and flags the round when the identity fraction is at or below
-    the acceptance threshold.
+    Draws the round, takes the identity probability of its shot batch in
+    the oracle's mode, samples the shots, and flags the round when the
+    identity fraction is at or below the acceptance threshold.
     """
-    subspace = sample_subspace(h0.n, rng)
+    subspace, _, row, t = draws = _draw_round(h0.n, cfg, rng)
+    prob = _round_probability(h0, oracle, cfg, draws)
+    fraction = sample_identity_shots(prob, cfg.shots_per_round, rng) / cfg.shots_per_round
     axes = str(subspace)
-    draws, shots = cfg.twirl_steps, cfg.shots_per_round
-    if cfg.mode is OracleMode.EXACT_EFFECTIVE:
-        transcript = oracle.sample_twirl(h0, subspace, draws, rng)
-        # rng.uniform(0.0, cap) without its wrapper: the same double and
-        # the same generator state.
-        t = cfg.time_cap * rng.random()
-        prob = oracle.effective_identity_prob(transcript, t, shots=shots)
-        row = transcript._row
-    else:
-        row = _draw(subspace, draws, rng)[1]
-        t = cfg.time_cap * rng.random()
-        steps = steps_from_bound(draws, t, cfg.trotter_tolerance)
-        # The row holds each draw's letter codes and then a comma.
-        codes = np.frombuffer(row, dtype=np.uint8).reshape(draws, -1)[:, :-1]
-        groups = _trotter_blocks(oracle, h0, codes, steps, t, shots)
-        # The unitarity defect of S^steps grows about steps times that of
-        # the step operator S, so the 1e-8 bound holds per step.
-        prob = identity_prob_factors([u for _, u in groups], atol=1e-8 * steps)
-    fraction = sample_identity_shots(prob, shots, rng) / shots
     return RoundRecord._trusted(index, axes, _row_digest(axes, row), t, fraction,
                                 fraction <= cfg.accept_threshold)
 

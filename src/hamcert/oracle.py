@@ -45,10 +45,10 @@ calls per block size, not per block.  Each block is at most
 above that size refuses a hidden block beyond it.
 
 In ``EXACT_EFFECTIVE`` mode the oracle also performs the twirl of
-``hidden - reference`` on the certifier's behalf (:meth:`EvolutionOracle.
-sample_twirl`), so the certifier never holds the hidden Hamiltonian.  What
-crosses back is the twirl transcript and, per shot batch, the Bell
-identity probability of the twirled generator
+``hidden - reference`` by the certifier's draws (:meth:`EvolutionOracle.
+sample_twirl` draws them itself), so the certifier never holds the hidden
+Hamiltonian.  What crosses back is the twirl transcript and, per shot
+batch, the Bell identity probability of the twirled generator
 (:meth:`EvolutionOracle.effective_identity_prob`), taken per block of the
 twirled generator's support graph.  In the frame where every site's axis
 is Z, each Pauli term maps ``s`` to ``s ^ x`` with a phase, so a block of
@@ -73,7 +73,7 @@ from .dense import (_CHUNK_ENTRIES, QUBIT_CAP, _check_cap, _letter_phases, eig_d
                     evolve, to_dense_stack)
 from .moments import walsh_table, walsh_transform
 from .pauli import PauliSum, _codes, partition, subtract
-from .twirl import DiagonalSubspace, TwirlTranscript, run_twirl
+from .twirl import DiagonalSubspace, TwirlTranscript, _check_sizes, _draw, _split
 
 __all__ = [
     "AccessModelError",
@@ -317,7 +317,8 @@ class EvolutionOracle:
         nothing that the dense matrix does not.  Each block also carries
         the reference's compiled evolution ``exp(+i t H0)`` on it, which is
         free.  Makes the same single charge as :meth:`query_forward`:
-        ``count * t`` and ``count`` queries.
+        ``count * t`` and ``count`` queries (a product-formula round charges
+        its shots' exact time, through :meth:`_forward_blocks`).
 
         Returns ``(sites, index, factors)`` per group of equal-size blocks:
         ``sites`` lists each block's sites, ``index`` holds them as a ``(B,
@@ -340,11 +341,17 @@ class EvolutionOracle:
                 a block exceeds the dense cap.  All checks run before any
                 charge.
         """
+        return self._forward_blocks(h0, t, count)
+
+    def _forward_blocks(self, h0: PauliSum, t: float, count: int,
+                        total: float | None = None) -> list[tuple]:
+        """:meth:`query_forward_blocks`, charging ``total``, when given, for the
+        ``count`` queries: their exact sum, which ``count * t`` rounds."""
         self._check_reference(h0)
         t, count = _forward_request(t, count)
         if not _same_reference(self._groups, h0):
             self._groups = (h0, self._group_spectra(h0))
-        self.ledger.charge(count * t, queries=count)
+        self.ledger.charge(count * t if total is None else total, queries=count)
         times = np.array([t, -t])[:, None, None]
         return [(sites, index, _deviation(w, v, vh, times))
                 for sites, index, w, v, vh in self._groups[1]]
@@ -450,9 +457,18 @@ class EvolutionOracle:
 
         Classical bookkeeping done on the certifier's behalf so the
         difference Hamiltonian never crosses the boundary untwirled;
-        charges nothing.
+        charges nothing.  Every check runs before the draws.
         """
+        self._check_reference(h0)
+        _check_sizes(h0, subspace)
+        return self._twirl_drawn(h0, subspace, *_draw(subspace, steps, rng))
+
+    def _twirl_drawn(self, h0: PauliSum, subspace: DiagonalSubspace, bits: np.ndarray,
+                     row: bytes) -> TwirlTranscript:
+        """``hidden - h0``, kept per reference, twirled by the member draws
+        ``bits`` of ``subspace`` whose draw row is ``row``, as a round draws them."""
         self._check_reference(h0)
         if not _same_reference(self._difference, h0):
             self._difference = (h0, subtract(self._hidden, h0))
-        return run_twirl(self._difference[1], subspace, steps, rng)
+        parts = _split(self._difference[1], subspace, bits)
+        return TwirlTranscript._trusted(subspace, *parts, _row=row)

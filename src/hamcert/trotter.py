@@ -212,8 +212,8 @@ def trotter_blocks(
     sites no term touches.  Every physical forward query of the batch has
     the same duration, so the batch is charged in one call that counts
     each query: the ledger gains exactly ``shots * steps * 2 * 2^T``
-    queries and that count times the half-factor duration, which is
-    ``shots * plan.total_time`` up to rounding at any query count.
+    queries and exactly ``shots * plan.total_time``, the time an
+    exact-mode shot batch of that duration charges, at any step count.
     Repeated shots reuse the compiled circuit but are charged as separate
     runs.
 
@@ -242,10 +242,10 @@ def _trotter_blocks(oracle: EvolutionOracle, h0: PauliSum, codes: np.ndarray, st
     if shots < 1:
         raise ValueError(f"Shot count must be positive, got {shots}.")
     half_dur = total_time * 2.0 ** -len(codes) / (2 * steps)
-    # One forward query per sector per half-step per shot.
+    # One forward query per sector per half-step per shot, charged exactly.
     queries = shots * steps * 2 * 2 ** len(codes)
-    return [(sites, _strang_power(factors, codes[:, index], steps))
-            for sites, index, factors in oracle.query_forward_blocks(h0, half_dur, queries)]
+    return [(sites, _strang_power(factors, codes[:, index], steps)) for sites, index, factors
+            in oracle._forward_blocks(h0, half_dur, queries, shots * total_time)]
 
 
 def trotter_evolve(

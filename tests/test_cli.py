@@ -297,13 +297,13 @@ class TestExactModeResidualRounds:
         (files / "h20.txt").write_text(terms)
         (files / "h20_far.txt").write_text(terms + "0.001 X" + "I" * (n - 1) + "\n")
         seen = []
-        sample_twirl = EvolutionOracle.sample_twirl
+        twirl_drawn = EvolutionOracle._twirl_drawn
 
         def recording(self, *args):
-            seen.append(sample_twirl(self, *args))
+            seen.append(twirl_drawn(self, *args))
             return seen[-1]
 
-        monkeypatch.setattr(EvolutionOracle, "sample_twirl", recording)
+        monkeypatch.setattr(EvolutionOracle, "_twirl_drawn", recording)
         args = [
             "certify", "--h0", str(files / "h20.txt"), "--h", str(files / "h20_far.txt"),
             "--epsilon", "0.2", "--delta", "0.2", "--k", "1", "--seed", "0",

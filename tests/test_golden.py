@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hamcert import CertificationConfig, EvolutionOracle, certify, parse_hamiltonian
-from hamcert import dense, oracle, pauli, trotter, twirl
+from hamcert import certifier, dense, oracle, pauli, trotter, twirl
 from hamcert.cli import main
 from hamcert.oracle import OracleMode
 from hamcert.pauli import PauliSum, _codes, frobenius_norm, scale
@@ -91,6 +91,52 @@ def render_case(case: str) -> str:
 def test_certify_report_bytes(case):
     report = SAME_REPORT.get(case, case)
     assert render_case(case) == (GOLDEN / f"{report}.report").read_text()
+
+
+#: The trotter-mode cases; exact mode draws each of their rounds alike.
+TROTTER_CASES = sorted(case for case in CASES if case.startswith("trotter-"))
+
+
+def _without_mode_lines(report: str) -> list[str]:
+    """The report's lines but for ``mode:`` and ``ledger_query_count:``, the
+    only ones that tell the two modes apart on the same draws."""
+    return [line for line in report.splitlines()
+            if not line.startswith(("mode: ", "ledger_query_count: "))]
+
+
+@pytest.mark.parametrize("case", TROTTER_CASES)
+def test_exact_mode_renders_each_trotter_report(case):
+    # Both modes charge shots * t per round, and their identity
+    # probabilities lie closer than any binomial draw here resolves.
+    h0_file, h_file, kwargs = CASES[case]
+    cfg = CertificationConfig(**dict(kwargs, mode=EXACT))
+    report = certify(_load(h0_file), EvolutionOracle(_load(h_file), EXACT), cfg).render()
+    pinned = (GOLDEN / f"{case}.report").read_text()
+    assert _without_mode_lines(report) == _without_mode_lines(pinned)
+
+
+@pytest.mark.parametrize("case", TROTTER_CASES)
+def test_each_trotter_round_has_its_exact_probability(case, monkeypatch):
+    # Each round of the pinned trotter run, with exact mode's probability
+    # of the same draws beside it: they differ only by the product
+    # formula's error, which the budget bounds.
+    h0_file, h_file, kwargs = CASES[case]
+    exact = EvolutionOracle(_load(h_file), EXACT)
+    round_probability = certifier._round_probability
+    gaps = []
+
+    def both_modes(h0, oracle, cfg, draws):
+        p_trotter = round_probability(h0, oracle, cfg, draws)
+        p_exact = round_probability(h0, exact, cfg, draws)
+        gaps.append(abs(p_trotter - p_exact))
+        assert gaps[-1] <= cfg.trotter_tolerance, (
+            f"{case}, round {len(gaps)}: p_trotter={p_trotter!r}, p_exact={p_exact!r}")
+        return p_trotter
+
+    monkeypatch.setattr(certifier, "_round_probability", both_modes)
+    report = render_case(case)
+    assert report == (GOLDEN / f"{case}.report").read_text()
+    assert f"rounds_run: {len(gaps)}\n" in report
 
 
 def test_sweep_csv_bytes(monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcert.bell import identity_prob_factors, identity_prob_trace
-from hamcert.certifier import CertificationConfig
+from hamcert.certifier import CertificationConfig, run_round
 from hamcert.dense import _letter_phases, eig_decompose, evolve, pauli_matrix, to_dense
 from hamcert.instances import random_pauli_sum
 from hamcert.oracle import EvolutionLedger, EvolutionOracle, OracleMode, OracleModeError
@@ -208,14 +208,14 @@ class TestTrotterEvolve:
         for steps in (1, 8, 33, 128):
             oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
             trotter_evolve(oracle, h0, TrotterPlan(paulis, steps, 1.7))
-            assert abs(oracle.ledger.total_time - 1.7) <= 1e-12
+            assert oracle.ledger.total_time == 1.7
             assert oracle.ledger.query_count == steps * 2 * 2 ** len(paulis)
 
     def test_shots_scale_the_ledger(self):
         h0, hidden, paulis, _ = self._setup(5)
         oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
         trotter_evolve(oracle, h0, TrotterPlan(paulis, 8, 0.9), shots=5)
-        assert oracle.ledger.total_time == pytest.approx(4.5, abs=1e-12)
+        assert oracle.ledger.total_time == 5 * 0.9
         assert oracle.ledger.query_count == 5 * 8 * 2 * 2 ** len(paulis)
 
     def test_second_order_convergence(self):
@@ -382,8 +382,7 @@ def _check_factored(hidden, h0, plan, shots=1):
     got = identity_prob_factors([u for _, u in groups])
     assert abs(got - identity_prob_trace(reference)) <= 1e-12
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
-    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
-    assert oracle.ledger == EvolutionLedger(queries * half, queries)
+    assert oracle.ledger == EvolutionLedger(shots * plan.total_time, queries)
     dense = trotter_evolve(EvolutionOracle(hidden, OracleMode.TROTTERIZED), h0, plan)
     assert np.max(np.abs(dense - reference)) <= 1e-12
     return [sites for sites, _ in groups]
@@ -562,8 +561,7 @@ def _check_stacked(hidden, h0, plan, shots=1):
     for (sites, u), (_, want) in zip(got, blocks):
         assert np.array_equal(u, want), sites
     queries = shots * plan.steps * 2 * 2 ** len(plan.draws)
-    half = plan.total_time * plan.sector_weight / (2 * plan.steps)
-    assert oracle.ledger == EvolutionLedger(queries * half, queries)
+    assert oracle.ledger == EvolutionLedger(shots * plan.total_time, queries)
     # The core that a round reaches with its draws' letter codes: the same
     # stacks, bit for bit, and the same charge.
     codes = _codes(("".join(plan.draws),), hidden.n)
@@ -643,6 +641,41 @@ def test_a_draw_off_the_qubits_is_refused_before_any_charge(draw):
     with pytest.raises(ValueError):
         trotter_blocks(oracle, h, TrotterPlan((draw,), 2, 1.0))
     assert oracle.ledger == EvolutionLedger()
+
+
+@pytest.mark.parametrize("draws", [1, 2, 5, 17])
+def test_a_batch_charges_its_shots_exact_time_at_any_step_count(draws):
+    # steps * 2 * 2^T queries of t * 2^-T / (2 * steps) each add up to t
+    # only to rounding when steps is not a power of 2; the charge is
+    # shots * t bit for bit, the time an exact-mode batch charges.
+    rng = np.random.default_rng(90 + draws)
+    hidden, h0 = PauliSum(2, {"XI": 0.3, "ZZ": 0.2}), PauliSum(2, {"XI": 0.3})
+    paulis = sample_twirl_paulis(sample_subspace(2, rng), draws, rng)
+    rounded = 0
+    for steps in (3, 5, 6, 7, 33, 100, 1000):
+        for _ in range(4):
+            shots, t = int(rng.integers(1, 20_000)), float(rng.uniform(0.0, 50.0))
+            oracle = EvolutionOracle(hidden, OracleMode.TROTTERIZED)
+            trotter_blocks(oracle, h0, TrotterPlan(paulis, steps, t), shots=shots)
+            queries = shots * steps * 2 * 2**draws
+            assert oracle.ledger == EvolutionLedger(shots * t, queries), (steps, shots, t)
+            rounded += queries * (t * 2.0**-draws / (2 * steps)) != shots * t
+    # The sum of the query durations misses shots * t somewhere on this grid.
+    assert rounded
+
+
+def test_a_trotter_round_charges_its_shots_exact_time():
+    cfg = CertificationConfig(epsilon=0.2, delta=0.2, k=1, c2=2.0, mode=OracleMode.TROTTERIZED,
+                              allow_weak_constants=True)
+    hidden, h0 = PauliSum(2, {"XI": 0.3, "ZZ": 0.2}), PauliSum(2, {"XI": 0.3})
+    odd = 0
+    for seed in range(8):
+        oracle = EvolutionOracle(hidden, cfg.mode)
+        record = run_round(h0, oracle, cfg, np.random.default_rng(seed))
+        assert oracle.ledger.total_time == cfg.shots_per_round * record.time
+        steps = steps_from_bound(cfg.twirl_steps, record.time, cfg.trotter_tolerance)
+        odd += steps & (steps - 1) != 0
+    assert odd
 
 
 class TestTrotterError:
