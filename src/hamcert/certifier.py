@@ -286,12 +286,7 @@ class CertificationReport:
             f"epsilon: {cfg.epsilon!r}",
             f"delta: {cfg.delta!r}",
             f"k: {cfg.k}",
-            f"c1: {DEFAULT_C1!r}",
-            f"c2: {cfg.c2!r}",
-            f"c3: {DEFAULT_C3!r}",
-            f"c4: {cfg.c4!r}",
-            f"c0: {DEFAULT_C0!r}",
-            f"eps_trott: {cfg.trotter_tolerance!r}",
+            *(f"{name}: {value!r}" for name, value in _constants(cfg)),
             f"allow_weak_constants: {cfg.allow_weak_constants}",
             f"rounds_cap: {cfg.rounds}",
             f"twirl_steps: {cfg.twirl_steps}",
@@ -308,6 +303,12 @@ class CertificationReport:
                 f"{rec.time!r},{rec.identity_fraction!r},{int(rec.flagged)}"
             )
         return "\n".join(lines) + "\n"
+
+
+def _constants(cfg: CertificationConfig) -> tuple[tuple[str, float], ...]:
+    """The run's constants as ``(name, value)`` pairs, in report order."""
+    return (("c1", DEFAULT_C1), ("c2", cfg.c2), ("c3", DEFAULT_C3),
+            ("c4", cfg.c4), ("c0", DEFAULT_C0), ("eps_trott", cfg.trotter_tolerance))
 
 
 def _digest(axes: str, paulis: tuple[str, ...]) -> str:

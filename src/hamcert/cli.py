@@ -8,16 +8,15 @@ locale-independent and byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .certifier import (
-    DEFAULT_C0,
-    DEFAULT_C1,
-    DEFAULT_C3,
+    DEFAULT_C2,
+    DEFAULT_C4,
     CertificationConfig,
     ConfigError,
+    _constants,
     certify,
     sweep_epsilon,
 )
@@ -59,41 +58,27 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="locality bound")
     parser.add_argument("--mode", choices=sorted(_MODES), default="exact",
                         help="oracle mode (default: exact)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master RNG seed (default: $HAMCERT_SEED or 0)")
-    parser.add_argument("--c2", type=float, default=None,
-                        help="twirl-depth constant (default: 17)")
-    parser.add_argument("--c4", type=float, default=None,
-                        help="shot-count constant (default: 128)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master RNG seed (default: %(default)s)")
+    parser.add_argument("--c2", type=float, default=DEFAULT_C2,
+                        help="twirl-depth constant (default: %(default)s)")
+    parser.add_argument("--c4", type=float, default=DEFAULT_C4,
+                        help="shot-count constant (default: %(default)s)")
     parser.add_argument("--allow-weak-constants", action="store_true",
                         help="allow a --c2 too small for the twirl-depth bound, "
                              "or a --c4 that gives fewer shots than the default")
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    value = os.environ.get("HAMCERT_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"HAMCERT_SEED must be an integer, got {value!r}.") from None
-
-
 def _config_from_args(args: argparse.Namespace) -> CertificationConfig:
-    overrides = {}
-    for name in ("c2", "c4"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
     return CertificationConfig(
         epsilon=args.epsilon,
         delta=args.delta,
         k=args.k,
+        c2=args.c2,
+        c4=args.c4,
         mode=_MODES[args.mode],
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         allow_weak_constants=args.allow_weak_constants,
-        **overrides,
     )
 
 
@@ -134,12 +119,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"# delta = {cfg.delta!r}",
         f"# k = {cfg.k}",
         f"# mode = {cfg.mode.value}",
-        f"# c1 = {DEFAULT_C1!r}",
-        f"# c2 = {cfg.c2!r}",
-        f"# c3 = {DEFAULT_C3!r}",
-        f"# c4 = {cfg.c4!r}",
-        f"# c0 = {DEFAULT_C0!r}",
-        f"# eps_trott = {cfg.trotter_tolerance!r}",
+        *(f"# {name} = {value!r}" for name, value in _constants(cfg)),
         f"# seed = {cfg.seed}",
         "epsilon,total_time,queries,verdict,seed",
     ]
@@ -158,12 +138,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = suite_names() if args.suite == "all" else [args.suite]
-    seed = _resolve_seed(args.seed)
     for name in names:
         check_trials(name, args.trials)
     all_passed = True
     for name in names:
-        result = run_suite(name, trials=args.trials, seed=seed)
+        result = run_suite(name, trials=args.trials, seed=args.seed)
         sys.stdout.write(result.summary() + "\n")
         all_passed &= result.passed
     return EXIT_ACCEPT if all_passed else EXIT_REJECT
@@ -204,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite name (default: all)")
     p_verify.add_argument("--trials", type=int, default=None,
                           help="override the suite's main trial count")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="suite RNG seed (default: $HAMCERT_SEED or 0)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="suite RNG seed (default: %(default)s)")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -8,8 +8,8 @@ finds such a dip with high probability.
 
 :func:`lambda_stat_stack` takes the pair fraction of a stack of spectra,
 and :func:`find_drop_indices` returns a batch of searches as arrays of
-draws and hit indices; :func:`lambda_stat` and :func:`find_drop_times`
-are their one-row and one-object-per-search forms, with the same bits.
+draws and hit indices; :func:`lambda_stat` and :func:`find_drop_time`
+are their one-row and one-search forms, with the same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "GapStatConfig",
     "find_drop_time",
     "find_drop_indices",
-    "find_drop_times",
     "lambda_stat",
     "lambda_stat_stack",
     "stability_bound",
@@ -138,32 +137,16 @@ def find_drop_time(
     draw misses.  Uses exact identity probabilities (an analysis-side
     utility); nothing is charged anywhere.
     """
-    return find_drop_times(spectrum, cfg, rng, 1)[0]
+    at, times, probs = find_drop_indices(spectrum, cfg, rng, 1)
+    hit = int(at[0])
+    return None if hit < 0 else DropTime(float(times[hit]), float(probs[hit]))
 
 
-#: Searches of :func:`find_drop_times` that share one block of draws.
+#: Searches of :func:`find_drop_indices` that share one block of draws.
 _SEARCH_BATCH = 1024
 
-#: Draws per search that :func:`find_drop_times` evaluates before the rest.
+#: Draws per search that :func:`find_drop_indices` evaluates before the rest.
 _FIRST_DRAWS = 2
-
-
-def find_drop_times(
-    spectrum: np.ndarray, cfg: GapStatConfig, rng: np.random.Generator, searches: int
-) -> list[Optional[DropTime]]:
-    """``searches`` successive :func:`find_drop_time` calls, vectorised.
-
-    The :class:`DropTime` list of :func:`find_drop_indices`, with its
-    draws: the results and the final ``rng`` state are those of
-    ``searches`` calls of :func:`find_drop_time` that draw one
-    ``rng.uniform(0.0, 2/epsilon)`` at a time.
-    """
-    at, times, probs = find_drop_indices(spectrum, cfg, rng, searches)
-    found: list[Optional[DropTime]] = [None] * searches
-    hit = np.flatnonzero(at >= 0)
-    for j, t, p in zip(hit.tolist(), times[at[hit]].tolist(), probs[at[hit]].tolist()):
-        found[j] = DropTime(t, p)
-    return found
 
 
 def find_drop_indices(

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hamcert.certifier import CertificationConfig, CertificationReport
 from hamcert.cli import entrypoint, main
 from hamcert.oracle import EvolutionOracle
 from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound
-from hamcert.verification import suite_names
+from hamcert.verification import run_suite, suite_names
 
 
 @pytest.fixture
@@ -125,6 +126,22 @@ class TestSweepCommand:
         assert any(ln.startswith("# seed = ") for ln in comments)
         assert any(ln.startswith("# k = ") for ln in comments)
         assert any(ln.startswith("# eps_list = ") for ln in comments)
+
+    def test_header_lists_the_report_constants(self, files, capsys):
+        # The sweep header and the report print one list: c1 to eps_trott.
+        args = self.sweep_args(files) + ["--c2", "2", "--c4", "1", "--allow-weak-constants"]
+        assert main(args) == 0
+        names = ("c1", "c2", "c3", "c4", "c0", "eps_trott")
+        header = [ln[2:].split(" = ") for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("# ") and ln[2:].split(" = ")[0] in names]
+        cfg = CertificationConfig(epsilon=0.4, delta=0.2, k=1, c2=2.0, c4=1.0, seed=3,
+                                  allow_weak_constants=True)
+        report = CertificationReport(records=(), ledger_total_time=0.0,
+                                     ledger_query_count=0, config=cfg).render()
+        listed = [ln.split(": ") for ln in report.splitlines() if ln.split(": ")[0] in names]
+        assert [name for name, _ in listed] == list(names)
+        assert header == listed
+        assert ["c2", "2.0"] in header and ["c4", "1.0"] in header
 
     def test_an_unwritable_csv_path_is_an_input_error(self, files, tmp_path, capsys):
         out = tmp_path / "missing" / "sweep.csv"
@@ -449,21 +466,33 @@ class TestVerifyCommand:
         assert capsys.readouterr().out.startswith("[PASS] bell")
 
 
-class TestSeedResolution:
-    def test_env_var_provides_the_default_seed(self, files, tmp_path, monkeypatch):
-        monkeypatch.setenv("HAMCERT_SEED", "7")
-        out_env = tmp_path / "env.txt"
-        args = [a for a in certify_args(files, "h_far.txt") if a != "--seed" and a != "7"]
-        main(args + ["--out", str(out_env)])
-        out_flag = tmp_path / "flag.txt"
-        main(certify_args(files, "h_far.txt", out=out_flag))
-        assert out_env.read_bytes() == out_flag.read_bytes()
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
-    def test_flag_takes_precedence_over_env(self, files, tmp_path, monkeypatch):
-        monkeypatch.setenv("HAMCERT_SEED", "99")
-        out = tmp_path / "flag_wins.txt"
-        main(certify_args(files, "h_far.txt", out=out))
-        assert "seed: 7" in out.read_text()
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("env", ["7", "abc"])
+    def test_the_environment_does_not_set_the_seed(self, files, monkeypatch, env):
+        # Only --seed sets the seed: identical flags give identical output
+        # whatever HAMCERT_SEED holds, and without the flag the seed is 0.
+        certify = [a for a in certify_args(files, "h_far.txt") if a not in ("--seed", "7")]
+        runs = {
+            "certify": certify,
+            "certify --seed 7": certify + ["--seed", "7"],
+            "verify": ["verify", "--suite", "bell"],
+        }
+        monkeypatch.delenv("HAMCERT_SEED", raising=False)
+        unset = {name: _outcome(argv) for name, argv in runs.items()}
+        monkeypatch.setenv("HAMCERT_SEED", env)
+        assert {name: _outcome(argv) for name, argv in runs.items()} == unset
+        assert unset["certify"][0] == 1 and "\nseed: 0\n" in unset["certify"][1]
+        assert unset["certify --seed 7"][0] == 1
+        assert "\nseed: 7\n" in unset["certify --seed 7"][1]
+        assert unset["verify"][:2] == (0, run_suite("bell", seed=0).summary() + "\n")
+        assert all(err == "" for _, _, err in unset.values())
 
 
 class TestInputErrorsNameTheInput:
@@ -472,28 +501,22 @@ class TestInputErrorsNameTheInput:
     @staticmethod
     def _run(argv):
         start = time.perf_counter()
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        outcome = _outcome(argv)
         assert time.perf_counter() - start < 1.0
-        return code, out.getvalue(), err.getvalue()
+        return outcome
 
     @pytest.mark.parametrize(
-        "extra, env, named",
+        "extra, named",
         [
             # Exact mode takes trotter mode's bound on the twirl depth.
-            (["--c2", "1e300"], None, "c2=1e+300"),
-            (["--c2", "1e7"], None, "c2=10000000.0"),
-            (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
-            ([], "abc", "HAMCERT_SEED must be an integer, got 'abc'"),
-            ([], "-5", "seed must be a non-negative integer, got -5"),
+            (["--c2", "1e300"], "c2=1e+300"),
+            (["--c2", "1e7"], "c2=10000000.0"),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ],
-        ids=["c2-1e300", "c2-1e7", "seed-negative", "env-seed-malformed", "env-seed-negative"],
+        ids=["c2-1e300", "c2-1e7", "seed-negative"],
     )
-    def test_certify(self, files, monkeypatch, extra, env, named):
+    def test_certify(self, files, extra, named):
         args = [a for a in certify_args(files, "h_same.txt") if a not in ("--seed", "7")]
-        if env is not None:
-            monkeypatch.setenv("HAMCERT_SEED", env)
         code, out, err = self._run(args + extra)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -501,17 +524,11 @@ class TestInputErrorsNameTheInput:
         assert "unexpected" not in err
 
     @pytest.mark.parametrize(
-        "extra, env, named",
-        [
-            (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
-            ([], "abc", "HAMCERT_SEED must be an integer, got 'abc'"),
-            ([], "-5", "seed must be a non-negative integer, got -5"),
-        ],
-        ids=["seed-negative", "env-seed-malformed", "env-seed-negative"],
+        "extra, named",
+        [(["--seed", "-1"], "seed must be a non-negative integer, got -1")],
+        ids=["seed-negative"],
     )
-    def test_verify_prints_no_suite(self, monkeypatch, extra, env, named):
-        if env is not None:
-            monkeypatch.setenv("HAMCERT_SEED", env)
+    def test_verify_prints_no_suite(self, extra, named):
         code, out, err = self._run(["verify", *extra])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,7 +15,6 @@ from hamcert.gaps import (
     GapStatConfig,
     find_drop_indices,
     find_drop_time,
-    find_drop_times,
     lambda_stat,
     lambda_stat_stack,
     stability_bound,
@@ -34,6 +33,12 @@ def _uniform_loop(spectrum, cfg, rng):
         if prob <= target:
             return DropTime(t, prob)
     return None
+
+
+def _drop_times(spectrum, cfg, rng, searches):
+    """``searches`` successive searches, one ``DropTime`` or ``None`` each."""
+    at, times, probs = find_drop_indices(spectrum, cfg, rng, searches)
+    return [None if a < 0 else DropTime(times[a], probs[a]) for a in at.tolist()]
 
 
 def _bits(found):
@@ -225,7 +230,7 @@ class TestFindDropTime:
             want = [_uniform_loop(spec, cfg, rngs[0]) for _ in range(2500)]
             one_at_a_time = [find_drop_time(spec, cfg, rngs[1]) for _ in range(2500)]
             # 2500 searches span three blocks of draws.
-            at_once = find_drop_times(spec, cfg, rngs[2], 2500)
+            at_once = _drop_times(spec, cfg, rngs[2], 2500)
             assert _bits(one_at_a_time) == _bits(at_once) == _bits(want)
             states = [r.bit_generator.state for r in rngs]
             assert states[0] == states[1] == states[2]
@@ -245,7 +250,7 @@ class TestFindDropTime:
         monkeypatch.setattr(gaps, "identity_probs_spectral", counted)
         rngs = [np.random.default_rng(5) for _ in range(2)]
         want = [_uniform_loop(spec, cfg, rngs[0]) for _ in range(1500)]
-        got = find_drop_times(spec, cfg, rngs[1], 1500)
+        got = _drop_times(spec, cfg, rngs[1], 1500)
         assert _bits(got) == _bits(want)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         # Blocks of 1024 and 476 searches: two draws per search, then six.
@@ -262,7 +267,7 @@ class TestFindDropTime:
             for searches in (1, 2, 3, 7):
                 rngs = [np.random.default_rng(searches) for _ in range(2)]
                 want = [_uniform_loop(spec, cfg, rngs[0]) for _ in range(searches)]
-                got = find_drop_times(spec, cfg, rngs[1], searches)
+                got = _drop_times(spec, cfg, rngs[1], searches)
                 assert _bits(got) == _bits(want)
                 assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
@@ -278,7 +283,7 @@ class TestFindDropTime:
         got = [None if a < 0 else DropTime(times[a], probs[a]) for a in at.tolist()]
         want = [_uniform_loop(spec, cfg, rngs[1]) for _ in range(searches)]
         assert _bits(got) == _bits(want)
-        assert _bits(find_drop_times(spec, cfg, rngs[2], searches)) == _bits(want)
+        assert _bits([find_drop_time(spec, cfg, rngs[2]) for _ in range(searches)]) == _bits(want)
         assert 0 < np.count_nonzero(at < 0) < searches or searches == 1
         # The arrays hold every draw taken, in the order one uniform draw at
         # a time gives them, with their probabilities.
@@ -292,8 +297,8 @@ class TestFindDropTime:
         cfg = GapStatConfig(epsilon=1.0, d=0.5, delta=0.1)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="nonnegative"):
-            find_drop_times(np.zeros(2), cfg, rng, -1)
-        assert find_drop_times(np.zeros(2), cfg, rng, 0) == []
+            _drop_times(np.zeros(2), cfg, rng, -1)
+        assert _drop_times(np.zeros(2), cfg, rng, 0) == []
         assert [a.size for a in find_drop_indices(np.zeros(2), cfg, rng, 0)] == [0, 0, 0]
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 

@@ -208,8 +208,6 @@ class TestChiSquareTail:
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(hamcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    # The verify subcommand's default seed comes from $HAMCERT_SEED.
-    env.pop("HAMCERT_SEED", None)
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
         capture_output=True,
