@@ -473,26 +473,33 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-class TestSeedFlag:
+class TestSeedResolution:
+    def test_flag_takes_precedence_over_env(self, files, tmp_path, monkeypatch):
+        monkeypatch.setenv("HAMCERT_SEED", "99")
+        out = tmp_path / "flag_wins.txt"
+        main(certify_args(files, "h_far.txt", out=out))
+        assert "seed: 7" in out.read_text()
+
     @pytest.mark.parametrize("env", ["7", "abc"])
-    def test_the_environment_does_not_set_the_seed(self, files, monkeypatch, env):
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    def test_the_environment_does_not_set_the_seed(self, files, monkeypatch, command, env):
         # Only --seed sets the seed: identical flags give identical output
         # whatever HAMCERT_SEED holds, and without the flag the seed is 0.
         certify = [a for a in certify_args(files, "h_far.txt") if a not in ("--seed", "7")]
         runs = {
-            "certify": certify,
-            "certify --seed 7": certify + ["--seed", "7"],
-            "verify": ["verify", "--suite", "bell"],
-        }
+            "certify": {"default": certify, "flag": certify + ["--seed", "7"]},
+            "verify": {"default": ["verify", "--suite", "bell"]},
+        }[command]
         monkeypatch.delenv("HAMCERT_SEED", raising=False)
         unset = {name: _outcome(argv) for name, argv in runs.items()}
         monkeypatch.setenv("HAMCERT_SEED", env)
         assert {name: _outcome(argv) for name, argv in runs.items()} == unset
-        assert unset["certify"][0] == 1 and "\nseed: 0\n" in unset["certify"][1]
-        assert unset["certify --seed 7"][0] == 1
-        assert "\nseed: 7\n" in unset["certify --seed 7"][1]
-        assert unset["verify"][:2] == (0, run_suite("bell", seed=0).summary() + "\n")
         assert all(err == "" for _, _, err in unset.values())
+        if command == "certify":
+            assert unset["default"][0] == 1 and "\nseed: 0\n" in unset["default"][1]
+            assert unset["flag"][0] == 1 and "\nseed: 7\n" in unset["flag"][1]
+        else:
+            assert unset["default"][:2] == (0, run_suite("bell", seed=0).summary() + "\n")
 
 
 class TestInputErrorsNameTheInput:
