@@ -90,21 +90,22 @@ def _spectrum_array(spectrum: np.ndarray) -> np.ndarray:
 def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarray:
     """:func:`identity_prob_spectral` at every entry of ``times``.
 
-    Row ``r`` of the phase array is ``times[r] * spectrum``, and its cosine
-    and sine sums are taken along the row, so each probability equals the
-    one-time evaluation bit for bit.  Rows are evaluated in blocks of
+    Row ``r`` of the phase array is ``times[r]`` times the spectrum, or its
+    row ``r`` for a ``(len(times), N)`` stack, and its cosine and sine sums
+    are taken along the row, so each probability equals the one-time
+    evaluation bit for bit.  Rows are evaluated in blocks of
     ``_PHASE_ENTRIES // N`` (at least one).
 
-    With more than one time, the cosine and sine are taken once per
-    distinct eigenvalue (Walsh spectra repeat a few values many times) and
-    gathered back to ``N`` columns with ``np.take``.  The gathered rows are
-    C-contiguous, hold the same doubles in the same order, and so sum to
-    the same bits.  A single time never pays for the sort.
+    With more than one time for one spectrum, the cosine and sine are taken
+    once per distinct eigenvalue (Walsh spectra repeat a few values many
+    times) and gathered back to ``N`` columns with ``np.take``.  The
+    gathered rows are C-contiguous, hold the same doubles in the same
+    order, and so sum to the same bits.  A stack never pays for the sort.
 
     Raises:
-        ValueError: On a negative or non-finite time, an empty or non-1-D
-            spectrum, or, at any of the times, a non-finite eigenvalue or a
-            phase ``t * l`` that overflows.
+        ValueError: On a negative or non-finite time, a spectrum neither
+            nonempty 1-D nor a nonempty row per time, or, at any of the
+            times, a non-finite eigenvalue or a phase ``t * l`` that overflows.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -112,20 +113,23 @@ def identity_probs_spectral(spectrum: np.ndarray, times: np.ndarray) -> np.ndarr
     bad = times[~(np.isfinite(times) & (times >= 0))]
     if bad.size:
         raise ValueError(f"Time must be finite and nonnegative, got {bad[0]}.")
-    values = _spectrum_array(spectrum)
-    distinct, inverse = values, None
-    if times.size > 1:
+    values = np.asarray(spectrum, dtype=float)
+    stacked = values.ndim == 2 and len(values) == times.size and values.shape[1] > 0
+    values = distinct = values if stacked else _spectrum_array(values)
+    inverse, size = None, values.shape[-1]
+    if times.size > 1 and not stacked:
         distinct, inverse = np.unique(values, return_inverse=True)
     probs = np.empty(times.size)
-    rows = max(1, _PHASE_ENTRIES // values.size)
+    rows = max(1, _PHASE_ENTRIES // size)
     # A non-finite eigenvalue or an overflowing phase turns its rows into
     # NaN, which is checked once below instead of in a pass over the spectrum.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, times.size, rows):
-            phase = np.multiply.outer(times[start : start + rows], distinct)
+            span = slice(start, start + rows)
+            phase = times[span, None] * (values[span] if stacked else distinct)
             c = _row_sums(np.cos(phase), inverse)
             s = _row_sums(np.sin(phase), inverse)
-            probs[start : start + rows] = (c * c + s * s) / values.size**2
+            probs[span] = (c * c + s * s) / size**2
     if np.isnan(probs).any():
         if not np.isfinite(values).all():
             raise ValueError("Spectrum must hold finite values only.")

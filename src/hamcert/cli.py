@@ -2,7 +2,9 @@
 
 Exit codes are the machine contract: 0 means ACCEPT (or all suites
 passed), 1 means REJECT, 2 means a usage or input error.  All output is
-locale-independent and byte-reproducible for a fixed seed.
+byte-reproducible for a fixed seed and locale-independent: files are read
+and written, and the console script's stdout written, as UTF-8, with a
+path that the locale could not decode written back as its own bytes.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ def _load_hamiltonian(path: str) -> PauliSum:
 
 
 def _write_out(path: str, text: str) -> None:
+    # Encoded before the file is opened, so a failure leaves it untouched.
+    data = text.encode("utf-8", "surrogateescape")
     try:
-        Path(path).write_text(text)
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
@@ -208,4 +212,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     raise SystemExit(main())

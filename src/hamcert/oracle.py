@@ -56,7 +56,9 @@ is Z, each Pauli term maps ``s`` to ``s ^ x`` with a phase, so a block of
 per coset of the rank-``r`` span of the residual's flip masks, with the
 effective part's Walsh spectrum on their diagonal.  No dense matrix is
 formed, and no system size is refused: only a block whose coset blocks
-would exceed ``2^23`` entries is.
+would exceed ``2^23`` entries is.  The blocks come from the sites and
+letters the twirled parts keep, so no round forms a label, and the blocks of
+one size share one Walsh transform and one spectral call.
 """
 
 from __future__ import annotations
@@ -68,12 +70,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import identity_prob_spectral
+from .bell import identity_probs_spectral
 from .dense import (_CHUNK_ENTRIES, QUBIT_CAP, _check_cap, _letter_phases, eig_decompose,
                     evolve, to_dense_stack)
-from .moments import walsh_table, walsh_transform
-from .pauli import PauliSum, _codes, partition, subtract
-from .twirl import DiagonalSubspace, TwirlTranscript, _check_sizes, _draw, _split
+from .moments import walsh_transform
+from .pauli import PauliSum, _components, partition, subtract
+from .twirl import _X, DiagonalSubspace, TwirlTranscript, _check_sizes, _draw, _split
 
 __all__ = [
     "AccessModelError",
@@ -135,64 +137,72 @@ def _forward_request(t: float, count: int) -> tuple[float, int]:
     return t, count
 
 
-#: Sign-free cyclic letter maps taking each site's axis to Z.
-_TO_Z_FRAME = {"X": str.maketrans("XYZ", "ZXY"), "Y": str.maketrans("XYZ", "YZX")}
-_FLIP_BITS = str.maketrans("IXYZ", "0110")
+def _twirled_groups(tr: TwirlTranscript) -> tuple[list[list], list[tuple[int, int]]]:
+    """The twirled generator's blocks by size, and each block's size and row in site order.
 
-
-def _z_frame_residual(
-    axes: list[str], residual: PauliSum
-) -> tuple[list[tuple[str, float]], list[int]]:
-    """Residual terms rotated so every site's axis is Z, and their flip basis.
-
-    No vector of the GF(2) basis has its top bit set in another.  Raises
-    ValueError when the coset blocks would exceed ``2^23`` entries.
+    A group is ``[n_J, blocks, indices, coeffs, residuals]``: each effective
+    term's index ``row * 2^n_J + mask`` into the stacked Walsh tables (a
+    site's bit is ``n_J - 1 - i`` at the block's ``i``-th site) and its
+    coefficient, then per block with a residual its row and the rest of the
+    arguments of :func:`_block_spectrum`.  Raises ValueError for the first
+    block whose coset blocks exceed ``2^23`` entries; flip ranks are exact.
     """
-    maps = [_TO_Z_FRAME.get(ax, {}) for ax in axes]
-    terms = [("".join(map(str.translate, label, maps)), coeff)
-             for label, coeff in residual.items()]
-    basis: list[int] = []
-    for label, _ in terms:
-        x = int(label.translate(_FLIP_BITS), 2)
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis = [min(b, b ^ x) for b in basis] + [x]
-    n, r = len(axes), len(basis)
-    if n + r > 23:  # 2^(n + r) complex entries: 128 MiB at most
-        raise ValueError(
-            f"A block of the twirled generator at n={n} has flip rank r={r}: "
-            f"its coset blocks would hold 2^{n + r} complex entries, above "
-            "the cap of 2^23."
-        )
-    return terms, basis
+    cuts = _components(tr.effective, tr.residual)
+    place = {site: (b, len(block) - 1 - i)
+             for b, block in enumerate(cuts) for i, site in enumerate(block)}
+    # Residual letters in the frame where each axis is Z, 0, 1, 2 for X, Y, Z: X, Y flip.
+    residuals: dict[int, list[tuple[bytearray, float, int]]] = {}
+    starts, sites, letters = (part.tolist() for part in tr.residual._support())
+    bounds = [*starts, len(sites)]
+    for coeff, start, end in zip(tr.residual._terms.values(), bounds, bounds[1:]):
+        b = place[sites[start]][0]
+        codes, flip = bytearray(b"I" * len(cuts[b])), 0
+        for site, letter in zip(sites[start:end], letters[start:end]):
+            z, bit = (letter - ord(tr.subspace.axes[site]) + 2) % 3, place[site][1]
+            codes[-1 - bit], flip = _X + z, flip | (z < 2) << bit
+        residuals.setdefault(b, []).append((codes, coeff, flip))
+    groups: dict[int, list] = {}
+    order = []
+    for b, block in enumerate(cuts):
+        terms = residuals.get(b, [])
+        basis: list[int] = []
+        for _, _, x in terms:
+            for v in basis:
+                x = min(x, x ^ v)
+            if x:
+                basis = [min(v, v ^ x) for v in basis] + [x]
+        n, r = len(block), len(basis)
+        if n + r > 23:  # 2^(n + r) complex entries: 128 MiB at most
+            raise ValueError(
+                f"A block of the twirled generator at n={n} has flip rank r={r}: "
+                f"its coset blocks would hold 2^{n + r} complex entries, above "
+                "the cap of 2^23."
+            )
+        group = groups.setdefault(n, [n, 0, [], [], []])
+        if terms:
+            codes, coeffs, _ = zip(*terms)
+            frame = np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(-1, n)
+            group[4].append((group[1], frame, coeffs, basis))
+        order.append((n, group[1]))
+        group[1] += 1
+    starts, sites, _ = (part.tolist() for part in tr.effective._support())
+    bounds = [*starts, len(sites)]
+    for coeff, start, end in zip(tr.effective._terms.values(), bounds, bounds[1:]):
+        n, row = order[place[sites[start]][0]]
+        groups[n][2].append(row << n | sum(1 << place[s][1] for s in sites[start:end]))
+        groups[n][3].append(coeff)
+    return list(groups.values()), order
 
 
-def _twirled_blocks(tr: TwirlTranscript) -> list[tuple[PauliSum, list, list[int]]]:
-    """The twirled generator per block of its support graph.
-
-    Each entry holds the block's effective part and its residual terms in
-    the Z frame with their flip basis, all cut to the block's sites: the
-    arguments of :func:`_block_spectrum`.  Raises ValueError for a block
-    whose coset blocks would exceed ``2^23`` entries.
-    """
-    blocks = []
-    for sites, (effective, residual) in partition(tr.effective, tr.residual):
-        axes = [tr.subspace.axes[i] for i in sites]
-        blocks.append((effective, *_z_frame_residual(axes, residual)))
-    return blocks
-
-
-def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.ndarray:
-    """Spectrum of ``effective + terms``, one block per coset of ``span(basis)``.
+def _block_spectrum(diagonal: np.ndarray, letters: np.ndarray, coeffs: tuple[float, ...],
+                    basis: list[int]) -> np.ndarray:
+    """Spectrum of Walsh spectrum ``diagonal`` plus the Z-frame ASCII ``letters``
+    (a row per term) with ``coeffs``, one block per coset of ``span(basis)``.
 
     Block row ``b`` holds the states ``rep_b ^ combos[a]``: ``rep_b`` has no
     top basis bit, ``combos[a]`` sums the basis vectors the bits of ``a``
     pick, and a flip ``x = combos[shift]`` takes ``a`` to ``a ^ shift``.
     """
-    diagonal = walsh_transform(walsh_table(effective))
-    if not basis:
-        return diagonal
     pivots = [b.bit_length() - 1 for b in basis]
     states, combos = np.arange(diagonal.size), np.zeros(1, dtype=int)
     for b in basis:
@@ -204,10 +214,9 @@ def _block_spectrum(effective: PauliSum, terms: list, basis: list[int]) -> np.nd
     # Each term holds 2^n_J phases: as many terms per encoding as fit in
     # _CHUNK_ENTRIES, at least one.
     span = max(1, _CHUNK_ENTRIES // diagonal.size)
-    for start in range(0, len(terms), span):
-        chunk = terms[start : start + span]
-        flips, phases = _letter_phases(_codes((label for label, _ in chunk), effective.n))
-        for (_, coeff), flip, phase in zip(chunk, flips.tolist(), phases):
+    for start in range(0, len(coeffs), span):
+        flips, phases = _letter_phases(letters[start : start + span])
+        for coeff, flip, phase in zip(coeffs[start : start + span], flips.tolist(), phases):
             shift = sum((flip >> p & 1) << i for i, p in enumerate(pivots))
             blocks[:, inner ^ shift, inner] += coeff * phase[grid]
     return np.linalg.eigvalsh(blocks).ravel()
@@ -423,12 +432,12 @@ class EvolutionOracle:
 
         Makes the same checks and the same single ``shots * t`` charge as
         :meth:`effective_shot`.  The probability is the product over the
-        blocks of ``H_T``'s support graph of each block's probability,
-        whose spectrum comes from its coset blocks (see the module
-        docstring): with no residual, the Walsh transform of the block's
-        effective part in ``O(n_J 2^n_J)``.  When ``H_T`` is empty
-        (``H = H0``), there is no block and the probability is exactly
-        ``1.0``.
+        blocks of ``H_T``'s support graph, by first site, of each block's
+        probability, whose spectrum comes from its coset blocks (see the
+        module docstring): with no residual, the Walsh transform of the
+        block's effective part, one stacked transform and spectral call per
+        block size.  When ``H_T`` is empty (``H = H0``), there is no block
+        and the probability is exactly ``1.0``.
 
         Raises:
             OracleModeError: Outside ``EXACT_EFFECTIVE`` mode.
@@ -436,15 +445,21 @@ class EvolutionOracle:
             ValueError: If a block's coset blocks would hold more than
                 ``2^23`` entries; checked before anything is charged.
         """
-        # H = H0 leaves no term, so no partition is built: the empty
-        # product is 1.0.
+        # H = H0 leaves no term and so no block: the empty product is 1.0.
         empty = not transcript.effective and not transcript.residual
-        blocks = [] if empty else _twirled_blocks(transcript)
+        groups, order = ([], []) if empty else _twirled_groups(transcript)
         t = self._charge_shots(transcript.subspace.n, t, shots)
-        prob = 1.0
-        for block in blocks:
-            prob *= identity_prob_spectral(_block_spectrum(*block), t)
-        return prob
+        if empty:
+            return 1.0
+        probs = {}
+        for size, count, index, coeffs, residuals in groups:
+            tables = np.zeros((count, 1 << size))
+            tables.put(index, coeffs)
+            spectra = walsh_transform(tables)
+            for row, *block in residuals:
+                spectra[row] = _block_spectrum(spectra[row], *block)
+            probs[size] = identity_probs_spectral(spectra, [t] * count).tolist()
+        return math.prod((probs[size][row] for size, row in order), start=1.0)
 
     def sample_twirl(
         self,

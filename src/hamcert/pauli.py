@@ -23,7 +23,8 @@ are summed.
 Array code reads labels in one form: :func:`_codes` alone turns labels
 into bytes, and :meth:`PauliSum._support`, built from them on first use
 and kept (a sum never changes; :meth:`PauliSum._subset` cuts a part's from
-its sum's), lists each term's non-identity sites and letters.
+its sum's), lists each term's non-identity sites and letters.  The twirl
+and both oracle modes read this form, so no exact-mode round forms a label.
 """
 
 from __future__ import annotations
@@ -384,6 +385,30 @@ def scale(h: PauliSum, factor: float) -> PauliSum:
     return PauliSum._from_pairs(h.n, [(p, c * value) for p, c in h._terms.items()])
 
 
+def _components(*sums: PauliSum) -> list[tuple[int, ...]]:
+    """The sites of each block of :func:`partition`, in its order."""
+    parent: dict[int, int] = {}
+
+    def root(site: int) -> int:
+        while parent[site] != site:
+            parent[site] = site = parent[parent[site]]
+        return site
+
+    # From each sum's support: link every site of a term to its first one.
+    for h in sums:
+        starts, sites, _ = h._support()
+        flat, bounds = sites.tolist(), [*starts.tolist(), sites.size]
+        for start, end in zip(bounds, bounds[1:]):
+            for site in flat[start:end]:
+                parent.setdefault(site, site)
+                parent[root(site)] = root(flat[start])
+    # Taken in increasing order, the sites meet the roots by first site.
+    blocks: dict[int, list[int]] = {}
+    for site in sorted(parent):
+        blocks.setdefault(root(site), []).append(site)
+    return [tuple(sites) for sites in blocks.values()]
+
+
 def partition(*sums: PauliSum) -> list[tuple[tuple[int, ...], list[PauliSum]]]:
     """The blocks of the support graph of ``sums``, each with every sum cut to it.
 
@@ -404,35 +429,16 @@ def partition(*sums: PauliSum) -> list[tuple[tuple[int, ...], list[PauliSum]]]:
         (0, 3, 4) [PauliSum(n=3, +1*XZI), PauliSum(n=3, -2*IZZ)]
         (1,) [PauliSum(n=1, +0.5*Y), PauliSum(n=1, 0)]
     """
-    parent: dict[int, int] = {}
-
-    def root(site: int) -> int:
-        while parent[site] != site:
-            parent[site] = site = parent[parent[site]]
-        return site
-
-    # From each sum's support: link every site of a term to its first one.
-    records = []
-    for j, h in enumerate(sums):
-        starts, sites, _ = h._support()
-        flat, bounds = sites.tolist(), [*starts.tolist(), sites.size]
-        for term, start, end in zip(h._terms.items(), bounds, bounds[1:]):
-            for site in flat[start:end]:
-                parent.setdefault(site, site)
-                parent[root(site)] = root(flat[start])
-            records.append((j, *term, flat[start]))
-    # Taken in increasing order, the sites meet the roots by first site.
-    blocks: dict[int, list[int]] = {}
-    for site in sorted(parent):
-        blocks.setdefault(root(site), []).append(site)
-    cuts = [tuple(sites) for sites in blocks.values()]
+    cuts = _components(*sums)
     if len(cuts) == 1 and len(cuts[0]) == sums[0].n:
         return [(cuts[0], list(sums))]
     block_of = {site: b for b, sites in enumerate(cuts) for site in sites}
     terms: list[list[dict[str, float]]] = [[{} for _ in sums] for _ in cuts]
-    for j, label, coeff, first in records:
-        b = block_of[first]
-        terms[b][j]["".join([label[i] for i in cuts[b]])] = coeff
+    for j, h in enumerate(sums):
+        starts, sites, _ = h._support()
+        for (label, coeff), first in zip(h._terms.items(), sites[starts].tolist()):
+            b = block_of[first]
+            terms[b][j]["".join([label[i] for i in cuts[b]])] = coeff
     return [(sites, [PauliSum._from_valid(len(sites), part) for part in parts])
             for sites, parts in zip(cuts, terms)]
 

@@ -110,6 +110,11 @@ class TestIdentityProbSpectral:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             got = identity_probs_spectral(spec, times)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # A stack of one spectrum per time: each row as if alone.
+            stack = rng.normal(scale=3.0, size=(times.size, size))
+            want = np.array([np_sum_form(row, t) for row, t in zip(stack, times)])
+            got = identity_probs_spectral(stack, times)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_repeated_eigenvalues_equal_the_np_sum_form_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -143,6 +148,11 @@ class TestIdentityProbSpectral:
             got = identity_probs_spectral(spec, times)
             assert gathers, "the repeated spectrum did not take the gather path"
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # The spectrum repeated once per time: the same bits, no gather.
+            gathers.clear()
+            got = identity_probs_spectral(np.tile(spec, (times.size, 1)), times)
+            assert not gathers
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_a_single_time_never_sorts(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -153,32 +163,46 @@ class TestIdentityProbSpectral:
         monkeypatch.setattr(np, "unique", refuse)
         assert identity_prob_spectral(spec, 1.3) == want
         assert identity_probs_spectral(spec, np.array([1.3]))[0] == want
+        # Nor does a stack, at any number of times.
+        assert identity_probs_spectral(spec[None], np.array([1.3]))[0] == want
+        times = np.array([1.3, 0.4, 1.3])
+        got = identity_probs_spectral(np.tile(spec, (3, 1)), times).tolist()
+        assert got == [want, np_sum_form(spec, 0.4), want]
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
             identity_prob_spectral(np.array([0.0, 1.0]), t)
-        with pytest.raises(ValueError, match="finite"):
-            identity_probs_spectral(np.array([0.0, 1.0]), np.array([1.0, t]))
+        spec, times = np.array([0.0, 1.0]), np.array([1.0, t])
+        want = _error(lambda: identity_probs_spectral(spec, times))
+        assert "finite" in want
+        assert _error(lambda: identity_probs_spectral(np.tile(spec, (2, 1)), times)) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_spectrum_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             identity_prob_spectral(np.array([0.0, bad, 1.0]), 0.5)
-        with pytest.raises(ValueError, match="finite"):
-            identity_probs_spectral(np.array([bad, 1.0]), np.array([0.0, 0.5]))
+        spec, times = np.array([bad, 1.0]), np.array([0.0, 0.5])
+        want = _error(lambda: identity_probs_spectral(spec, times))
+        assert "finite" in want
+        stack = np.array([[0.0, 1.0], spec])
+        assert _error(lambda: identity_probs_spectral(stack, times)) == want
 
     def test_overflowing_phase_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             identity_prob_spectral(np.array([-1e200, 1e200]), 1e200)
-        with pytest.raises(ValueError, match="overflows"):
-            identity_probs_spectral(np.array([0.0, 1e10]), np.array([1.0, 1e300]))
+        spec, times = np.array([0.0, 1e10]), np.array([1.0, 1e300])
+        want = _error(lambda: identity_probs_spectral(spec, times))
+        assert "overflows" in want
+        assert _error(lambda: identity_probs_spectral(np.tile(spec, (2, 1)), times)) == want
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             identity_prob_spectral(np.array([0.0, 1.0]), -0.1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            identity_probs_spectral(np.array([0.0, 1.0]), np.array([1.0, -0.1]))
+        spec, times = np.array([0.0, 1.0]), np.array([1.0, -0.1])
+        want = _error(lambda: identity_probs_spectral(spec, times))
+        assert "nonnegative" in want
+        assert _error(lambda: identity_probs_spectral(np.tile(spec, (2, 1)), times)) == want
 
 
 def _error(call):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hamcert.certifier import CertificationConfig, CertificationReport
-from hamcert.cli import entrypoint, main
+from hamcert.cli import _write_out, entrypoint, main
 from hamcert.oracle import EvolutionOracle
 from hamcert.trotter import TROTTER_STEP_CAP, steps_from_bound
 from hamcert.verification import run_suite, suite_names
@@ -581,8 +581,10 @@ class TestFileEncoding:
     """Hamiltonian files are read as UTF-8 under any locale."""
 
     @staticmethod
-    def run_ascii_locale(args, cwd):
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    def run_ascii_locale(args, cwd, utf8_mode="0"):
+        """``python -m hamcert`` under the C locale, by default without
+        Python's UTF-8 mode, so the locale's ASCII is the default encoding."""
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8=utf8_mode, PYTHONCOERCECLOCALE="0")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "hamcert"] + args,
@@ -597,6 +599,28 @@ class TestFileEncoding:
         proc = self.run_ascii_locale(args, GOLDEN)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == (GOLDEN / "trotter-n24-equal-seed1.report").read_bytes()
+
+    def test_a_non_ascii_path_is_written_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # The sweep header echoes the reference's path: the same bytes on
+        # stdout and in --out as in UTF-8 mode, and the file is complete.
+        ref = tmp_path / "rèf.h0"
+        ref.write_bytes((GOLDEN / "sweep.h0").read_bytes())
+        args = ["sweep", "--h0", str(ref), "--direction", "sweep.dir", "--eps-list", "0.4",
+                "--repeats", "1", "--delta", "0.2", "--k", "1", "--seed", "4", "--out"]
+        utf8 = self.run_ascii_locale(args + [str(tmp_path / "utf8.csv")], GOLDEN, utf8_mode="1")
+        ascii_ = self.run_ascii_locale(args + [str(tmp_path / "ascii.csv")], GOLDEN)
+        assert (ascii_.returncode, ascii_.stderr) == (utf8.returncode, utf8.stderr) == (0, b"")
+        assert f"\n# h0 = {ref}\n".encode() in utf8.stdout
+        assert ascii_.stdout == utf8.stdout
+        assert (tmp_path / "ascii.csv").read_bytes() == utf8.stdout
+        assert (tmp_path / "utf8.csv").read_bytes() == utf8.stdout
+
+    def test_a_text_that_cannot_be_encoded_leaves_the_out_file_untouched(self, tmp_path):
+        out = tmp_path / "report.txt"
+        out.write_bytes(b"kept\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_out(str(out), "a lone surrogate: \ud800\n")
+        assert out.read_bytes() == b"kept\n"
 
     def test_an_invalid_byte_exits_2_naming_the_file(self, files):
         path = files / "h0_latin1.txt"

@@ -188,32 +188,44 @@ def _ladder_difference(n: int, rng: np.random.Generator) -> PauliSum:
     return scale(d, 1e-4 / frobenius_norm(d))
 
 
-#: sha256 of the report of the 256-site exact-mode ladder rung below.
+#: sha256 of the reports of the exact-mode ladder rungs below.
 LADDER_N256_SHA256 = "608d0ad199983092e16d31e8e20d787d0103184ce1d78afcdddbaee4c00dccaf"
+LADDER_N1024_SHA256 = "63fbfaa820eb3f96a6dd5e1399d41400ad94aa39992ce95393e8a9fcacf118d9"
+
+
+def _ladder_sha256(n: int) -> str:
+    """sha256 of the report of the ``n``-site rung: k=2, seed 1."""
+    h0 = _chain(n)
+    hidden = h0 + _ladder_difference(n, np.random.default_rng(7))
+    cfg = CertificationConfig(**dict(_K2, seed=1))
+    report = certify(h0, EvolutionOracle(hidden, cfg.mode), cfg).render()
+    return hashlib.sha256(report.encode()).hexdigest()
 
 
 def test_the_256_site_ladder_rung_report_is_pinned():
     # Each round at n=256 cuts a thousand-term sum into many blocks; the
     # report bytes must not move with how that is done.
     assert _chain(64) == _load("chain-n64.h0")
-    h0 = _chain(256)
-    hidden = h0 + _ladder_difference(256, np.random.default_rng(7))
-    cfg = CertificationConfig(**dict(_K2, seed=1))
-    report = certify(h0, EvolutionOracle(hidden, cfg.mode), cfg).render()
-    assert hashlib.sha256(report.encode()).hexdigest() == LADDER_N256_SHA256
+    assert _ladder_sha256(256) == LADDER_N256_SHA256
+
+
+def test_the_1024_site_ladder_rung_report_is_pinned():
+    # 78 rounds that ACCEPT, each with hundreds of blocks of a few sizes.
+    assert _ladder_sha256(1024) == LADDER_N1024_SHA256
 
 
 def test_a_certify_encodes_labels_a_fixed_number_of_times(monkeypatch):
     # The twirl's parts hold their segments of the difference's support, so
     # no round encodes labels again: a run of 144 rounds encodes as many
-    # as one of 34.
+    # as one of 34.  The oracle reads those segments and holds no encoder.
+    assert not hasattr(oracle, "_codes")
     calls = []
 
     def counted(labels, n):
         calls.append(n)
         return _codes(labels, n)
 
-    for module in (pauli, twirl, oracle, trotter, dense):
+    for module in (pauli, twirl, trotter, dense):
         monkeypatch.setattr(module, "_codes", counted)
     h0 = _chain(64)
     hidden = h0 + _ladder_difference(64, np.random.default_rng(7))

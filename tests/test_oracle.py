@@ -1,5 +1,6 @@
 """Tests for the forward-only oracle and the evolution-time ledger."""
 
+import inspect
 import itertools
 from unittest import mock
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import bell, dense, moments, pauli
 from hamcert import oracle as oracle_module
 from hamcert.bell import identity_prob_spectral, identity_prob_trace
-from hamcert.dense import QUBIT_CAP, eig_decompose, evolve, to_dense
+from hamcert.dense import (_CHUNK_ENTRIES, QUBIT_CAP, _letter_phases, eig_decompose, evolve,
+                           to_dense)
 from hamcert.instances import random_pauli_sum
 from hamcert.moments import walsh_table, walsh_transform
 from hamcert.oracle import (
@@ -20,7 +23,7 @@ from hamcert.oracle import (
     OracleMode,
     OracleModeError,
 )
-from hamcert.pauli import PauliSum, subtract
+from hamcert.pauli import PauliSum, _codes, partition, subtract
 from hamcert.twirl import (
     DiagonalSubspace,
     apply_twirl,
@@ -217,6 +220,62 @@ def _exact(hidden):
     return EvolutionOracle(hidden, OracleMode.EXACT_EFFECTIVE)
 
 
+#: Sign-free cyclic letter maps taking each site's axis to Z.
+_TO_Z_FRAME = {"X": str.maketrans("XYZ", "ZXY"), "Y": str.maketrans("XYZ", "YZX")}
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+
+
+def _z_frame_residual(axes, residual):
+    """A block's residual terms rotated so every site's axis is Z, and their
+    flip basis, no vector of which has its top bit set in another."""
+    maps = [_TO_Z_FRAME.get(ax, {}) for ax in axes]
+    terms = [("".join(map(str.translate, label, maps)), coeff)
+             for label, coeff in residual.items()]
+    basis = []
+    for label, _ in terms:
+        x = int(label.translate(_FLIP_BITS), 2)
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis = [min(b, b ^ x) for b in basis] + [x]
+    return terms, basis
+
+
+def _label_block_spectrum(effective, terms, basis):
+    """Spectrum of ``effective + terms`` from labels, one block per coset of
+    ``span(basis)``, encoding as many terms at once as ``_CHUNK_ENTRIES`` hold."""
+    diagonal = walsh_transform(walsh_table(effective))
+    if not basis:
+        return diagonal
+    pivots = [b.bit_length() - 1 for b in basis]
+    states, combos = np.arange(diagonal.size), np.zeros(1, dtype=int)
+    for b in basis:
+        combos = np.concatenate((combos, combos ^ b))
+    grid = states[(states & sum(1 << p for p in pivots)) == 0][:, None] ^ combos
+    inner = np.arange(combos.size)
+    blocks = np.zeros((grid.shape[0], inner.size, inner.size), dtype=complex)
+    blocks[:, inner, inner] = diagonal[grid]
+    span = max(1, _CHUNK_ENTRIES // diagonal.size)
+    for start in range(0, len(terms), span):
+        part = terms[start : start + span]
+        flips, phases = _letter_phases(_codes((label for label, _ in part), effective.n))
+        for (_, coeff), flip, phase in zip(part, flips.tolist(), phases):
+            shift = sum((flip >> p & 1) << i for i, p in enumerate(pivots))
+            blocks[:, inner ^ shift, inner] += coeff * phase[grid]
+    return np.linalg.eigvalsh(blocks).ravel()
+
+
+def _label_identity_prob(tr, t):
+    """The label route that exact mode's array route replaced: ``partition``,
+    each block's residual rotated label by label, its spectrum, and one
+    ``identity_prob_spectral`` per block, multiplied in block order."""
+    prob = 1.0
+    for sites, (effective, residual) in partition(tr.effective, tr.residual):
+        terms, basis = _z_frame_residual([tr.subspace.axes[i] for i in sites], residual)
+        prob *= identity_prob_spectral(_label_block_spectrum(effective, terms, basis), t)
+    return prob
+
+
 def _trotter(hidden):
     return EvolutionOracle(hidden, OracleMode.TROTTERIZED)
 
@@ -366,6 +425,24 @@ def transcripts(draw, max_n=6):
     return apply_twirl(PauliSum(n, terms), subspace, paulis)
 
 
+@st.composite
+def local_transcripts(draw, max_n=8):
+    """Terms of weight 1 or 2 on up to 8 sites, twirled by 0-2 draws, so the
+    twirled generator falls into blocks and leaves sites idle."""
+    n = draw(st.integers(1, max_n))
+    axes = draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    subspace = DiagonalSubspace(tuple(axes))
+    terms = {}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        label = ["I"] * n
+        for site in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            label[site] = draw(st.sampled_from("XYZ"))
+        terms["".join(label)] = draw(st.floats(-1.0, 1.0))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    paulis = tuple(_member(subspace, b) for b in draw(st.lists(bits, max_size=2)))
+    return apply_twirl(PauliSum(n, terms), subspace, paulis)
+
+
 class TestBlockSpectrumProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(tr=transcripts(), t=st.floats(0.0, 30.0), shots=st.integers(1, 4))
@@ -381,12 +458,42 @@ class TestBlockSpectrumProperties:
     def test_the_encoding_span_changes_no_bit(self, tr):
         # Residual terms encoded one per call and two per call, against
         # the whole block's terms in one call.
-        for block in oracle_module._twirled_blocks(tr):
-            want = oracle_module._block_spectrum(*block)
-            for entries in (1, 2 * 2 ** block[0].n):
-                with mock.patch.object(oracle_module, "_CHUNK_ENTRIES", entries):
-                    got = oracle_module._block_spectrum(*block)
-                assert got.tobytes() == want.tobytes()
+        groups, _ = oracle_module._twirled_groups(tr)
+        for size, count, index, coeffs, residuals in groups:
+            tables = np.zeros((count, 1 << size))
+            tables.put(index, coeffs)
+            diagonals = walsh_transform(tables)
+            for row, *block in residuals:
+                want = oracle_module._block_spectrum(diagonals[row], *block)
+                for entries in (1, 2 * 2**size):
+                    with mock.patch.object(oracle_module, "_CHUNK_ENTRIES", entries):
+                        got = oracle_module._block_spectrum(diagonals[row], *block)
+                    assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tr=transcripts(), local=local_transcripts(), t=st.floats(0.0, 1e4))
+    def test_equals_the_label_route_bit_for_bit(self, tr, local, t):
+        for transcript in (tr, local):
+            n = transcript.subspace.n
+            oracle = _exact(PauliSum(n, {"X" * n: 1.0}))
+            assert oracle.effective_identity_prob(transcript, t) == _label_identity_prob(
+                transcript, t)
+
+    def test_a_coset_row_inside_a_stack_equals_the_label_route(self):
+        # Blocks {0, 1}, {2, 3} and {4, 5}: the middle one keeps an X, a
+        # residual under the Z axes, so its coset spectrum replaces its row
+        # of the stack of three.  Site 6 is idle.
+        h = PauliSum(7, {"ZZIIIII": 0.3, "IIXZIII": 0.4, "IIZZIII": -0.2,
+                         "IIIIZZI": 0.7, "IIIIIZI": 0.1})
+        tr = apply_twirl(h, DiagonalSubspace(("Z",) * 7), ())
+        assert tr.residual == PauliSum(7, {"IIXZIII": 0.4})
+        [[size, count, _, _, [(row, *_)]]], order = oracle_module._twirled_groups(tr)
+        assert (size, count, row, order) == (2, 3, 1, [(2, 0), (2, 1), (2, 2)])
+        dense = _exact(h)
+        for t in (0.0, 0.4, 3.1, 27.0):
+            got = _exact(h).effective_identity_prob(tr, t)
+            assert got == _label_identity_prob(tr, t)
+            assert abs(got - identity_prob_trace(dense.effective_shot(tr.twirled, t))) <= 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(tr=transcripts(), t=st.floats(0.0, 1e4))
@@ -407,24 +514,6 @@ def _chain(n, field=None):
     return PauliSum(n, terms)
 
 
-@st.composite
-def local_transcripts(draw, max_n=8):
-    """Terms of weight 1 or 2 on up to 8 sites, twirled by 0-2 draws, so the
-    twirled generator falls into blocks and leaves sites idle."""
-    n = draw(st.integers(1, max_n))
-    axes = draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
-    subspace = DiagonalSubspace(tuple(axes))
-    terms = {}
-    for _ in range(draw(st.integers(0, 2 * n))):
-        label = ["I"] * n
-        for site in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
-            label[site] = draw(st.sampled_from("XYZ"))
-        terms["".join(label)] = draw(st.floats(-1.0, 1.0))
-    bits = st.lists(st.booleans(), min_size=n, max_size=n)
-    paulis = tuple(_member(subspace, b) for b in draw(st.lists(bits, max_size=2)))
-    return apply_twirl(PauliSum(n, terms), subspace, paulis)
-
-
 class TestComponentRoute:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(tr=local_transcripts(), t=st.floats(0.0, 30.0), shots=st.integers(1, 4))
@@ -434,6 +523,57 @@ class TestComponentRoute:
         want = identity_prob_trace(dense.effective_shot(tr.twirled, t, shots=shots))
         assert abs(got - want) <= 1e-12
         assert blocks.ledger == dense.ledger
+
+
+class TestGroupedRoute:
+    def test_one_transform_and_one_spectral_call_per_block_size(self, monkeypatch):
+        # Blocks of 1, 2, 1, 3 and 2 sites in site order, the last with an X
+        # that the Z axes leave as a residual; site 9 is idle.
+        h = PauliSum(10, {"ZIIIIIIIII": 0.3, "IZZIIIIIII": -0.5, "IIIZIIIIII": 0.8,
+                          "IIIIZZIIII": 0.2, "IIIIIZZIII": 0.6, "IIIIIIIZZI": -0.4,
+                          "IIIIIIIXII": 0.9})
+        tr = apply_twirl(h, DiagonalSubspace(("Z",) * 10), ())
+        assert tr.residual == PauliSum(10, {"IIIIIIIXII": 0.9})
+        want = [_label_identity_prob(tr, t) for t in (0.7, 4.2)]
+        calls = []
+
+        def counted(name, real):
+            def call(*args):
+                out = real(*args)
+                calls.append((name, args[0].shape, out))
+                return out
+            return call
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a label route was reached")
+
+        monkeypatch.setattr(oracle_module, "walsh_transform", counted("walsh", walsh_transform))
+        monkeypatch.setattr(oracle_module, "identity_probs_spectral",
+                            counted("probs", bell.identity_probs_spectral))
+        for module, name in ((oracle_module, "partition"), (pauli, "partition"),
+                             (pauli, "_codes"), (dense, "_codes"), (moments, "walsh_table"),
+                             (bell, "identity_prob_spectral")):
+            monkeypatch.setattr(module, name, refuse)
+        oracle = _exact(h)
+        for t, expected in zip((0.7, 4.2), want):
+            calls.clear()
+            got = oracle.effective_identity_prob(tr, t)
+            assert [(name, shape) for name, shape, _ in calls] == [
+                ("walsh", (2, 2)), ("probs", (2, 2)), ("walsh", (2, 4)), ("probs", (2, 4)),
+                ("walsh", (1, 8)), ("probs", (1, 8))]
+            # Multiplied in first-site order: sizes 1, 2, 1, 3, 2.
+            ones, twos, threes = (out.tolist() for name, _, out in calls if name == "probs")
+            prob = 1.0
+            for p in (ones[0], twos[0], ones[1], threes[0], twos[1]):
+                prob *= p
+            assert got == prob == expected
+        assert oracle.ledger == EvolutionLedger(0.7 + 4.2, 2)
+
+    def test_the_oracle_forms_no_label(self):
+        source = inspect.getsource(oracle_module)
+        assert "maketrans" not in source and "translate" not in source
+        for name in ("_codes", "walsh_table", "identity_prob_spectral"):
+            assert not hasattr(oracle_module, name)
 
 
 class TestSizeLimits:
@@ -537,6 +677,22 @@ class TestSizeLimits:
         got = oracle.effective_identity_prob(tr, 1.0, shots=3)
         assert got == pytest.approx(np.cos(0.1) ** 8, abs=1e-14)
         assert oracle.ledger == EvolutionLedger(3.0, 3)
+
+    @pytest.mark.parametrize("xs, r", [((0, 64, 65, 69), 4), ((), 0)])
+    def test_a_block_above_62_sites_is_refused_with_its_exact_rank(self, xs, r):
+        # One block of 70 sites, so a flip or Walsh mask would need bit 69:
+        # more than an int64 holds.  Every X is a residual under Z axes.
+        n = 70
+        hidden = _chain(n) + PauliSum(n, {"I" * j + "X" + "I" * (n - 1 - j): 0.1 for j in xs})
+        oracle = _exact(hidden)
+        tr = apply_twirl(hidden, DiagonalSubspace(("Z",) * n), ())
+        assert len(tr.residual) == len(xs)
+        message = (f"A block of the twirled generator at n=70 has flip rank r={r}: its "
+                   f"coset blocks would hold 2^{70 + r} complex entries, above the cap of 2^23.")
+        with pytest.raises(ValueError) as caught:
+            oracle.effective_identity_prob(tr, 1.0, shots=3)
+        assert str(caught.value) == message
+        assert oracle.ledger == EvolutionLedger()
 
     def test_a_large_block_without_residual_is_refused_before_any_charge(self):
         n = 24
